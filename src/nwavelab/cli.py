@@ -9,8 +9,11 @@ dump-kernel write the discretized kernel as CSV
 dump-nwave  write a sampled self-similar profile as CSV
 
 Shared flags: --config PATH, --set key=value (repeatable), --out DIR,
---seed N.  The environment variable NWAVE_THREADS caps the worker pool
-used by studies.
+--seed N.  The environment variable NWAVE_THREADS sets the size of the
+thread pool that runs independent simulations: the sweeps of `study` and
+the three q runs of `verify decay`.  Unset, it is the number of CPUs in
+the process's affinity mask, capped at 4; a value that is not a positive
+integer is a configuration error (exit code 2).
 
 Exit codes are a stable contract: 0 success / all checks passed,
 1 at least one verification check failed, 2 usage or configuration

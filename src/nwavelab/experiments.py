@@ -30,6 +30,7 @@ from .diagnostics import (
     lp_norm,
     nwave_distance,
     sup_norm_bound_report,
+    worst_max,
 )
 from .grid import GridFunction, grid_function
 from .kernels import make_kernel
@@ -49,10 +50,21 @@ __all__ = [
 
 
 def _thread_count() -> int:
+    """Pool size: NWAVE_THREADS, else the CPUs this process may use (<= 4)."""
     env = os.environ.get("NWAVE_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    if not env:
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity API on this platform
+            cpus = os.cpu_count() or 1
+        return min(4, cpus)
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ConfigError(f"must be a positive integer, got {env!r}", origin="NWAVE_THREADS")
+    return count
 
 
 def _pmap(fn, items):
@@ -249,7 +261,7 @@ def run_long_time(spec: StudySpec):
             values=values,
             detail=detail,
         ))
-    drift = max(abs(m - mass) for _, m in traj.mass_history)
+    drift = float(np.max([abs(m - mass) for _, m in traj.mass_history]))
     reports.append(Report(
         name="mass conservation",
         verdict="pass" if drift <= params.tail_cap else "fail",
@@ -417,7 +429,7 @@ def run_rescaling_family(spec: StudySpec):
     for lam in lams:
         if lam == 1.0:
             continue
-        worst_ratio = max(worst_ratio, gaps_fine[lam] / gaps[lam] if gaps[lam] > 0 else 0.0)
+        worst_ratio = worst_max(worst_ratio, gaps_fine[lam] / gaps[lam] if gaps[lam] > 0 else 0.0)
     reports = [
         Report(
             name="route agreement under refinement",
@@ -492,15 +504,15 @@ def kernel_bound_sweep(cfg_or_spec):
         for p in ps
     ]
 
-    quad_dev = max(
+    quad_dev = float(np.max([
         abs(by_lam[lam][("quadratic", p)] - half) for lam in lams for p in ps
-    )
-    smooth_max = max(
+    ]))
+    smooth_max = float(np.max([
         by_lam[lam][(name, p)]
         for lam in lams
         for name in ("gaussian", "wave_packet")
         for p in ps
-    )
+    ]))
     reports = [
         Report(
             name="quadratic ratio pinned at m2/2",

@@ -169,20 +169,27 @@ class _Stepper:
         # kernel transform is computed once, each step pays one rfft/irfft
         # pair.  Padding by the stencil half-width keeps the circular wrap
         # inside the zero region, so the result matches zero extension.
+        # The length is 5-smooth (real=True): pocketfft's real transforms
+        # are markedly slower at the 7- and 11-smooth lengths the default
+        # picks.  The padded buffer is kept (a stepper serves one run, so
+        # one thread); only its first n cells are ever written, so the
+        # padding stays zero.
         self._n = params.grid_n()
         self._kspec = None
         if self.kernel is not None and 2 * self.kernel.half_cells + 1 > _DIRECT_MAX_CELLS:
-            self._nfft = next_fast_len(self._n + 2 * self.kernel.half_cells + 1)
+            self._nfft = next_fast_len(self._n + 2 * self.kernel.half_cells + 1, real=True)
             ker = np.zeros(self._nfft)
             ker[self.kernel.offsets % self._nfft] = self.kernel.weights
             self._kspec = rfft(ker)
+            self._buf = np.zeros(self._nfft)
 
     def _lu(self, u_values: np.ndarray) -> np.ndarray:
         if self._kspec is None:
             return _L_values(self.kernel, grid_function(u_values, 0.0, self.dx))
-        buf = np.zeros(self._nfft)
-        buf[: u_values.size] = u_values
-        conv = irfft(rfft(buf) * self._kspec, n=self._nfft)[: u_values.size]
+        self._buf[: u_values.size] = u_values
+        spec = rfft(self._buf)
+        spec *= self._kspec
+        conv = irfft(spec, n=self._nfft, overwrite_x=True)[: u_values.size]
         return conv - u_values
 
     def rate(self, u_values: np.ndarray):
@@ -197,8 +204,11 @@ class _Stepper:
         dirichlet = 0.0
         if lu is not None:
             rhs = rhs + p.alpha * self.lamq * lu
-            # intint J (u(x)-u(y))^2 dx dy = -2 <u, Lu>
-            dirichlet = -2.0 * p.alpha * self.lamq * float(np.dot(u_values, lu)) * dx
+            # intint J (u(x)-u(y))^2 dx dy = -2 <u, Lu>.  einsum, not np.dot:
+            # OpenBLAS hands dots over ~10k cells to a helper thread, which
+            # spins against any other run sharing the CPUs.
+            u_lu = float(np.einsum("i,i->", u_values, lu))
+            dirichlet = -2.0 * p.alpha * self.lamq * u_lu * dx
         if p.mu > 0.0:
             lap = np.empty_like(u_values)
             lap[1:-1] = u_values[2:] - 2.0 * u_values[1:-1] + u_values[:-2]
@@ -228,8 +238,10 @@ def run(phi: GridFunction, params: SimParams) -> Trajectory:
     """Advance phi through params.output_times, snapshotting at each.
 
     Aborts (NumericalAbort) on NaN/overflow naming the first bad cell and
-    the time, on dt collapsing below 1e-12 * t_final, and (DomainTooSmall)
-    when the mass drift exceeds params.tail_cap.
+    the time, on a NaN dt or dt collapsing below 1e-12 * t_final, and
+    (DomainTooSmall) when the mass drift exceeds params.tail_cap.  An
+    infinite dt budget (a zero field with alpha = mu = 0 cannot move) is
+    not a collapse: the run steps straight to the next snapshot.
     """
     n = params.grid_n()
     if phi.n != n or abs(phi.x_min - params.x_min) > 1e-9 or abs(phi.dx - params.dx) > 1e-12:
@@ -247,7 +259,7 @@ def run(phi: GridFunction, params: SimParams) -> Trajectory:
     for t_next in params.output_times:
         while t < t_next:
             dt = stepper.dt_budget(u)
-            if not np.isfinite(dt) or dt < dt_min:
+            if not dt >= dt_min:
                 cell = int(np.argmax(np.abs(u)))
                 raise NumericalAbort(
                     f"time step collapsed to dt={dt:g} at t={t:g}, driven by "

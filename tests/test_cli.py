@@ -90,3 +90,12 @@ def test_study_kernel_bound_writes_artifacts(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "kernel_bound_sweep_verdicts.json"))
     manifest = open(os.path.join(out, "kernel_bound_sweep_manifest.txt")).read()
     assert "study.kind = kernel_bound_sweep" in manifest
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_bad_thread_count_exits_2(value, monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("NWAVE_THREADS", value)
+    assert main(["verify", "decay", "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert "NWAVE_THREADS" in captured.err and repr(value) in captured.err
+    assert captured.out == ""

@@ -14,6 +14,7 @@ from nwavelab.diagnostics import (
     oleinik_margin,
     random_smooth_field,
     tail_mass,
+    worst_max,
 )
 from nwavelab.grid import grid_function
 from nwavelab.kernels import make_kernel
@@ -234,3 +235,20 @@ def test_energy_and_sup_reports_on_a_run():
                                  neg_left=-2.0, neg_right=-1.0, neg_height=1.0), p)
     with pytest.raises(ValueError, match="nonnegative"):
         sup_norm_bound_report(bad)
+
+
+def test_worst_max_keeps_nan():
+    assert worst_max(-np.inf, 1.0) == 1.0
+    assert np.isnan(worst_max(-np.inf, np.nan))
+    assert np.isnan(worst_max(np.nan, 1.0))
+
+
+def test_sup_report_fails_on_one_nan_snapshot():
+    from nwavelab.diagnostics import sup_norm_bound_report
+
+    p = SimParams(q=1.5, x_min=-4.0, x_max=4.0, dx=1.0 / 64.0, output_times=(0.2, 0.4))
+    traj = run(make_initial_datum("box", p.x_min, p.dx, p.grid_n()), p)
+    traj.snapshots[1].values[40] = np.nan
+    rep = sup_norm_bound_report(traj)
+    assert not rep.passed
+    assert np.isnan(rep.values["worst_excess"])

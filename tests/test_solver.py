@@ -3,11 +3,13 @@ import pytest
 
 from nwavelab.diagnostics import lp_norm, random_smooth_field
 from nwavelab.grid import grid_function
+from nwavelab.kernels import convolve
 from nwavelab.profiles import make_initial_datum
 from nwavelab.solver import (
     DomainTooSmall,
     NumericalAbort,
     SimParams,
+    _Stepper,
     rescale_trajectory,
     run,
     step,
@@ -184,3 +186,58 @@ def test_rescale_trajectory_scales_amplitude_and_space():
     expect = lam * np.interp(lam * out.snapshots[0].centers, src.centers, src.values,
                              left=0.0, right=0.0)
     np.testing.assert_allclose(out.snapshots[0].values, expect, atol=1e-15)
+
+
+def test_infinite_dt_budget_steps_to_each_snapshot():
+    # a zero field with alpha = mu = 0 has no CFL constraint at all
+    p = _params(alpha=0.0, mu=0.0, output_times=(0.25, 0.5))
+    traj = run(grid_function(np.zeros(p.grid_n()), p.x_min, p.dx), p)
+    assert traj.times == [0.25, 0.5]
+    assert traj.steps == 2
+    for u in traj.snapshots:
+        assert not np.any(u.values)
+
+
+def test_nan_dt_budget_still_aborts():
+    p = _params(alpha=0.0, mu=0.0)
+    u = np.zeros(p.grid_n())
+    u[10] = np.nan
+    with pytest.raises(NumericalAbort, match="collapsed to dt=nan"):
+        run(grid_function(u, p.x_min, p.dx), p)
+
+
+@pytest.mark.parametrize("x_max", [80.0, 56.0])
+def test_fft_path_matches_direct_convolution(x_max):
+    # The decay grids (65-tap kernel, n = 11776 and 8704) whose padded
+    # length used to be 7- or 11-smooth.  Two different fields in a row,
+    # so a stale padded buffer would show.
+    p = SimParams(q=1.5, kernel_width=0.25, x_min=-12.0, x_max=x_max, dx=1.0 / 128.0)
+    stepper = _Stepper(p)
+    kernel = p.kernel()
+    assert kernel.weights.size == 65 and stepper._kspec is not None
+    rng = np.random.default_rng(7)
+    n = p.grid_n()
+    box = np.where(np.arange(n) < n // 3, 1.0, 0.0)
+    for values in (rng.random(n), box):
+        u = grid_function(values, p.x_min, p.dx)
+        expect = convolve(kernel, u, backend="direct").values - values
+        np.testing.assert_allclose(stepper._lu(values), expect, rtol=0.0, atol=1e-13)
+
+
+def test_time_loop_makes_no_blas_call(monkeypatch):
+    # OpenBLAS runs large dot products on a helper thread that spins
+    # against concurrent runs; the per-step reductions must not reach it.
+    # The kernel is built beforehand: its moments use np.dot once per run,
+    # on a stencil far below OpenBLAS's threading threshold.
+    p = _params(alpha=1.0, mu=0.05, output_times=(0.05, 0.1))
+    kernel = p.kernel()
+    datum = make_initial_datum("box", p.x_min, p.dx, p.grid_n())
+
+    def no_dot(*args, **kwargs):
+        raise AssertionError("np.dot called in the time loop")
+
+    monkeypatch.setattr(SimParams, "kernel", lambda self: kernel)
+    monkeypatch.setattr(np, "dot", no_dot)
+    traj = run(datum, p)
+    assert traj.times == [0.05, 0.1]
+    assert traj.dissipation_history[-1][1] > 0.0

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from nwavelab.config import ConfigError, load_config
@@ -49,3 +50,46 @@ def test_suite_seed_determinism(tmp_path):
     va = [r.values for r in ra]
     vb = [r.values for r in rb]
     assert va == vb
+
+
+def _small_decay(monkeypatch, threads):
+    import nwavelab.suites as suites
+
+    monkeypatch.setattr(suites, "_DECAY_GRIDS",
+                        {q: suites._DECAY_GRIDS[q] for q in (1.5, 1.75)})
+    monkeypatch.setattr(suites, "_DECAY_TIMES", suites._DECAY_TIMES[:9])
+    monkeypatch.setenv("NWAVE_THREADS", str(threads))
+    reports = run_suite("decay", load_config())
+    return [(r.name, r.verdict, r.values) for r in reports]
+
+
+def test_decay_suite_independent_of_thread_count(monkeypatch):
+    serial = _small_decay(monkeypatch, 1)
+    pooled = _small_decay(monkeypatch, 2)
+    assert [name for name, _, _ in serial] == [
+        name
+        for q in (1.5, 1.75)
+        for name in (f"decay exponent p=1 q={q:g}", f"decay exponent p=2 q={q:g}",
+                     f"decay exponent p=inf q={q:g}", "energy dissipation")
+    ]
+    # dict equality compares the floats exactly: bit-identical values
+    assert pooled == serial
+    assert _small_decay(monkeypatch, 2) == pooled
+
+
+def test_nan_measurement_fails_its_check(monkeypatch):
+    import nwavelab.suites as suites
+
+    real = suites.l1_modulus
+    calls = []
+
+    def one_nan(u, h):
+        calls.append(h)
+        return np.nan if len(calls) == 3 else real(u, h)
+
+    monkeypatch.setattr(suites, "l1_modulus", one_nan)
+    reports = {r.name: r for r in run_suite("tails", load_config())}
+    modulus = reports["shift modulus non-expansion"]
+    assert not modulus.passed
+    assert np.isnan(modulus.values["worst_growth"])
+    assert reports["tail growth bound"].passed
