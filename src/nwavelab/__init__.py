@@ -21,10 +21,10 @@ from .diagnostics import (
     sup_norm_bound_report,
     tail_mass,
 )
-from .flux import flux, max_wave_speed, numerical_flux, validate_q
+from .flux import flux, max_wave_speed, validate_q
 from .grid import GridFunction, grid_function
 from .kernels import KERNEL_FAMILIES, Kernel, convolve, make_kernel, rescale
-from .nonlocal_op import apply_L, apply_rescaled_L, second_order_bound_ratio
+from .nonlocal_op import apply_L, second_order_bound_ratio
 from .profiles import DATUM_KINDS, NWave, make_initial_datum, nwave_eval, nwave_sample
 from .solver import (
     DomainTooSmall,
@@ -33,7 +33,6 @@ from .solver import (
     Trajectory,
     rescale_trajectory,
     run,
-    step,
 )
 from .suites import SUITE_NAMES, run_suite
 
@@ -56,7 +55,6 @@ __all__ = [
     "SimParams",
     "Trajectory",
     "apply_L",
-    "apply_rescaled_L",
     "convolve",
     "decay_fit",
     "energy_report",
@@ -69,7 +67,6 @@ __all__ = [
     "make_initial_datum",
     "make_kernel",
     "max_wave_speed",
-    "numerical_flux",
     "nwave_distance",
     "nwave_eval",
     "nwave_sample",
@@ -79,7 +76,6 @@ __all__ = [
     "run",
     "run_suite",
     "second_order_bound_ratio",
-    "step",
     "sup_norm_bound_report",
     "tail_mass",
     "validate_q",

@@ -64,6 +64,9 @@ class Report:
     def __post_init__(self):
         if self.verdict not in ("pass", "fail", "informational"):
             raise ValueError(f"bad verdict {self.verdict!r}")
+        # Fail closed: a NaN or inf measurement never reads as a pass.
+        if any(isinstance(v, float) and not math.isfinite(v) for v in self.values.values()):
+            self.verdict = "fail"
 
     @property
     def passed(self) -> bool:

@@ -470,21 +470,16 @@ def _psi_field(name: str, x_min: float, dx: float, n: int) -> GridFunction:
     return grid_function(v, x_min, dx)
 
 
-def kernel_bound_sweep(cfg_or_spec):
+def kernel_bound_sweep(spec: StudySpec):
     """Ratios ||lam^2 (J_lam * psi - psi)||_p / ||psi_xx||_p over the sweep.
 
     The quadratic row must sit at m2/2 to 1e-10 for every lam and p; the
     smooth rows must stay below twice that.
     """
-    base = cfg_or_spec.base if isinstance(cfg_or_spec, StudySpec) else cfg_or_spec.params
-    lams = (
-        cfg_or_spec.sweep
-        if isinstance(cfg_or_spec, StudySpec)
-        else tuple(float(k) for k in range(1, 65))
-    )
+    lams = spec.sweep
     x_min, x_max, dx = _SWEEP_GRID
     n = int(round((x_max - x_min) / dx))
-    kernel = make_kernel(base.kernel_family, base.kernel_width, dx)
+    kernel = make_kernel(spec.base.kernel_family, spec.base.kernel_width, dx)
     half = kernel.m2 / 2.0
     psis = {name: _psi_field(name, x_min, dx, n) for name in _PSI_NAMES}
     ps = (1.0, 2.0, np.inf)

@@ -1,4 +1,4 @@
-"""Convection flux f(u) = |u|^(q-1) u / q and its upwind interface value.
+"""Convection flux f(u) = |u|^(q-1) u / q and its CFL speed.
 
 f' (u) = |u|^(q-1) >= 0, so characteristics always travel rightward and the
 Godunov interface flux reduces to the upwind value f(uL): for uL <= uR the
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["validate_q", "flux", "numerical_flux", "max_wave_speed"]
+__all__ = ["validate_q", "flux", "max_wave_speed"]
 
 
 def validate_q(q: float):
@@ -23,11 +23,6 @@ def flux(u, q: float):
     u = np.asarray(u, dtype=float)
     out = np.abs(u) ** (q - 1.0) * u / q
     return out if out.ndim else float(out)
-
-
-def numerical_flux(u_left, u_right, q: float):
-    """Godunov flux for this f: the upwind value f(u_left)."""
-    return flux(u_left, q)
 
 
 def max_wave_speed(u, q: float) -> float:

@@ -1,10 +1,9 @@
-"""The convolution-minus-identity operator L u = J * u - u and its rescalings.
+"""The convolution-minus-identity operator L u = J * u - u.
 
 L is the generator of the nonlocal diffusion: alpha * (J * u - u) relaxes u
-toward its kernel average and conserves mass.  Under hyperbolic rescaling the
-operator appears as lam^q (J_lam * u - u), which for smooth fields approaches
-lam^(q-2) * (m2 / 2) * u_xx; second_order_bound_ratio measures that
-correspondence in L^p.
+toward its kernel average and conserves mass.  For smooth fields
+lam^2 (J_lam * u - u) approaches (m2 / 2) * u_xx; second_order_bound_ratio
+measures that correspondence in L^p.
 
 For small stencils L is evaluated in difference form,
 sum_k J_k dx (u_{j-k} - u_j), which keeps every term the size of a local
@@ -18,9 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GridFunction
-from .kernels import _DIRECT_MAX_CELLS, Kernel, convolve, rescale
+from .kernels import Kernel, convolve, rescale
 
-__all__ = ["apply_L", "apply_rescaled_L", "second_order_bound_ratio"]
+__all__ = ["apply_L", "second_order_bound_ratio"]
 
 
 def _shifted(values: np.ndarray, k: int) -> np.ndarray:
@@ -40,17 +39,17 @@ def _L_values(kernel: Kernel, u: GridFunction) -> np.ndarray:
         raise ValueError(
             f"kernel spacing {kernel.dx:g} does not match grid spacing {u.dx:g}"
         )
+    if kernel.use_fft:
+        return convolve(kernel, u).values - u.values
     weights = kernel.weights
-    if weights.shape[0] <= _DIRECT_MAX_CELLS:
-        out = (weights.sum() - 1.0) * u.values
-        half = kernel.half_cells
-        for i, w in enumerate(weights):
-            k = i - half
-            if k == 0:
-                continue
-            out += w * (_shifted(u.values, k) - u.values)
-        return out
-    return convolve(kernel, u).values - u.values
+    out = (weights.sum() - 1.0) * u.values
+    half = kernel.half_cells
+    for i, w in enumerate(weights):
+        k = i - half
+        if k == 0:
+            continue
+        out += w * (_shifted(u.values, k) - u.values)
+    return out
 
 
 def apply_L(kernel: Kernel, u: GridFunction, alpha: float = 1.0) -> GridFunction:
@@ -62,17 +61,6 @@ def apply_L(kernel: Kernel, u: GridFunction, alpha: float = 1.0) -> GridFunction
     if not alpha >= 0.0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     return u.with_values(alpha * _L_values(kernel, u))
-
-
-def apply_rescaled_L(kernel: Kernel, u: GridFunction, lam: float, q: float) -> GridFunction:
-    """lam^q * (J_lam * u - u), the diffusion term of the rescaled system.
-
-    Raises if the rescaled stencil would span fewer than 9 cells of u's grid.
-    """
-    if not 1.0 < q <= 2.0:
-        raise ValueError(f"q must lie in (1, 2], got {q}")
-    j_lam = rescale(kernel, lam)
-    return u.with_values(lam ** q * _L_values(j_lam, u))
 
 
 def second_order_bound_ratio(kernel: Kernel, psi: GridFunction, lam: float, p: float) -> float:

@@ -39,7 +39,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 
 from .flux import flux, max_wave_speed, validate_q
 from .grid import GridFunction, grid_function
-from .kernels import _DIRECT_MAX_CELLS, Kernel, make_kernel, rescale
+from .kernels import Kernel, make_kernel, rescale
 from .nonlocal_op import _L_values
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "Trajectory",
     "NumericalAbort",
     "DomainTooSmall",
-    "step",
     "run",
     "rescale_trajectory",
 ]
@@ -176,7 +175,7 @@ class _Stepper:
         # padding stays zero.
         self._n = params.grid_n()
         self._kspec = None
-        if self.kernel is not None and 2 * self.kernel.half_cells + 1 > _DIRECT_MAX_CELLS:
+        if self.kernel is not None and self.kernel.use_fft:
             self._nfft = next_fast_len(self._n + 2 * self.kernel.half_cells + 1, real=True)
             ker = np.zeros(self._nfft)
             ker[self.kernel.offsets % self._nfft] = self.kernel.weights
@@ -224,14 +223,6 @@ class _Stepper:
         if denom == 0.0:
             return np.inf
         return p.cfl / denom
-
-
-def step(u: GridFunction, params: SimParams, dt: float) -> GridFunction:
-    """One forward-Euler step of size dt (no schedule, no checks)."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    rhs, _ = _Stepper(params).rate(u.values)
-    return u.with_values(u.values + dt * rhs)
 
 
 def run(phi: GridFunction, params: SimParams) -> Trajectory:

@@ -528,9 +528,10 @@ def suite_nonlocal_comparison(cfg: Config, out_dir: str | None = None) -> list:
 
 
 def suite_kernel_bound(cfg: Config, out_dir: str | None = None) -> list:
-    from .experiments import kernel_bound_sweep
+    from .experiments import kernel_bound_sweep, study_spec
 
-    reports, rows = kernel_bound_sweep(cfg)
+    spec = study_spec(replace(cfg, study_kind="kernel_bound_sweep"))
+    reports, rows = kernel_bound_sweep(spec)
     _write_reports(reports, out_dir, "kernel_bound", rows=rows)
     return reports
 

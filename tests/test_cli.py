@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nwavelab
 from nwavelab.cli import main
 from nwavelab.io import read_field_bin, read_snapshots_csv
 
@@ -99,3 +102,18 @@ def test_bad_thread_count_exits_2(value, monkeypatch, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "NWAVE_THREADS" in captured.err and repr(value) in captured.err
     assert captured.out == ""
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal costs about a second and 50 MB per fresh interpreter;
+    # the package needs only scipy.fft and scipy.special.
+    src = os.path.dirname(os.path.dirname(nwavelab.__file__))
+    code = (
+        "import sys\n"
+        "import nwavelab, nwavelab.cli, nwavelab.experiments, nwavelab.io\n"
+        "assert 'scipy.signal' not in sys.modules, 'scipy.signal was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

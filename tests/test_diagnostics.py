@@ -31,6 +31,14 @@ def test_report_verdicts():
         Report(name="x", verdict="maybe", values={})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("verdict", ["pass", "informational"])
+def test_report_fails_on_non_finite_value(verdict, bad):
+    r = Report(name="x", verdict=verdict, values={"ok": 1.0, "v": bad, "n": 3})
+    assert r.verdict == "fail" and not r.passed
+    assert r.line().startswith("FAIL")
+
+
 def test_lp_norm_hand_values():
     u = grid_function([3.0, -4.0, 0.0, 0.0], 0.0, 0.5)
     assert lp_norm(u, 1) == pytest.approx(3.5)

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from nwavelab.flux import flux, max_wave_speed, numerical_flux, validate_q
+from nwavelab.flux import flux, max_wave_speed, validate_q
+from nwavelab.solver import SimParams, _Stepper
+
+
+def interface_flux(u_left, u_right, q):
+    """The interface flux the solver applies between two neighbouring cells.
+
+    On a two-cell state with no diffusion, the first cell's rate is
+    -(F_{1/2} - f(ghost = 0)) / dx, so F_{1/2} = -dx * rhs[0].
+    """
+    p = SimParams(q=q, alpha=0.0, mu=0.0, x_min=0.0, x_max=2.0, dx=1.0, output_times=(1.0,))
+    rhs, _ = _Stepper(p).rate(np.array([u_left, u_right], dtype=float))
+    return -p.dx * rhs[0]
 
 
 def test_flux_hand_values():
@@ -22,9 +34,9 @@ def test_flux_is_odd_and_increasing():
 
 def test_numerical_flux_upwind_values():
     # increasing f: the Godunov value is always the left state's flux
-    assert numerical_flux(1.0, 0.0, 1.5) == pytest.approx(2.0 / 3.0)
-    assert numerical_flux(0.0, 1.0, 1.5) == 0.0
-    assert numerical_flux(-2.0, 3.0, 2.0) == pytest.approx(flux(-2.0, 2.0))
+    assert interface_flux(1.0, 0.0, 1.5) == pytest.approx(2.0 / 3.0)
+    assert interface_flux(0.0, 1.0, 1.5) == 0.0
+    assert interface_flux(-2.0, 3.0, 2.0) == pytest.approx(flux(-2.0, 2.0))
 
 
 def test_numerical_flux_brute_force_godunov():
@@ -35,21 +47,21 @@ def test_numerical_flux_brute_force_godunov():
         a, b = rng.uniform(-3.0, 3.0, size=2)
         fan = flux(np.linspace(min(a, b), max(a, b), 2001), q)
         godunov = fan.min() if a <= b else fan.max()
-        assert numerical_flux(a, b, q) == pytest.approx(godunov, abs=1e-9)
+        assert interface_flux(a, b, q) == pytest.approx(godunov, abs=1e-9)
 
 
 def test_numerical_flux_consistency():
     for q in (1.25, 1.5, 2.0):
         for u in (-1.5, 0.0, 0.7):
-            assert numerical_flux(u, u, q) == pytest.approx(flux(u, q))
+            assert interface_flux(u, u, q) == pytest.approx(flux(u, q))
 
 
 def test_numerical_flux_monotone():
     # nondecreasing in the left slot, nonincreasing in the right slot
     q = 1.5
     us = np.linspace(-2.0, 2.0, 41)
-    left = np.array([numerical_flux(u, 0.3, q) for u in us])
-    right = np.array([numerical_flux(0.3, u, q) for u in us])
+    left = np.array([interface_flux(u, 0.3, q) for u in us])
+    right = np.array([interface_flux(0.3, u, q) for u in us])
     assert np.all(np.diff(left) >= 0.0)
     assert np.all(np.diff(right) <= 0.0)
 

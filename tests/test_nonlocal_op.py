@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nwavelab.grid import grid_function
-from nwavelab.kernels import make_kernel
-from nwavelab.nonlocal_op import apply_L, apply_rescaled_L, second_order_bound_ratio
+from nwavelab.kernels import make_kernel, rescale
+from nwavelab.nonlocal_op import apply_L, second_order_bound_ratio
 
 DX = 1.0 / 512.0
 X_MIN = -4.0
@@ -95,7 +95,8 @@ def test_rescaled_l_approaches_second_derivative(base_kernel):
     psi = _psi("gaussian")
     x = psi.centers
     exact = (4.0 * x**2 - 2.0) * np.exp(-(x**2))
-    out = apply_rescaled_L(base_kernel, psi, 64.0, 2.0).values
+    lam, q = 64.0, 2.0
+    out = lam**q * apply_L(rescale(base_kernel, lam), psi).values
     window = slice(200, N - 200)
     scale = np.abs(exact[window]).max()
     err = np.abs(out[window] / (base_kernel.m2 / 2.0) - exact[window]).max()
@@ -104,7 +105,7 @@ def test_rescaled_l_approaches_second_derivative(base_kernel):
 
 def test_rescaled_l_refuses_tiny_stencils(base_kernel):
     with pytest.raises(ValueError, match="at least 9"):
-        apply_rescaled_L(base_kernel, _psi("gaussian"), 1024.0, 1.5)
+        rescale(base_kernel, 1024.0)
 
 
 def test_spacing_mismatch_rejected(base_kernel):

@@ -3,7 +3,6 @@ import pytest
 
 from nwavelab.diagnostics import lp_norm, random_smooth_field
 from nwavelab.grid import grid_function
-from nwavelab.kernels import convolve
 from nwavelab.profiles import make_initial_datum
 from nwavelab.solver import (
     DomainTooSmall,
@@ -12,7 +11,6 @@ from nwavelab.solver import (
     _Stepper,
     rescale_trajectory,
     run,
-    step,
 )
 
 
@@ -29,16 +27,9 @@ def test_single_step_riemann_hand_value():
     # (dt/dx) f(1) = (1/2)(2/3) = 1/3; the inflow cell loses the same.
     u = grid_function([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], 0.0, 0.5)
     p = SimParams(q=1.5, alpha=0.0, x_min=0.0, x_max=3.0, dx=0.5, output_times=(1.0,))
-    v = step(u, p, dt=0.25)
-    np.testing.assert_allclose(v.values, [2.0 / 3.0, 1.0, 1.0, 1.0 / 3.0, 0.0, 0.0],
+    v = u.values + 0.25 * _Stepper(p).rate(u.values)[0]
+    np.testing.assert_allclose(v, [2.0 / 3.0, 1.0, 1.0, 1.0 / 3.0, 0.0, 0.0],
                                atol=1e-15)
-
-
-def test_step_requires_positive_dt():
-    u = grid_function(np.zeros(8), 0.0, 0.5)
-    p = SimParams(q=1.5, alpha=0.0, x_min=0.0, x_max=4.0, dx=0.5, output_times=(1.0,))
-    with pytest.raises(ValueError, match="dt must be positive"):
-        step(u, p, dt=0.0)
 
 
 def test_snapshots_hit_schedule_exactly():
@@ -215,12 +206,12 @@ def test_fft_path_matches_direct_convolution(x_max):
     stepper = _Stepper(p)
     kernel = p.kernel()
     assert kernel.weights.size == 65 and stepper._kspec is not None
+    k = kernel.half_cells
     rng = np.random.default_rng(7)
     n = p.grid_n()
     box = np.where(np.arange(n) < n // 3, 1.0, 0.0)
     for values in (rng.random(n), box):
-        u = grid_function(values, p.x_min, p.dx)
-        expect = convolve(kernel, u, backend="direct").values - values
+        expect = np.convolve(kernel.weights, values)[k : k + n] - values
         np.testing.assert_allclose(stepper._lu(values), expect, rtol=0.0, atol=1e-13)
 
 
