@@ -33,6 +33,7 @@ from .solver import (
     Trajectory,
     rescale_trajectory,
     run,
+    run_lockstep,
 )
 from .suites import SUITE_NAMES, run_suite
 
@@ -74,6 +75,7 @@ __all__ = [
     "rescale",
     "rescale_trajectory",
     "run",
+    "run_lockstep",
     "run_suite",
     "second_order_bound_ratio",
     "sup_norm_bound_report",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KERNEL_FAMILIES
+from .kernels import KERNEL_FAMILIES, make_kernel, rescale
 from .profiles import DATUM_KINDS
 from .solver import SimParams
 
@@ -216,10 +216,6 @@ def load_config(path: str | None = None, overrides: list | None = None,
         fail("kernel.width", f"kernel width must be positive, got {values['kernel.width']:g}")
     if not values["tail.cap"] > 0:
         fail("tail.cap", f"tail cap must be positive, got {values['tail.cap']:g}")
-    if values["grid.dx"] > values["kernel.width"] / 4.0 * (1 + 1e-12):
-        fail("grid.dx",
-             f"dx={values['grid.dx']:g} too coarse for kernel width "
-             f"{values['kernel.width']:g}; need dx <= width/4")
 
     params = SimParams(
         q=values["q"],
@@ -239,6 +235,16 @@ def load_config(path: str | None = None, overrides: list | None = None,
         params.grid_n()
     except ValueError as exc:
         raise ConfigError(str(exc), origins["grid.dx"]) from exc
+    # params.kernel() in its two steps, each blamed on its own key; built
+    # also when alpha = 0 leaves the kernel unused by runs: dump-kernel needs it
+    try:
+        j = make_kernel(params.kernel_family, params.kernel_width, params.dx)
+    except ValueError as exc:
+        raise ConfigError(str(exc), origins["grid.dx"]) from exc
+    try:
+        rescale(j, params.lam)
+    except ValueError as exc:
+        fail("lambda", f"lambda = {params.lam:g} rescales the kernel too far: {exc}")
 
     kind = values["datum.kind"]
     datum_params = {name: values[f"datum.{name}"] for name in _DATUM_PARAMS[kind]}

@@ -31,7 +31,6 @@ from .grid import GridFunction, grid_function
 
 __all__ = [
     "atomic_write_text",
-    "atomic_write_bytes",
     "write_field_bin",
     "read_field_bin",
     "write_snapshots_csv",
@@ -61,10 +60,6 @@ def _atomic(path: str, data: bytes):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def atomic_write_bytes(path: str, data: bytes):
-    _atomic(path, data)
 
 
 def atomic_write_text(path: str, text: str):

@@ -11,11 +11,11 @@ and is invariant under lam * w_M(lam^q t, lam x) = w_M(t, x).  Negative mass
 profiles are the odd reflection w_M(t, x) = -w_{|M|}(t, -x).
 
 Grid sampling integrates the exact antiderivative over each cell, so the
-discrete mass equals M to rounding regardless of dx.  Pointwise sampling
-(cell_average=False) evaluates the profile at cell centers instead; that is
-the variant whose forward differences of w^(q-1) reproduce 1/t exactly on
-the fan interior (a cell average of w raised to q-1 is not a cell average
-of w^(q-1), so the averaged field meets the slope bound only to O(dx^2)).
+discrete mass equals M to rounding regardless of dx.  Pointwise values at
+the cell centers (nwave_eval) are the variant whose forward differences of
+w^(q-1) reproduce 1/t exactly on the fan interior (a cell average of w
+raised to q-1 is not a cell average of w^(q-1), so the averaged field meets
+the slope bound only to O(dx^2)).
 """
 
 from __future__ import annotations
@@ -86,24 +86,16 @@ def _antiderivative(nw: NWave, t: float, x: np.ndarray) -> np.ndarray:
     return (q - 1.0) / q * xc ** (q / (q - 1.0)) * t ** (-1.0 / (q - 1.0))
 
 
-def nwave_sample(
-    nw: NWave, t: float, x_min: float, dx: float, n: int, cell_average: bool = True
-) -> GridFunction:
-    """Sample w_M(t) on a grid of n cells starting at x_min.
+def nwave_sample(nw: NWave, t: float, x_min: float, dx: float, n: int) -> GridFunction:
+    """Exact cell averages of w_M(t) on a grid of n cells starting at x_min.
 
-    cell_average=True integrates the exact antiderivative over each cell
-    (discrete mass = M to rounding when the grid covers the support);
-    cell_average=False evaluates the profile at cell centers.
+    The discrete mass equals M to rounding when the grid covers the support.
     """
     _check_time(t)
     if n < 1:
         raise ValueError("need at least one cell")
     edges = x_min + dx * np.arange(n + 1)
-    if cell_average:
-        w = np.diff(_antiderivative(nw, t, edges)) / dx
-    else:
-        w = nwave_eval(nw, t, x_min + dx * (np.arange(n) + 0.5))
-    return grid_function(w, x_min, dx)
+    return grid_function(np.diff(_antiderivative(nw, t, edges)) / dx, x_min, dx)
 
 
 def _box_cell_averages(edges: np.ndarray, height: float, left: float, right: float) -> np.ndarray:

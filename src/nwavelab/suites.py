@@ -40,11 +40,11 @@ from .diagnostics import (
     tail_mass,
     worst_max,
 )
-from .grid import GridFunction, grid_function
+from .grid import GridFunction
 from .kernels import make_kernel
 from .profiles import NWave, make_initial_datum, nwave_sample
-from .solver import NumericalAbort, SimParams, run
-from .solver import _Stepper
+from .solver import SimParams, run
+from .solver import run_lockstep as _run_lockstep  # see _lockstep_runs
 
 __all__ = ["SUITE_NAMES", "run_suite"]
 
@@ -193,36 +193,13 @@ def _random_pair_params(cfg: Config) -> SimParams:
 
 
 def _lockstep_runs(fields, params: SimParams):
-    """Advance several fields with one shared dt schedule; snapshot lists.
+    """solver.run_lockstep, under the name perfbench's tracer hooks.
 
-    Contraction and order preservation are statements about a single
-    discrete update operator applied to both fields, so the pair must see
-    the same sequence of steps; separate adaptive schedules would only
-    test the (true but weaker) statement that nearby trajectories stay
-    close.  dt is the minimum of the per-field budgets each step.
+    The tracer counts the field steps directly under this span for its
+    suites.lockstep_* metrics, so the call goes through a private
+    reference, which it leaves unwrapped.
     """
-    stepper = _Stepper(params)
-    dt_min = 1e-12 * params.t_final
-    us = [f.values.copy() for f in fields]
-    t = 0.0
-    out: list[list[GridFunction]] = [[] for _ in fields]
-    for t_next in params.output_times:
-        while t < t_next:
-            dt = float(np.min([stepper.dt_budget(u) for u in us]))
-            if not dt >= dt_min:
-                raise NumericalAbort(
-                    f"time step collapsed to dt={dt:g} at t={t:g} in a "
-                    "lockstep pair run",
-                    t=t,
-                )
-            hit = dt >= t_next - t
-            if hit:
-                dt = t_next - t
-            us = [u + dt * stepper.rate(u)[0] for u in us]
-            t = t_next if hit else t + dt
-        for slot, u in zip(out, us):
-            slot.append(grid_function(u.copy(), params.x_min, params.dx))
-    return out
+    return _run_lockstep(fields, params)
 
 
 def suite_contraction(cfg: Config, out_dir: str | None = None) -> list:
@@ -238,11 +215,11 @@ def suite_contraction(cfg: Config, out_dir: str | None = None) -> list:
     for _ in range(_PAIR_COUNT):
         phi_a = random_smooth_field(rng, params.x_min, params.dx, params.grid_n())
         phi_b = random_smooth_field(rng, params.x_min, params.dx, params.grid_n())
-        snaps_a, snaps_b = _lockstep_runs((phi_a, phi_b), params)
+        traj_a, traj_b = _lockstep_runs((phi_a, phi_b), params)
         d0 = phi_b.with_values(phi_b.values - phi_a.values)
         l1_0 = lp_norm(d0, 1)
         pos_0 = float(np.sum(np.maximum(d0.values, 0.0)) * d0.dx)
-        for ua, ub in zip(snaps_a, snaps_b):
+        for ua, ub in zip(traj_a.snapshots, traj_b.snapshots):
             d = ub.values - ua.values
             worst_l1 = worst_max(worst_l1, float(np.sum(np.abs(d)) * ua.dx) - l1_0)
             worst_pos = worst_max(worst_pos, float(np.sum(np.maximum(d, 0.0)) * ua.dx) - pos_0)
@@ -278,8 +255,8 @@ def suite_comparison(cfg: Config, out_dir: str | None = None) -> list:
         b = random_smooth_field(rng, params.x_min, params.dx, params.grid_n())
         lo = a.with_values(np.minimum(a.values, b.values))
         hi = a.with_values(np.maximum(a.values, b.values))
-        snaps_lo, snaps_hi = _lockstep_runs((lo, hi), params)
-        for ul, uh in zip(snaps_lo, snaps_hi):
+        traj_lo, traj_hi = _lockstep_runs((lo, hi), params)
+        for ul, uh in zip(traj_lo.snapshots, traj_hi.snapshots):
             worst_order = worst_max(worst_order, float(np.max(ul.values - uh.values)))
 
     phi_pos = random_smooth_field(rng, params.x_min, params.dx, params.grid_n(),

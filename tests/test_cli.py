@@ -50,6 +50,15 @@ def test_numerical_abort_exits_3(tmp_path, capsys):
     assert "widen the domain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "dump-kernel"])
+def test_unbuildable_rescaled_kernel_exits_2(command, tmp_path, capsys):
+    # lambda = 200 shrinks the width-1 kernel to 3 cells of the default grid
+    assert main([command, "--set", "lambda=200", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "lambda" in err and "--set" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nope"])

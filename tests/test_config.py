@@ -113,6 +113,21 @@ def test_coarse_dx_flagged_against_kernel():
         load_config(overrides=["grid.dx=0.5"])
 
 
+def test_kernel_errors_blame_their_own_key(tmp_path):
+    # a coarse dx is grid.dx's fault even when lambda > 1 also rescales
+    f = tmp_path / "run.cfg"
+    f.write_text("grid.dx = 0.5\nlambda = 2\n")
+    with pytest.raises(ConfigError, match="too coarse") as exc:
+        load_config(str(f))
+    assert exc.value.origin.endswith("run.cfg:1")
+    assert "lambda" not in str(exc.value)
+    # a buildable kernel rescaled below 9 cells is lambda's
+    f.write_text("grid.dx = 0.25\nlambda = 200\n")
+    with pytest.raises(ConfigError, match="lambda = 200") as exc:
+        load_config(str(f))
+    assert exc.value.origin.endswith("run.cfg:2")
+
+
 def test_grid_must_tile():
     with pytest.raises(ConfigError):
         load_config(overrides=["grid.x_max=12.0001"])

@@ -18,7 +18,7 @@ from nwavelab.diagnostics import (
 )
 from nwavelab.grid import grid_function
 from nwavelab.kernels import make_kernel
-from nwavelab.profiles import NWave, make_initial_datum, nwave_sample
+from nwavelab.profiles import NWave, make_initial_datum, nwave_eval, nwave_sample
 from nwavelab.solver import SimParams, Trajectory, run
 
 
@@ -54,7 +54,8 @@ def test_oleinik_margin_exact_nwave():
     # pointwise samples of w: increments of w^(q-1) are exactly dx/t inside
     nw = NWave(1.0, 1.5)
     for t in (1.0, 2.0, 4.0):
-        u = nwave_sample(nw, t, -1.0, 1.0 / 256.0, 1024, cell_average=False)
+        dx = 1.0 / 256.0
+        u = grid_function(nwave_eval(nw, t, -1.0 + dx * (np.arange(1024) + 0.5)), -1.0, dx)
         rep = oleinik_margin(u, 1.5, t, tol_scheme=0.05)
         assert rep.passed
         assert rep.values["margin"] == pytest.approx(1.0, abs=1e-10)

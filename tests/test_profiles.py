@@ -50,13 +50,14 @@ def test_cell_average_sampling_captures_mass_exactly(q, m):
 
 def test_cell_average_beats_pointwise_at_the_front():
     nw = NWave(m=1.0, q=1.5)
-    avg = nwave_sample(nw, 1.0, -1.0, 1.0 / 32.0, 96, cell_average=True)
-    pt = nwave_sample(nw, 1.0, -1.0, 1.0 / 32.0, 96, cell_average=False)
+    dx = 1.0 / 32.0
+    avg = nwave_sample(nw, 1.0, -1.0, dx, 96)
+    pt = nwave_eval(nw, 1.0, -1.0 + dx * (np.arange(96) + 0.5))
     assert avg.mass() == pytest.approx(1.0, abs=1e-13)
-    assert abs(pt.mass() - 1.0) > 1e-3  # pointwise misses the jump cell
+    assert abs(pt.sum() * dx - 1.0) > 1e-3  # pointwise misses the jump cell
     # away from the front the two samplings agree to O(dx^2)
     interior = slice(32, 64)
-    np.testing.assert_allclose(avg.values[interior], pt.values[interior], atol=1e-3)
+    np.testing.assert_allclose(avg.values[interior], pt[interior], atol=1e-3)
 
 
 def test_nwave_rejects_bad_arguments():

@@ -11,6 +11,7 @@ from nwavelab.solver import (
     _Stepper,
     rescale_trajectory,
     run,
+    run_lockstep,
 )
 
 
@@ -63,15 +64,31 @@ def test_l1_contraction_and_order_preservation():
     n = p.grid_n()
     a = random_smooth_field(rng, p.x_min, p.dx, n, margin_cells=40)
     b = random_smooth_field(rng, p.x_min, p.dx, n, margin_cells=40)
-    ua, ub = run(a, p).snapshots[-1], run(b, p).snapshots[-1]
+    lo = a.with_values(np.minimum(a.values, b.values))
+    hi = a.with_values(np.maximum(a.values, b.values))
+    ua, ub, ulo, uhi = (traj.snapshots[-1] for traj in run_lockstep((a, b, lo, hi), p))
     d0 = lp_norm(a.with_values(a.values - b.values), 1)
     d1 = lp_norm(ua.with_values(ua.values - ub.values), 1)
     assert d1 <= d0 + 1e-11
     # ordered pair stays ordered
-    lo = a.with_values(np.minimum(a.values, b.values))
-    hi = a.with_values(np.maximum(a.values, b.values))
-    ulo, uhi = run(lo, p).snapshots[-1], run(hi, p).snapshots[-1]
     assert (uhi.values - ulo.values).min() >= -1e-11
+
+
+def test_lockstep_shares_one_schedule_and_keeps_run_bookkeeping():
+    p = _params(output_times=(0.1, 0.3))
+    box = make_initial_datum("box", p.x_min, p.dx, p.grid_n())
+    # the taller box has the tighter CFL budget, so it sets the shared dt
+    tall = box.with_values(2.0 * box.values)
+    low, high = run_lockstep((box, tall), p)
+    alone = run(tall, p)
+    assert low.steps == high.steps == alone.steps
+    assert low.times == high.times == alone.times
+    for got, want in zip(high.snapshots, alone.snapshots):
+        np.testing.assert_array_equal(got.values, want.values)
+    assert high.mass_history == alone.mass_history
+    assert high.dissipation_history == alone.dissipation_history
+    assert low.steps > run(box, p).steps
+    assert low.initial is not box and np.array_equal(low.initial.values, box.values)
 
 
 def test_viscous_term_dissipates():
@@ -120,6 +137,18 @@ def test_abort_names_cell_and_time_on_overflow():
     assert exc.value.t > 0.0
 
 
+def test_lockstep_pair_aborts_on_overflow():
+    # the huge field overflows; its partner is harmless and must not hide it
+    p = SimParams(q=2.0, alpha=0.0, x_min=0.0, x_max=10.0, dx=1.0,
+                  output_times=(1e-210,), tail_cap=1e300)
+    huge = grid_function(np.full(10, 1e200), 0.0, 1.0)
+    zero = grid_function(np.zeros(10), 0.0, 1.0)
+    for k, pair in enumerate(((huge, zero), (zero, huge))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalAbort, match=rf"non-finite value in cell \d+ of field {k}"):
+                run_lockstep(pair, p)
+
+
 def test_abort_on_collapsed_timestep():
     u = grid_function(np.full(10, 1e15), 0.0, 1.0)
     u.values[5] = 1e15
@@ -142,6 +171,9 @@ def test_run_rejects_mismatched_grid():
     datum = make_initial_datum("box", p.x_min, p.dx, p.grid_n() // 2)
     with pytest.raises(ValueError, match="does not match params grid"):
         run(datum, p)
+    good = make_initial_datum("box", p.x_min, p.dx, p.grid_n())
+    with pytest.raises(ValueError, match="does not match params grid"):
+        run_lockstep((good, datum), p)
 
 
 def test_rescale_trajectory_lam1_identity():
