@@ -10,10 +10,12 @@ dump-nwave  write a sampled self-similar profile as CSV
 
 Shared flags: --config PATH, --set key=value (repeatable), --out DIR,
 --seed N.  The environment variable NWAVE_THREADS sets the size of the
-thread pool that runs independent simulations: the sweeps of `study` and
-the three q runs of `verify decay`.  Unset, it is the number of CPUs in
-the process's affinity mask, capped at 4; a value that is not a positive
-integer is a configuration error (exit code 2).
+thread pool that runs the three q runs of `verify decay`, the one place
+where threads overlap (their FFTs release the GIL); everything else,
+`study` sweeps included, runs in the calling thread.  Unset, it is the
+number of CPUs in the process's affinity mask, capped at 4; a value that
+is not a positive integer is a configuration error (exit code 2) for
+every command.
 
 Exit codes are a stable contract: 0 success / all checks passed,
 1 at least one verification check failed, 2 usage or configuration
@@ -27,6 +29,7 @@ import os
 import sys
 
 from .config import STUDY_KINDS, ConfigError, load_config
+from .experiments import _thread_count, run_study, study_spec
 from .io import (
     atomic_write_text,
     write_field_bin,
@@ -134,8 +137,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    from .experiments import run_study, study_spec
-
     cfg = _load(args)
     if args.name is not None:
         cfg.study_kind = args.name
@@ -175,6 +176,7 @@ def _cmd_dump_nwave(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _thread_count()  # rejects a bad NWAVE_THREADS whether or not the command pools
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,11 +1,11 @@
 """End-to-end studies: long-time profile convergence, vanishing viscosity,
 the two-route rescaling consistency check, and the kernel bound sweep.
 
-Each study is deterministic given its config, fans independent simulations
-out over a small thread pool (capped by NWAVE_THREADS), and aggregates
-results keyed by sweep value, so the output does not depend on completion
-order.  A study writes a run manifest, a summary CSV and a verdicts JSON
-into its output directory and returns the Reports.
+Each study is deterministic given its config and runs its simulations one
+after another in the calling thread; see _pmap for why the small-grid
+sweeps do not use the thread pool.  A study writes a run manifest, a
+summary CSV and a verdicts JSON into its output directory and returns the
+Reports.
 
 Long-time studies run in the unrescaled frame and evaluate at large times;
 by the scaling identity u_lam(t, x) = lam u(lam^q t, lam x) this probes the
@@ -68,6 +68,17 @@ def _thread_count() -> int:
 
 
 def _pmap(fn, items):
+    """[fn(x) for x in items] on up to NWAVE_THREADS threads, results in order.
+
+    Only the decay suite uses it.  Its runs are FFT-bound (n = 8704 to
+    22016), and scipy.fft releases the GIL inside a transform, so two
+    threads overlap: on 2 CPUs the suite took 32.4 / 40.3 / 36.7 s pooled
+    against 33.4 / 41.3 / 41.4 s serial.  A study's sweep runs on a small
+    grid, where a step holds the GIL for most of its 100-300 us, so two
+    threads queue on it instead: `study vanishing_viscosity` (n = 2560)
+    took about 10.0 s pooled against 5.2 s serial.  Those sweeps run in
+    the calling thread.
+    """
     items = list(items)
     workers = min(_thread_count(), len(items))
     if workers <= 1:
@@ -304,10 +315,7 @@ def run_vanishing_viscosity(spec: StudySpec):
         spec.datum_kind, params.x_min, params.dx, params.grid_n(), **spec.datum_params
     )
 
-    def at_mu(mu):
-        return run(datum, replace(params, mu=mu)).snapshots[-1]
-
-    fields = _pmap(at_mu, (0.0,) + mus)
+    fields = [run(datum, replace(params, mu=mu)).snapshots[-1] for mu in (0.0,) + mus]
     for mu, u in zip((0.0,) + mus, fields):
         _dump_snapshots(spec, f"viscosity_mu_{mu:g}.csv", (t_eval,), (u,))
     u0, viscous = fields[0], dict(zip(mus, fields[1:]))
@@ -383,7 +391,7 @@ def _rescaling_routes(spec: StudySpec, dx: float):
         )
         return _restrict(run(datum_b, p).snapshots[-1], x_min, n)
 
-    b_fields = dict(zip(lams, _pmap(route_b, lams)))
+    b_fields = {lam: route_b(lam) for lam in lams}
     a_fields = {
         lam: rescale_trajectory(base_traj, lam, (1.0,), x_min, dx, n).snapshots[-1]
         for lam in lams
@@ -484,14 +492,14 @@ def kernel_bound_sweep(spec: StudySpec):
     psis = {name: _psi_field(name, x_min, dx, n) for name in _PSI_NAMES}
     ps = (1.0, 2.0, np.inf)
 
-    def at_lam(lam):
-        return {
+    by_lam = {
+        lam: {
             (name, p): second_order_bound_ratio(kernel, psis[name], lam, p)
             for name in _PSI_NAMES
             for p in ps
         }
-
-    by_lam = dict(zip(lams, _pmap(at_lam, lams)))
+        for lam in lams
+    }
     rows = [
         (lam, f"{name}_p{p:g}", by_lam[lam][(name, p)])
         for lam in lams

@@ -18,10 +18,18 @@ def validate_q(q: float):
         raise ValueError(f"q must lie in (1, 2], got {q}")
 
 
-def flux(u, q: float):
+def flux(u, q: float, abs_u=None, out=None):
+    """f(u), elementwise.
+
+    abs_u, when given, is |u| already computed; out, when given, is an
+    array of u's shape that receives the result.  Neither changes a bit
+    of the value.
+    """
     validate_q(q)
     u = np.asarray(u, dtype=float)
-    out = np.abs(u) ** (q - 1.0) * u / q
+    out = np.power(np.abs(u) if abs_u is None else abs_u, q - 1.0, out=out)
+    out *= u
+    out /= q
     return out if out.ndim else float(out)
 
 

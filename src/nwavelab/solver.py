@@ -32,12 +32,13 @@ energy-inequality check, so it is done here, exactly where the scheme is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .flux import flux, max_wave_speed, validate_q
+from .flux import flux, validate_q
 from .grid import GridFunction, grid_function
 from .kernels import Kernel, make_kernel, rescale
 from .nonlocal_op import _L_values
@@ -157,7 +158,12 @@ class Trajectory:
 
 
 class _Stepper:
-    """Precomputed pieces of one forward-Euler step."""
+    """Precomputed pieces of one forward-Euler step, and its work buffers.
+
+    A stepper serves one run, so one thread.  The loop owns one |u| buffer
+    per field; everything else a step writes goes into the buffers here,
+    which every field of a lockstep run reuses in turn.
+    """
 
     def __init__(self, params: SimParams):
         self.p = params
@@ -165,23 +171,26 @@ class _Stepper:
         self.kernel = params.kernel() if params.alpha > 0.0 else None
         self.lamq = params.lam ** params.q
         self.dx = params.dx
+        n = params.grid_n()
+        self._f = np.empty(n)
+        self._rhs = np.empty(n)
+        self._lap = np.empty(n) if params.mu > 0.0 else None
         # Wide stencils go through a cached-spectrum circular FFT: the
         # kernel transform is computed once, each step pays one rfft/irfft
         # pair.  Padding by the stencil half-width keeps the circular wrap
         # inside the zero region, so the result matches zero extension.
         # The length is 5-smooth (real=True): pocketfft's real transforms
         # are markedly slower at the 7- and 11-smooth lengths the default
-        # picks.  The padded buffer is kept (a stepper serves one run, so
-        # one thread); only its first n cells are ever written, so the
-        # padding stays zero.
-        self._n = params.grid_n()
+        # picks.  Only the first n cells of the padded buffer are ever
+        # written, so the padding stays zero.
         self._kspec = None
         if self.kernel is not None and self.kernel.use_fft:
-            self._nfft = next_fast_len(self._n + 2 * self.kernel.half_cells + 1, real=True)
+            self._nfft = next_fast_len(n + 2 * self.kernel.half_cells + 1, real=True)
             ker = np.zeros(self._nfft)
             ker[self.kernel.offsets % self._nfft] = self.kernel.weights
             self._kspec = rfft(ker)
             self._buf = np.zeros(self._nfft)
+            self._lu_out = np.empty(n)
 
     def _lu(self, u_values: np.ndarray) -> np.ndarray:
         if self._kspec is None:
@@ -190,36 +199,49 @@ class _Stepper:
         spec = rfft(self._buf)
         spec *= self._kspec
         conv = irfft(spec, n=self._nfft, overwrite_x=True)[: u_values.size]
-        return conv - u_values
+        return np.subtract(conv, u_values, out=self._lu_out)
 
-    def rate(self, u_values: np.ndarray):
-        """Right-hand side and the nonlocal Dirichlet rate at this state."""
-        p, dx = self.p, self.dx
+    def rate(self, u_values: np.ndarray, abs_u: np.ndarray):
+        """Right-hand side and the nonlocal Dirichlet rate at this state.
+
+        abs_u is |u_values|.  The returned rhs is the stepper's own buffer:
+        the next call overwrites it, so use it before stepping another
+        field.  Every operation keeps the operand order of the plain
+        expression -(f_j - f_{j-1}) / dx + alpha lam^q Lu + mu lap / dx^2,
+        so results are bit-identical to it.
+        """
+        p, dx, rhs = self.p, self.dx, self._rhs
         lu = self._lu(u_values) if p.alpha > 0.0 else None
-        f = flux(u_values, p.q)
-        dflux = np.empty_like(u_values)
-        dflux[0] = f[0]
-        dflux[1:] = f[1:] - f[:-1]
-        rhs = -dflux / dx
+        f = flux(u_values, p.q, abs_u=abs_u, out=self._f)
+        rhs[0] = f[0]
+        np.subtract(f[1:], f[:-1], out=rhs[1:])
+        # -d / dx and d / (-dx) round alike: IEEE division is sign-symmetric
+        np.divide(rhs, -dx, out=rhs)
         dirichlet = 0.0
         if lu is not None:
-            rhs = rhs + p.alpha * self.lamq * lu
             # intint J (u(x)-u(y))^2 dx dy = -2 <u, Lu>.  einsum, not np.dot:
             # OpenBLAS hands dots over ~10k cells to a helper thread, which
             # spins against any other run sharing the CPUs.
             u_lu = float(np.einsum("i,i->", u_values, lu))
             dirichlet = -2.0 * p.alpha * self.lamq * u_lu * dx
+            lu *= p.alpha * self.lamq
+            rhs += lu
         if p.mu > 0.0:
-            lap = np.empty_like(u_values)
-            lap[1:-1] = u_values[2:] - 2.0 * u_values[1:-1] + u_values[:-2]
+            lap = self._lap
+            np.multiply(u_values[1:-1], 2.0, out=lap[1:-1])
+            np.subtract(u_values[2:], lap[1:-1], out=lap[1:-1])
+            lap[1:-1] += u_values[:-2]
             lap[0] = u_values[1] - 2.0 * u_values[0]
             lap[-1] = u_values[-2] - 2.0 * u_values[-1]
-            rhs = rhs + p.mu * lap / dx ** 2
+            lap *= p.mu
+            lap /= dx ** 2
+            rhs += lap
         return rhs, dirichlet
 
-    def dt_budget(self, u_values: np.ndarray) -> float:
+    def dt_budget(self, max_abs_u: float) -> float:
+        """Largest order-preserving dt for a field with max_j |u_j| = max_abs_u."""
         p = self.p
-        speed = max_wave_speed(u_values, p.q)
+        speed = float(max_abs_u ** (p.q - 1.0))
         denom = speed / self.dx + p.alpha * self.lamq + 2.0 * p.mu / self.dx ** 2
         if denom == 0.0:
             return np.inf
@@ -260,6 +282,10 @@ def run_lockstep(data, params: SimParams) -> list:
         return f" of field {k}" if len(data) > 1 else ""
 
     us = [phi.values.copy() for phi in data]
+    # |u| of each field, refreshed after every update: its max is both the
+    # finite check (max propagates NaN and inf) and the next CFL speed
+    abs_us = [np.abs(u) for u in us]
+    max_abs = [a.max() for a in abs_us]
     t = 0.0
     mass0 = [float(u.sum() * params.dx) for u in us]
     dissipated = [0.0] * len(us)
@@ -268,10 +294,10 @@ def run_lockstep(data, params: SimParams) -> list:
 
     for t_next in params.output_times:
         while t < t_next:
-            budgets = [stepper.dt_budget(u) for u in us]
+            budgets = [stepper.dt_budget(m) for m in max_abs]
             for k, (u, dt) in enumerate(zip(us, budgets)):
                 if not dt >= dt_min:
-                    cell = int(np.argmax(np.abs(u)))
+                    cell = int(np.argmax(abs_us[k]))
                     raise NumericalAbort(
                         f"time step collapsed to dt={dt:g} at t={t:g}, driven by "
                         f"cell {cell}{which(k)} (|u|={abs(u[cell]):g}); cfl budget "
@@ -284,11 +310,14 @@ def run_lockstep(data, params: SimParams) -> list:
             if hit:
                 dt = t_next - t
             t = t_next if hit else t + dt
-            for k, u in enumerate(us):
-                rhs, dirichlet = stepper.rate(u)
-                u = us[k] = u + dt * rhs
+            for k, (u, abs_u) in enumerate(zip(us, abs_us)):
+                rhs, dirichlet = stepper.rate(u, abs_u)
+                rhs *= dt
+                u += rhs
                 dissipated[k] += dt * dirichlet
-                if not np.isfinite(u).all():  # .all(): np.all's dispatch costs ~2 us a call
+                np.abs(u, out=abs_u)
+                max_abs[k] = abs_u.max()
+                if not math.isfinite(max_abs[k]):
                     cell = int(np.flatnonzero(~np.isfinite(u))[0])
                     x_bad = params.x_min + (cell + 0.5) * params.dx
                     raise NumericalAbort(

@@ -106,11 +106,14 @@ def test_study_kernel_bound_writes_artifacts(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1"])
 def test_bad_thread_count_exits_2(value, monkeypatch, tmp_path, capsys):
+    # rejected before any command runs, whether or not that command pools
     monkeypatch.setenv("NWAVE_THREADS", value)
-    assert main(["verify", "decay", "--out", str(tmp_path / "o")]) == 2
-    captured = capsys.readouterr()
-    assert "NWAVE_THREADS" in captured.err and repr(value) in captured.err
-    assert captured.out == ""
+    for command in (["verify", "decay"], ["study", "vanishing_viscosity"], ["simulate"]):
+        assert main([*command, "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert "NWAVE_THREADS" in captured.err and repr(value) in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "o").exists()
 
 
 def test_import_does_not_load_scipy_signal():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nwavelab.experiments as experiments
 from nwavelab.config import ConfigError, load_config
 from nwavelab.experiments import (
     StudySpec,
@@ -9,6 +10,7 @@ from nwavelab.experiments import (
     _restrict,
     kernel_bound_sweep,
     run_long_time,
+    run_study,
     study_spec,
 )
 from nwavelab.grid import grid_function
@@ -103,3 +105,21 @@ def test_kernel_bound_sweep_reports():
     assert len(rows) == 64 * 3 * 3
     lams = sorted({v for v, _, _ in rows})
     assert lams[0] == 1.0 and lams[-1] == 64.0
+
+
+def test_small_grid_studies_start_no_thread(monkeypatch):
+    # Their steps hold the GIL for most of their time, so pool threads
+    # would only queue on it; the sweeps run in the calling thread.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a small-grid study built a thread pool")
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setenv("NWAVE_THREADS", "2")
+    cfg = load_config(overrides=[
+        "grid.x_min=-3", "grid.x_max=5", "study.mus=0.05,0.025", "study.lambdas=1,2",
+    ])
+    for kind in ("vanishing_viscosity", "rescaling_family"):
+        cfg.study_kind = kind
+        assert run_study(study_spec(cfg))
+    assert run_study(StudySpec(kind="kernel_bound_sweep", base=cfg.params, datum_kind="box",
+                               sweep=(1.0, 2.0)))

@@ -12,7 +12,8 @@ def interface_flux(u_left, u_right, q):
     -(F_{1/2} - f(ghost = 0)) / dx, so F_{1/2} = -dx * rhs[0].
     """
     p = SimParams(q=q, alpha=0.0, mu=0.0, x_min=0.0, x_max=2.0, dx=1.0, output_times=(1.0,))
-    rhs, _ = _Stepper(p).rate(np.array([u_left, u_right], dtype=float))
+    u = np.array([u_left, u_right], dtype=float)
+    rhs, _ = _Stepper(p).rate(u, np.abs(u))
     return -p.dx * rhs[0]
 
 

@@ -28,9 +28,30 @@ def test_single_step_riemann_hand_value():
     # (dt/dx) f(1) = (1/2)(2/3) = 1/3; the inflow cell loses the same.
     u = grid_function([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], 0.0, 0.5)
     p = SimParams(q=1.5, alpha=0.0, x_min=0.0, x_max=3.0, dx=0.5, output_times=(1.0,))
-    v = u.values + 0.25 * _Stepper(p).rate(u.values)[0]
+    v = u.values + 0.25 * _Stepper(p).rate(u.values, np.abs(u.values))[0]
     np.testing.assert_allclose(v, [2.0 / 3.0, 1.0, 1.0, 1.0 / 3.0, 0.0, 0.0],
                                atol=1e-15)
+
+
+@pytest.mark.parametrize("q, width, mu", [(1.25, 2.0, 0.0), (1.5, 0.125, 0.05), (1.8, 1.0, 0.3)])
+def test_rate_is_bit_identical_to_the_plain_expression(q, width, mu):
+    # The step writes into reused buffers; every operation keeps the
+    # operand order of this expression, so not one bit may move.  Widths
+    # 2 and 1 take the FFT path, 0.125 the direct sum.
+    p = _params(q=q, kernel_width=width, mu=mu, lam=2.0, alpha=0.7)
+    stepper = _Stepper(p)
+    rng = np.random.default_rng(5)
+    for u in (rng.standard_normal(p.grid_n()), np.zeros(p.grid_n())):
+        lu = stepper._lu(u).copy()
+        f = np.abs(u) ** (q - 1.0) * u / q
+        expect = -np.diff(f, prepend=0.0) / p.dx + p.alpha * stepper.lamq * lu
+        padded = np.concatenate(([0.0], u, [0.0]))
+        if mu > 0.0:
+            expect = expect + mu * (padded[2:] - 2.0 * padded[1:-1] + padded[:-2]) / p.dx ** 2
+        dirichlet = -2.0 * p.alpha * stepper.lamq * float(np.einsum("i,i->", u, lu)) * p.dx
+        rhs, got = stepper.rate(u, np.abs(u))
+        np.testing.assert_array_equal(rhs, expect)
+        assert got == dirichlet
 
 
 def test_snapshots_hit_schedule_exactly():

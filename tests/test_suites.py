@@ -64,8 +64,20 @@ def _small_decay(monkeypatch, threads):
 
 
 def test_decay_suite_independent_of_thread_count(monkeypatch):
+    import nwavelab.experiments as experiments
+
     serial = _small_decay(monkeypatch, 1)
+    pools = []
+
+    class CountedPool(experiments.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    # the decay runs are the one place the pool pays, so they still use it
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", CountedPool)
     pooled = _small_decay(monkeypatch, 2)
+    assert pools == [2]
     assert [name for name, _, _ in serial] == [
         name
         for q in (1.5, 1.75)
