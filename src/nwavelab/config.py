@@ -3,8 +3,14 @@
 A config file is plain text, one `key = value` per line, `#` comments, no
 sections.  The key space is flat and dotted (grid.dx, kernel.width, ...) so
 sweep drivers can generate configs and the CLI can override any single key
-with --set key=value.  Every value is validated at parse time and errors
-carry the file and line (or the literal "--set") they came from.
+with --set key=value.
+
+The model's input rules live with the objects they guard: SimParams
+checks every parameter field, kernels the stencil and its rescaling, and
+profiles the datum's grid-independent rules.  load_config parses, builds
+those objects once and assigns blame: a broken rule becomes a ConfigError
+carrying the file and line (or the literal "--set") of the key at fault.
+It owns only the rules nothing else does: study.kind and nwave.*.
 
 Unknown keys, duplicate keys, malformed values and violated model
 constraints are all ConfigError; the CLI maps that to exit code 2.
@@ -12,13 +18,12 @@ constraints are all ConfigError; the CLI maps that to exit code 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .kernels import KERNEL_FAMILIES, make_kernel, rescale
-from .profiles import DATUM_KINDS
-from .solver import SimParams
+from .kernels import make_kernel, rescale
+from .profiles import DATUM_PARAMS, check_datum, make_initial_datum
+from .solver import ParamError, SimParams
 
 __all__ = ["ConfigError", "Config", "load_config", "DEFAULTS", "STUDY_KINDS"]
 
@@ -69,14 +74,12 @@ DEFAULTS = {
     "nwave.time": 1.0,
 }
 
-# Which datum.* parameters each datum kind consumes (names as in profiles).
-_DATUM_PARAMS = {
-    "box": ("height", "left", "right"),
-    "gaussian": ("mass", "center", "sigma"),
-    "two_boxes_signed": (
-        "pos_height", "pos_left", "pos_right", "neg_height", "neg_left", "neg_right",
-    ),
-    "dipole_zero_mass": ("height", "width", "center"),
+# The config key of each SimParams field.
+_PARAM_KEYS = {
+    "q": "q", "lam": "lambda", "mu": "mu", "alpha": "alpha", "cfl": "cfl",
+    "kernel_family": "kernel.family", "kernel_width": "kernel.width",
+    "x_min": "grid.x_min", "x_max": "grid.x_max", "dx": "grid.dx",
+    "output_times": "output.times", "tail_cap": "tail.cap",
 }
 
 
@@ -107,8 +110,6 @@ class Config:
     raw: dict = field(default_factory=dict)
 
     def make_datum(self):
-        from .profiles import make_initial_datum
-
         n = self.params.grid_n()
         return make_initial_datum(
             self.datum_kind, self.params.x_min, self.params.dx, n, **self.datum_params
@@ -183,75 +184,38 @@ def load_config(path: str | None = None, overrides: list | None = None,
     def fail(key, message):
         raise ConfigError(message, origins[key])
 
-    # model constraints, attributed to the offending key
-    if not 1.0 < values["q"] <= 2.0:
-        fail("q", f"q must lie in (1, 2], got {values['q']:g}")
-    if not values["lambda"] >= 1.0:
-        fail("lambda", f"lambda must be >= 1, got {values['lambda']:g}")
-    if not values["mu"] >= 0.0:
-        fail("mu", f"mu must be nonnegative, got {values['mu']:g}")
-    if not values["alpha"] >= 0.0:
-        fail("alpha", f"alpha must be nonnegative, got {values['alpha']:g}")
-    if not 0.0 < values["cfl"] < 1.0:
-        fail("cfl", f"cfl must lie in (0, 1), got {values['cfl']:g}")
-    if values["kernel.family"] not in KERNEL_FAMILIES:
-        fail("kernel.family",
-             f"unknown kernel family {values['kernel.family']!r}; choose one of {KERNEL_FAMILIES}")
-    if values["datum.kind"] not in DATUM_KINDS:
-        fail("datum.kind",
-             f"unknown datum kind {values['datum.kind']!r}; choose one of {DATUM_KINDS}")
-    if values["study.kind"] not in STUDY_KINDS:
-        fail("study.kind",
-             f"unknown study kind {values['study.kind']!r}; choose one of {STUDY_KINDS}")
-    times = values["output.times"]
-    if len(times) == 0 or any(t <= 0 for t in times) or any(
-        b <= a for a, b in zip(times, times[1:])
-    ):
-        fail("output.times", "output times must be positive and strictly increasing")
-    if not values["grid.dx"] > 0:
-        fail("grid.dx", f"dx must be positive, got {values['grid.dx']:g}")
-    if not values["grid.x_max"] > values["grid.x_min"]:
-        fail("grid.x_max", "x_max must exceed x_min")
-    if not values["kernel.width"] > 0:
-        fail("kernel.width", f"kernel width must be positive, got {values['kernel.width']:g}")
-    if not values["tail.cap"] > 0:
-        fail("tail.cap", f"tail cap must be positive, got {values['tail.cap']:g}")
-
-    params = SimParams(
-        q=values["q"],
-        lam=values["lambda"],
-        mu=values["mu"],
-        alpha=values["alpha"],
-        cfl=values["cfl"],
-        kernel_family=values["kernel.family"],
-        kernel_width=values["kernel.width"],
-        x_min=values["grid.x_min"],
-        x_max=values["grid.x_max"],
-        dx=values["grid.dx"],
-        output_times=tuple(values["output.times"]),
-        tail_cap=values["tail.cap"],
-    )
     try:
+        params = SimParams(**{f: values[key] for f, key in _PARAM_KEYS.items()})
         params.grid_n()
-    except ValueError as exc:
-        raise ConfigError(str(exc), origins["grid.dx"]) from exc
+    except ParamError as exc:
+        fail(_PARAM_KEYS[exc.field], str(exc))
     # params.kernel() in its two steps, each blamed on its own key; built
-    # also when alpha = 0 leaves the kernel unused by runs: dump-kernel needs it
+    # also when alpha = 0 leaves the kernel unused by runs: dump-kernel needs
+    # it.  A stencil the grid cannot resolve is grid.dx's fault if it was set.
     try:
         j = make_kernel(params.kernel_family, params.kernel_width, params.dx)
     except ValueError as exc:
-        raise ConfigError(str(exc), origins["grid.dx"]) from exc
+        fail("grid.dx" if origins["grid.dx"] != "default" else "kernel.width", str(exc))
     try:
         rescale(j, params.lam)
     except ValueError as exc:
         fail("lambda", f"lambda = {params.lam:g} rescales the kernel too far: {exc}")
 
+    # the datum's own rules, blamed on the first of its keys that was set
     kind = values["datum.kind"]
-    datum_params = {name: values[f"datum.{name}"] for name in _DATUM_PARAMS[kind]}
-    if not np.isfinite(values["nwave.time"]) or values["nwave.time"] <= 0:
+    names = DATUM_PARAMS.get(kind, ())
+    try:
+        datum_params = check_datum(kind, **{n: values[f"datum.{n}"] for n in names})
+    except ValueError as exc:
+        set_keys = [f"datum.{n}" for n in names if origins[f"datum.{n}"] != "default"]
+        fail((set_keys or ["datum.kind"])[0], str(exc))
+    if values["study.kind"] not in STUDY_KINDS:
+        fail("study.kind",
+             f"unknown study kind {values['study.kind']!r}; choose one of {STUDY_KINDS}")
+    if not math.isfinite(values["nwave.time"]) or values["nwave.time"] <= 0:
         fail("nwave.time", "nwave.time must be positive")
-    if values["nwave.mass"] == 0:
-        fail("nwave.mass", "nwave.mass must be nonzero")
+    if not math.isfinite(values["nwave.mass"]) or values["nwave.mass"] == 0:
+        fail("nwave.mass", "nwave.mass must be finite and nonzero")
 
     return Config(
         params=params,

@@ -125,7 +125,7 @@ class Kernel:
 
     @property
     def use_fft(self) -> bool:
-        """Whether J*u goes through a real FFT rather than the direct sum."""
+        """Whether convolve and nonlocal_op sum J*u by a real FFT, not directly."""
         return self.samples.shape[0] > _DIRECT_MAX_CELLS
 
 

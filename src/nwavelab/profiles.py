@@ -29,9 +29,20 @@ from scipy.special import erf
 from .flux import validate_q
 from .grid import GridFunction, grid_function
 
-__all__ = ["NWave", "nwave_eval", "nwave_sample", "make_initial_datum", "DATUM_KINDS"]
+__all__ = ["NWave", "nwave_eval", "nwave_sample", "make_initial_datum", "check_datum",
+           "DATUM_KINDS", "DATUM_PARAMS"]
 
-DATUM_KINDS = ("box", "gaussian", "two_boxes_signed", "dipole_zero_mass")
+# The parameters of each datum kind, in order, with their defaults.
+DATUM_PARAMS = {
+    "box": {"height": 1.0, "left": 0.0, "right": 1.0},
+    "gaussian": {"mass": 1.0, "center": 0.0, "sigma": 1.0},
+    "two_boxes_signed": {
+        "pos_height": 2.0, "pos_left": 0.0, "pos_right": 1.0,
+        "neg_height": 1.0, "neg_left": -2.0, "neg_right": -1.0,
+    },
+    "dipole_zero_mass": {"height": 1.0, "width": 1.0, "center": 0.0},
+}
+DATUM_KINDS = tuple(DATUM_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -106,9 +117,33 @@ def _box_cell_averages(edges: np.ndarray, height: float, left: float, right: flo
     return height * (hi - lo) / dx
 
 
-def make_initial_datum(
-    kind: str, x_min: float, dx: float, n: int, **params
-) -> GridFunction:
+def check_datum(kind: str, **params) -> dict:
+    """kind's full parameter set, params over its defaults, checked.
+
+    Applies every rule of the datum that needs no grid: a known kind and
+    parameter names, finite values, box right > left, gaussian sigma > 0,
+    dipole height and width > 0.  Raises ValueError on the first break.
+    """
+    if kind not in DATUM_PARAMS:
+        raise ValueError(f"unknown datum kind {kind!r}; choose one of {DATUM_KINDS}")
+    defaults = DATUM_PARAMS[kind]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown parameters for datum {kind!r}: {unknown}")
+    p = {name: float(params.get(name, default)) for name, default in defaults.items()}
+    for name, value in p.items():
+        if not math.isfinite(value):
+            raise ValueError(f"datum {kind!r} needs finite parameters, got {name}={value}")
+    if kind == "box" and not p["right"] > p["left"]:
+        raise ValueError("box needs right > left")
+    if kind == "gaussian" and not p["sigma"] > 0:
+        raise ValueError("gaussian needs sigma > 0")
+    if kind == "dipole_zero_mass" and not (p["height"] > 0 and p["width"] > 0):
+        raise ValueError("dipole needs positive height and width")
+    return p
+
+
+def make_initial_datum(kind: str, x_min: float, dx: float, n: int, **params) -> GridFunction:
     """Reference initial data, discretized by exact cell averages.
 
     Kinds
@@ -122,22 +157,14 @@ def make_initial_datum(
     dipole_zero_mass: +`height` on [`center`, `center`+`width`) and
         -`height` on [`center`-`width`, `center`); mass exactly 0.
     """
+    p = check_datum(kind, **params)
     if n < 1:
         raise ValueError("need at least one cell")
     edges = x_min + dx * np.arange(n + 1)
-
-    def pick(name, default):
-        return float(params.pop(name, default))
-
     if kind == "box":
-        height, left, right = pick("height", 1.0), pick("left", 0.0), pick("right", 1.0)
-        if not right > left:
-            raise ValueError("box needs right > left")
-        values = _box_cell_averages(edges, height, left, right)
+        values = _box_cell_averages(edges, p["height"], p["left"], p["right"])
     elif kind == "gaussian":
-        mass, center, sigma = pick("mass", 1.0), pick("center", 0.0), pick("sigma", 1.0)
-        if not sigma > 0:
-            raise ValueError("gaussian needs sigma > 0")
+        mass, center, sigma = p["mass"], p["center"], p["sigma"]
         cut = 4.0 * sigma
         lo = np.clip(edges[:-1], center - cut, center + cut)
         hi = np.clip(edges[1:], center - cut, center + cut)
@@ -151,19 +178,11 @@ def make_initial_datum(
         values = mass * cell_mass / (total * dx)
     elif kind == "two_boxes_signed":
         values = _box_cell_averages(
-            edges, pick("pos_height", 2.0), pick("pos_left", 0.0), pick("pos_right", 1.0)
-        ) + _box_cell_averages(
-            edges, -pick("neg_height", 1.0), pick("neg_left", -2.0), pick("neg_right", -1.0)
-        )
-    elif kind == "dipole_zero_mass":
-        height, width, center = pick("height", 1.0), pick("width", 1.0), pick("center", 0.0)
-        if not (height > 0 and width > 0):
-            raise ValueError("dipole needs positive height and width")
+            edges, p["pos_height"], p["pos_left"], p["pos_right"]
+        ) + _box_cell_averages(edges, -p["neg_height"], p["neg_left"], p["neg_right"])
+    else:  # dipole_zero_mass
+        height, width, center = p["height"], p["width"], p["center"]
         values = _box_cell_averages(edges, height, center, center + width) + _box_cell_averages(
             edges, -height, center - width, center
         )
-    else:
-        raise ValueError(f"unknown datum kind {kind!r}; choose one of {DATUM_KINDS}")
-    if params:
-        raise ValueError(f"unknown parameters for datum {kind!r}: {sorted(params)}")
     return grid_function(values, x_min, dx)

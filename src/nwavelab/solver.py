@@ -40,11 +40,11 @@ from scipy.fft import irfft, next_fast_len, rfft
 
 from .flux import flux, validate_q
 from .grid import GridFunction, grid_function
-from .kernels import Kernel, make_kernel, rescale
-from .nonlocal_op import _L_values
+from .kernels import KERNEL_FAMILIES, Kernel, make_kernel, rescale
 
 __all__ = [
     "SimParams",
+    "ParamError",
     "Trajectory",
     "NumericalAbort",
     "DomainTooSmall",
@@ -65,6 +65,14 @@ class NumericalAbort(RuntimeError):
 
 class DomainTooSmall(NumericalAbort):
     """Mass leaking past the boundary exceeded the configured tail cap."""
+
+
+class ParamError(ValueError):
+    """A SimParams field breaks its rule; `field` names the field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -99,26 +107,34 @@ class SimParams:
         return float(self.output_times[-1])
 
     def validate(self):
-        validate_q(self.q)
-        if not self.lam >= 1.0:
-            raise ValueError(f"lambda must be >= 1, got {self.lam}")
-        if not self.mu >= 0.0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu}")
-        if not self.alpha >= 0.0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
-        if not 0.0 < self.cfl < 1.0:
-            raise ValueError(f"cfl must lie in (0, 1), got {self.cfl}")
-        if not self.dx > 0.0:
-            raise ValueError(f"dx must be positive, got {self.dx}")
-        if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
-        if len(self.output_times) == 0:
-            raise ValueError("output schedule is empty")
+        """Check every field against its rule; the first break raises ParamError."""
+
+        def need(ok, name, message):
+            if not ok:
+                raise ParamError(name, message)
+
+        for name, value in vars(self).items():
+            if isinstance(value, float):
+                need(math.isfinite(value), name, f"{name} must be finite, got {value}")
+        try:
+            validate_q(self.q)
+        except ValueError as exc:
+            raise ParamError("q", str(exc)) from None
+        need(self.lam >= 1.0, "lam", f"lambda must be >= 1, got {self.lam}")
+        need(self.mu >= 0.0, "mu", f"mu must be nonnegative, got {self.mu}")
+        need(self.alpha >= 0.0, "alpha", f"alpha must be nonnegative, got {self.alpha}")
+        need(0.0 < self.cfl < 1.0, "cfl", f"cfl must lie in (0, 1), got {self.cfl}")
+        need(self.kernel_family in KERNEL_FAMILIES, "kernel_family",
+             f"unknown kernel family {self.kernel_family!r}; choose one of {KERNEL_FAMILIES}")
+        need(self.kernel_width > 0.0, "kernel_width",
+             f"kernel width must be positive, got {self.kernel_width}")
+        need(self.dx > 0.0, "dx", f"dx must be positive, got {self.dx}")
+        need(self.x_max > self.x_min, "x_max", "x_max must exceed x_min")
+        need(len(self.output_times) > 0, "output_times", "output schedule is empty")
         times = np.asarray(self.output_times, dtype=float)
-        if not np.all(times > 0.0) or not np.all(np.diff(times) > 0.0):
-            raise ValueError("output times must be positive and strictly increasing")
-        if not self.tail_cap > 0.0:
-            raise ValueError(f"tail cap must be positive, got {self.tail_cap}")
+        need(np.all(np.isfinite(times)) and np.all(times > 0.0) and np.all(np.diff(times) > 0.0),
+             "output_times", "output times must be finite, positive and strictly increasing")
+        need(self.tail_cap > 0.0, "tail_cap", f"tail cap must be positive, got {self.tail_cap}")
 
     def kernel(self) -> Kernel:
         j = make_kernel(self.kernel_family, self.kernel_width, self.dx)
@@ -127,7 +143,7 @@ class SimParams:
     def grid_n(self) -> int:
         n = int(round((self.x_max - self.x_min) / self.dx))
         if abs(self.x_max - self.x_min - n * self.dx) > 1e-9 * max(self.dx, 1.0):
-            raise ValueError("dx does not tile [x_min, x_max]")
+            raise ParamError("dx", "dx does not tile [x_min, x_max]")
         return n
 
 
@@ -175,16 +191,16 @@ class _Stepper:
         self._f = np.empty(n)
         self._rhs = np.empty(n)
         self._lap = np.empty(n) if params.mu > 0.0 else None
-        # Wide stencils go through a cached-spectrum circular FFT: the
-        # kernel transform is computed once, each step pays one rfft/irfft
-        # pair.  Padding by the stencil half-width keeps the circular wrap
-        # inside the zero region, so the result matches zero extension.
+        # J*u goes through a cached-spectrum circular FFT, whatever the
+        # stencil width: the kernel transform is computed once, each step
+        # pays one rfft/irfft pair.  Padding by the stencil half-width
+        # keeps the circular wrap inside the zero region, so the result
+        # matches zero extension.
         # The length is 5-smooth (real=True): pocketfft's real transforms
         # are markedly slower at the 7- and 11-smooth lengths the default
         # picks.  Only the first n cells of the padded buffer are ever
         # written, so the padding stays zero.
-        self._kspec = None
-        if self.kernel is not None and self.kernel.use_fft:
+        if self.kernel is not None:
             self._nfft = next_fast_len(n + 2 * self.kernel.half_cells + 1, real=True)
             ker = np.zeros(self._nfft)
             ker[self.kernel.offsets % self._nfft] = self.kernel.weights
@@ -193,8 +209,6 @@ class _Stepper:
             self._lu_out = np.empty(n)
 
     def _lu(self, u_values: np.ndarray) -> np.ndarray:
-        if self._kspec is None:
-            return _L_values(self.kernel, grid_function(u_values, 0.0, self.dx))
         self._buf[: u_values.size] = u_values
         spec = rfft(self._buf)
         spec *= self._kspec

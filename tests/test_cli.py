@@ -59,6 +59,34 @@ def test_unbuildable_rescaled_kernel_exits_2(command, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("setting", [
+    "grid.x_max=inf", "grid.x_min=-inf", "kernel.width=inf", "lambda=inf",
+    "output.times=inf", "mu=inf", "alpha=inf", "nwave.mass=nan",
+])
+def test_non_finite_value_exits_2(setting, tmp_path, capsys):
+    assert main(["simulate", "--set", setting, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --set:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["simulate", "--set", "datum.right=-1"], id="box"),
+    pytest.param(["simulate", "--set", "datum.kind=gaussian", "--set", "datum.sigma=0"],
+                 id="gaussian"),
+    pytest.param(["simulate", "--set", "datum.kind=dipole_zero_mass",
+                  "--set", "datum.width=-1"], id="dipole"),
+    pytest.param(["simulate", "--set", "datum.height=nan"], id="nan-height"),
+    pytest.param(["study", "vanishing_viscosity", "--set", "datum.right=-1"], id="study"),
+])
+def test_bad_datum_exits_2(args, tmp_path, capsys):
+    assert main([*args, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --set:")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nope"])

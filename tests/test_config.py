@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nwavelab.config import DEFAULTS, Config, ConfigError, load_config
 
@@ -126,6 +128,56 @@ def test_kernel_errors_blame_their_own_key(tmp_path):
     with pytest.raises(ConfigError, match="lambda = 200") as exc:
         load_config(str(f))
     assert exc.value.origin.endswith("run.cfg:2")
+    # a kernel too narrow for the default grid.dx is kernel.width's
+    f.write_text("lambda = 2\nkernel.width = 0.001\n")
+    with pytest.raises(ConfigError, match="too coarse") as exc:
+        load_config(str(f))
+    assert exc.value.origin.endswith("run.cfg:2")
+
+
+def test_parameter_errors_blame_the_key_of_their_field(tmp_path):
+    f = tmp_path / "run.cfg"
+    for key, value in [("lambda", "inf"), ("grid.x_min", "nan"), ("grid.x_max", "-9"),
+                       ("kernel.family", "cauchy"), ("output.times", "1,inf"),
+                       ("tail.cap", "-inf"), ("grid.dx", "0.3")]:
+        f.write_text(f"q = 1.5\n{key} = {value}\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(f))
+        assert exc.value.origin.endswith("run.cfg:2"), (key, str(exc.value))
+
+
+def test_datum_errors_blame_the_first_datum_key_set(tmp_path):
+    f = tmp_path / "run.cfg"
+    f.write_text("datum.kind = gaussian\ndatum.sigma = 0\n")
+    with pytest.raises(ConfigError, match="sigma > 0") as exc:
+        load_config(str(f))
+    assert exc.value.origin.endswith("run.cfg:2")
+    # blame follows the kind's parameter order (height, left, right), not the file's
+    f.write_text("datum.right = -1\ndatum.left = 0.5\n")
+    with pytest.raises(ConfigError, match="right > left") as exc:
+        load_config(str(f))
+    assert exc.value.origin.endswith("run.cfg:2")
+    with pytest.raises(ConfigError, match="finite") as exc:
+        load_config(overrides=["datum.height=nan"])
+    assert exc.value.origin == "--set"
+
+
+_NUMERIC_KEYS = sorted(k for k, v in DEFAULTS.items() if not isinstance(v, str))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.dictionaries(st.sampled_from(_NUMERIC_KEYS),
+                       st.sampled_from(["nan", "inf", "-inf", "0", "-1"]),
+                       min_size=1, max_size=3))
+def test_edge_values_load_or_raise_config_error(setting):
+    # Values that pass every rule but size an array (a tiny grid.dx, a huge
+    # kernel.width) are left out: they would allocate, not fail.
+    overrides = [f"{k}={v}" for k, v in setting.items()]
+    try:
+        cfg = load_config(overrides=overrides)
+    except ConfigError:
+        return
+    assert isinstance(cfg, Config)
 
 
 def test_grid_must_tile():

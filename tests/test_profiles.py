@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nwavelab.profiles import NWave, make_initial_datum, nwave_eval, nwave_sample
+from nwavelab.profiles import NWave, check_datum, make_initial_datum, nwave_eval, nwave_sample
 
 
 def test_front_position_closed_form():
@@ -102,3 +102,16 @@ def test_datum_error_paths():
         make_initial_datum("box", 0.0, 0.1, 10, heigth=2.0)
     with pytest.raises(ValueError, match="right > left"):
         make_initial_datum("box", 0.0, 0.1, 10, left=1.0, right=0.0)
+
+
+def test_check_datum_applies_the_grid_free_rules():
+    assert check_datum("box", right=2.0) == {"height": 1.0, "left": 0.0, "right": 2.0}
+    for kind, params, msg in [
+        ("box", {"right": -1.0}, "right > left"),
+        ("gaussian", {"sigma": 0.0}, "sigma > 0"),
+        ("dipole_zero_mass", {"width": -1.0}, "positive height and width"),
+        ("two_boxes_signed", {"neg_left": np.inf}, "finite"),
+        ("box", {"height": np.nan}, "finite"),
+    ]:
+        with pytest.raises(ValueError, match=msg):
+            check_datum(kind, **params)

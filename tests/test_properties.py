@@ -38,8 +38,7 @@ mus = st.one_of(st.just(0.0), st.floats(0.01, 0.5))
 @st.composite
 def params(draw):
     lam = draw(st.sampled_from([1.0, 2.0]))
-    # rescaled support of `half` cells each side: 9 to about 80 taps,
-    # so both the direct sum and the FFT path (above 64 taps) run
+    # rescaled support of `half` cells each side: 9 to about 80 taps
     half = draw(st.integers(4, 40))
     return SimParams(
         q=draw(qs),

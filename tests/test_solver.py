@@ -7,6 +7,7 @@ from nwavelab.profiles import make_initial_datum
 from nwavelab.solver import (
     DomainTooSmall,
     NumericalAbort,
+    ParamError,
     SimParams,
     _Stepper,
     rescale_trajectory,
@@ -36,8 +37,9 @@ def test_single_step_riemann_hand_value():
 @pytest.mark.parametrize("q, width, mu", [(1.25, 2.0, 0.0), (1.5, 0.125, 0.05), (1.8, 1.0, 0.3)])
 def test_rate_is_bit_identical_to_the_plain_expression(q, width, mu):
     # The step writes into reused buffers; every operation keeps the
-    # operand order of this expression, so not one bit may move.  Widths
-    # 2 and 1 take the FFT path, 0.125 the direct sum.
+    # operand order of this expression, so not one bit may move.  Every
+    # width takes the stepper's FFT; 0.125 rescales to a stencil narrow
+    # enough that kernels.convolve would sum it directly.
     p = _params(q=q, kernel_width=width, mu=mu, lam=2.0, alpha=0.7)
     stepper = _Stepper(p)
     rng = np.random.default_rng(5)
@@ -250,15 +252,20 @@ def test_nan_dt_budget_still_aborts():
         run(grid_function(u, p.x_min, p.dx), p)
 
 
-@pytest.mark.parametrize("x_max", [80.0, 56.0])
-def test_fft_path_matches_direct_convolution(x_max):
+@pytest.mark.parametrize("x_max, width, taps", [
+    pytest.param(80.0, 0.25, 65, id="80.0"),
+    pytest.param(56.0, 0.25, 65, id="56.0"),
+    pytest.param(4.0, 0.125, 33, id="narrow"),
+])
+def test_fft_path_matches_direct_convolution(x_max, width, taps):
     # The decay grids (65-tap kernel, n = 11776 and 8704) whose padded
-    # length used to be 7- or 11-smooth.  Two different fields in a row,
-    # so a stale padded buffer would show.
-    p = SimParams(q=1.5, kernel_width=0.25, x_min=-12.0, x_max=x_max, dx=1.0 / 128.0)
+    # length used to be 7- or 11-smooth, and a stencil of at most 64 taps,
+    # which the stepper also convolves by FFT.  Two different fields in a
+    # row, so a stale padded buffer would show.
+    p = SimParams(q=1.5, kernel_width=width, x_min=-12.0, x_max=x_max, dx=1.0 / 128.0)
     stepper = _Stepper(p)
     kernel = p.kernel()
-    assert kernel.weights.size == 65 and stepper._kspec is not None
+    assert kernel.weights.size == taps
     k = kernel.half_cells
     rng = np.random.default_rng(7)
     n = p.grid_n()
@@ -266,6 +273,15 @@ def test_fft_path_matches_direct_convolution(x_max):
     for values in (rng.random(n), box):
         expect = np.convolve(kernel.weights, values)[k : k + n] - values
         np.testing.assert_allclose(stepper._lu(values), expect, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", ["q", "lam", "mu", "alpha", "cfl", "kernel_width",
+                                  "x_min", "x_max", "dx", "tail_cap"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_every_float_field_must_be_finite(name, value):
+    with pytest.raises(ParamError, match="finite") as exc:
+        _params(**{name: value})
+    assert exc.value.field == name
 
 
 def test_time_loop_makes_no_blas_call(monkeypatch):
