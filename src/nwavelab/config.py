@@ -7,9 +7,10 @@ with --set key=value.
 
 The model's input rules live with the objects they guard: SimParams
 checks every parameter field, kernels the stencil and its rescaling, and
-profiles the datum's grid-independent rules.  load_config parses, builds
-those objects once and assigns blame: a broken rule becomes a ConfigError
-carrying the file and line (or the literal "--set") of the key at fault.
+profiles the datum, its support against the grid's extent included.
+load_config parses, builds those objects once and assigns blame: a broken
+rule becomes a ConfigError carrying the file and line (or the literal
+"--set") of the key at fault.
 It owns only the rules nothing else does: study.kind and nwave.*.
 
 Unknown keys, duplicate keys, malformed values and violated model
@@ -201,11 +202,13 @@ def load_config(path: str | None = None, overrides: list | None = None,
     except ValueError as exc:
         fail("lambda", f"lambda = {params.lam:g} rescales the kernel too far: {exc}")
 
-    # the datum's own rules, blamed on the first of its keys that was set
+    # the datum's own rules, its support against the grid's extent too,
+    # blamed on the first of its keys that was set
     kind = values["datum.kind"]
     names = DATUM_PARAMS.get(kind, ())
     try:
-        datum_params = check_datum(kind, **{n: values[f"datum.{n}"] for n in names})
+        datum_params = check_datum(kind, extent=(params.x_min, params.x_max),
+                                   **{n: values[f"datum.{n}"] for n in names})
     except ValueError as exc:
         set_keys = [f"datum.{n}" for n in names if origins[f"datum.{n}"] != "default"]
         fail((set_keys or ["datum.kind"])[0], str(exc))

@@ -2,8 +2,7 @@
 the two-route rescaling consistency check, and the kernel bound sweep.
 
 Each study is deterministic given its config and runs its simulations one
-after another in the calling thread; see _pmap for why the small-grid
-sweeps do not use the thread pool.  A study writes a run manifest, a
+after another in the calling thread.  A study writes a run manifest, a
 summary CSV and a verdicts JSON into its output directory and returns the
 Reports.
 
@@ -18,12 +17,11 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import STUDY_KINDS, Config, ConfigError
+from .config import DEFAULTS, STUDY_KINDS, Config, ConfigError
 from .diagnostics import (
     Report,
     energy_report,
@@ -35,7 +33,7 @@ from .diagnostics import (
 from .grid import GridFunction, grid_function
 from .kernels import make_kernel
 from .nonlocal_op import second_order_bound_ratio
-from .profiles import NWave, make_initial_datum
+from .profiles import DATUM_PARAMS, NWave, check_datum, make_initial_datum
 from .solver import SimParams, rescale_trajectory, run
 
 __all__ = [
@@ -49,42 +47,17 @@ __all__ = [
 ]
 
 
-def _thread_count() -> int:
-    """Pool size: NWAVE_THREADS, else the CPUs this process may use (<= 4)."""
-    env = os.environ.get("NWAVE_THREADS", "").strip()
-    if not env:
-        try:
-            cpus = len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity API on this platform
-            cpus = os.cpu_count() or 1
-        return min(4, cpus)
-    try:
-        count = int(env)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ConfigError(f"must be a positive integer, got {env!r}", origin="NWAVE_THREADS")
-    return count
-
-
 def _pmap(fn, items):
-    """[fn(x) for x in items] on up to NWAVE_THREADS threads, results in order.
+    """[fn(x) for x in items], in the calling thread.
 
-    Only the decay suite uses it.  Its runs are FFT-bound (n = 8704 to
-    22016), and scipy.fft releases the GIL inside a transform, so two
-    threads overlap: on 2 CPUs the suite took 32.4 / 40.3 / 36.7 s pooled
-    against 33.4 / 41.3 / 41.4 s serial.  A study's sweep runs on a small
-    grid, where a step holds the GIL for most of its 100-300 us, so two
-    threads queue on it instead: `study vanishing_viscosity` (n = 2560)
-    took about 10.0 s pooled against 5.2 s serial.  Those sweeps run in
-    the calling thread.
+    The decay suite maps its three q runs through here.  A thread pool
+    used to run them, but a step that works on the field's support alone
+    holds the GIL for most of its time, so two threads mostly queue on
+    it: on 2 CPUs the suite took 11.3-13.0 s on two threads against
+    12.0-12.5 s in the calling thread.  The name stays because the
+    benchmark's tracer times each item under it.
     """
-    items = list(items)
-    workers = min(_thread_count(), len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def _dump_snapshots(spec: StudySpec, name: str, times, snapshots):
@@ -138,11 +111,16 @@ def study_spec(cfg: Config, out_dir: str | None = None) -> StudySpec:
     elif kind == "long_time_sign_changing":
         sweep = cfg.study_times
         datum_kind = "two_boxes_signed"
-        names = (
-            "pos_height", "pos_left", "pos_right",
-            "neg_height", "neg_left", "neg_right",
-        )
+        # load_config checks only the keys of the configured datum.kind,
+        # so these are checked here, blamed on the first that was changed
+        names = DATUM_PARAMS[datum_kind]
         datum_params = {name: cfg.raw[f"datum.{name}"] for name in names}
+        try:
+            check_datum(datum_kind, **datum_params)
+        except ValueError as exc:
+            changed = [f"datum.{n}" for n in names
+                       if datum_params[n] != DEFAULTS[f"datum.{n}"]]
+            raise ConfigError(str(exc), origin=(changed or ["datum.kind"])[0]) from None
     elif kind == "vanishing_viscosity":
         sweep = cfg.study_mus
         datum_kind, datum_params = cfg.datum_kind, dict(cfg.datum_params)

@@ -117,12 +117,15 @@ def _box_cell_averages(edges: np.ndarray, height: float, left: float, right: flo
     return height * (hi - lo) / dx
 
 
-def check_datum(kind: str, **params) -> dict:
+def check_datum(kind: str, extent=None, **params) -> dict:
     """kind's full parameter set, params over its defaults, checked.
 
     Applies every rule of the datum that needs no grid: a known kind and
     parameter names, finite values, box right > left, gaussian sigma > 0,
-    dipole height and width > 0.  Raises ValueError on the first break.
+    dipole height and width > 0.  Given extent = (x_min, x_max), it also
+    requires a gaussian's truncated support to carry mass inside it,
+    computed from erf at the two ends, with no array.  Raises ValueError
+    on the first break.
     """
     if kind not in DATUM_PARAMS:
         raise ValueError(f"unknown datum kind {kind!r}; choose one of {DATUM_KINDS}")
@@ -140,6 +143,13 @@ def check_datum(kind: str, **params) -> dict:
         raise ValueError("gaussian needs sigma > 0")
     if kind == "dipole_zero_mass" and not (p["height"] > 0 and p["width"] > 0):
         raise ValueError("dipole needs positive height and width")
+    if kind == "gaussian" and extent is not None:
+        center, cut, scale = p["center"], 4.0 * p["sigma"], math.sqrt(2.0) * p["sigma"]
+        lo, hi = max(extent[0], center - cut), min(extent[1], center + cut)
+        if not (hi > lo and erf((hi - center) / scale) > erf((lo - center) / scale)):
+            raise ValueError(
+                f"gaussian support [{center - cut:g}, {center + cut:g}] lies outside "
+                f"the grid [{extent[0]:g}, {extent[1]:g}]")
     return p
 
 
@@ -157,9 +167,9 @@ def make_initial_datum(kind: str, x_min: float, dx: float, n: int, **params) -> 
     dipole_zero_mass: +`height` on [`center`, `center`+`width`) and
         -`height` on [`center`-`width`, `center`); mass exactly 0.
     """
-    p = check_datum(kind, **params)
     if n < 1:
         raise ValueError("need at least one cell")
+    p = check_datum(kind, extent=(x_min, x_min + n * dx), **params)
     edges = x_min + dx * np.arange(n + 1)
     if kind == "box":
         values = _box_cell_averages(edges, p["height"], p["left"], p["right"])
@@ -172,10 +182,7 @@ def make_initial_datum(kind: str, x_min: float, dx: float, n: int, **params) -> 
         cell_mass = 0.5 * (
             erf((hi - center) / (root2 * sigma)) - erf((lo - center) / (root2 * sigma))
         )
-        total = cell_mass.sum()
-        if total <= 0:
-            raise ValueError("gaussian support lies outside the grid")
-        values = mass * cell_mass / (total * dx)
+        values = mass * cell_mass / (cell_mass.sum() * dx)
     elif kind == "two_boxes_signed":
         values = _box_cell_averages(
             edges, p["pos_height"], p["pos_left"], p["pos_right"]

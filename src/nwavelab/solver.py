@@ -19,6 +19,16 @@ and run() picks dt adaptively from that budget.  Order preservation is what
 the comparison, contraction and sign-preservation checks lean on, so the
 budget is enforced every step, not just at t=0.
 
+J*u is computed by overlap-save: batched real FFTs over blocks of at least
+1024 cells, or one transform of the whole grid when it fits in two blocks.
+On a grid that takes several blocks, a step visits only a window of cells.
+After each step, cells with |u_j| < ROUNDING_FLOOR * max|u| (1e-16, the
+rounding noise the transform of J*u leaves anyway) are set to exact zero,
+so the field is exactly zero outside its support, and one step moves a
+value at most K + 1 cells (K the stencil half-width).  The window is the
+support widened by K + 1 each step, and every few steps it shrinks back to
+the nonzero cells; once it spans the grid, it stays there unfloored.
+
 run() also accumulates the nonlocal energy-dissipation integral
 
     int_0^t  alpha * lam^q  intint J_lam(x - y) (u(x) - u(y))^2 dx dy  dt'
@@ -173,12 +183,29 @@ class Trajectory:
         return self.snapshots[i]
 
 
+# While a field steps on a window narrower than the grid, cells with
+# |u| < ROUNDING_FLOOR * max|u| are set to exact zero after every step.
+# That is at or below the rounding noise the transform of J*u leaves on
+# every cell anyway.  It keeps the field exactly zero outside its support,
+# so the window can shrink back to it (see _Window), and it keeps every
+# value normal: left alone, the edges of the support decay into
+# subnormals, on which the transforms and the flux power run an order of
+# magnitude slower.
+ROUNDING_FLOOR = 1e-16
+# A window shrinks back to its field's nonzero cells every this many steps.
+_TIGHTEN_EVERY = 8
+
+
 class _Stepper:
     """Precomputed pieces of one forward-Euler step, and its work buffers.
 
     A stepper serves one run, so one thread.  The loop owns one |u| buffer
     per field; everything else a step writes goes into the buffers here,
-    which every field of a lockstep run reuses in turn.
+    which every field of a lockstep run reuses in turn.  A step may work on
+    a window of cells outside which the field vanishes; its first cells
+    are the front of every buffer.  `windowed` says whether fields step on
+    windows at all: only where J*u takes several blocks, since a window
+    saves no transform work on a grid that one transform covers.
     """
 
     def __init__(self, params: SimParams):
@@ -188,45 +215,98 @@ class _Stepper:
         self.lamq = params.lam ** params.q
         self.dx = params.dx
         n = params.grid_n()
+        k = self.kernel.half_cells if self.kernel is not None else 0
+        # how far one step can move a value: k cells through J*u, one
+        # through the upwind flux and the Laplacian
+        self.reach = k + 1
         self._f = np.empty(n)
         self._rhs = np.empty(n)
         self._lap = np.empty(n) if params.mu > 0.0 else None
-        # J*u goes through a cached-spectrum circular FFT, whatever the
-        # stencil width: the kernel transform is computed once, each step
-        # pays one rfft/irfft pair.  Padding by the stencil half-width
-        # keeps the circular wrap inside the zero region, so the result
-        # matches zero extension.
-        # The length is 5-smooth (real=True): pocketfft's real transforms
+        self.windowed = False
+        if self.kernel is None:
+            return
+        # J*u by overlap-save against a cached kernel spectrum: a window of
+        # m cells, zero-padded by k on both sides, is cut into blocks of
+        # `block` cells that overlap by 2k; one batched rfft/irfft pair
+        # convolves them all circularly, and each block's middle `block - 2k`
+        # cells are free of wrap-around.  Blocks are the smallest power of
+        # two >= max(1024, 4(2k + 1)): above that, longer transforms cost
+        # more per cell.  A grid that fits in two blocks takes one 5-smooth
+        # transform of the whole grid instead (pocketfft's real transforms
         # are markedly slower at the 7- and 11-smooth lengths the default
-        # picks.  Only the first n cells of the padded buffer are ever
-        # written, so the padding stays zero.
-        if self.kernel is not None:
-            self._nfft = next_fast_len(n + 2 * self.kernel.half_cells + 1, real=True)
-            ker = np.zeros(self._nfft)
-            ker[self.kernel.offsets % self._nfft] = self.kernel.weights
-            self._kspec = rfft(ker)
-            self._buf = np.zeros(self._nfft)
-            self._lu_out = np.empty(n)
+        # picks), and its fields step whole.
+        block = 1024
+        while block < 4 * (2 * k + 1):
+            block *= 2
+        self.windowed = n + 2 * k + 1 > 2 * block
+        if not self.windowed:
+            block = next_fast_len(n + 2 * k + 1, real=True)
+        step = block - 2 * k
+        count = -(-n // step)
+        self._block, self._step = block, step
+        ker = np.zeros(block)
+        ker[self.kernel.offsets % block] = self.kernel.weights
+        self._kspec = rfft(ker)
+        # only pad[k:k + m] is ever written, and cleared again when a
+        # narrower window follows, so the padding stays zero
+        self._pad = np.zeros(count * step + 2 * k)
+        self._filled = 0
+        self._lu_out = np.empty(count * step)
+        self._plans = {}
+
+    def _plan(self, count: int):
+        """The views a transform of `count` blocks reads and writes, made once.
+
+        One block is a plain 1-D transform, which scipy runs faster than a
+        batch of one.
+        """
+        plan = self._plans.get(count)
+        if plan is None:
+            k, step, block = self.kernel.half_cells, self._step, self._block
+            if count == 1:
+                blocks, shape = self._pad[:block], (step,)
+            else:
+                blocks = np.lib.stride_tricks.as_strided(
+                    self._pad, shape=(count, block), strides=(8 * step, 8), writeable=False)
+                shape = (count, step)
+            plan = self._plans[count] = (
+                blocks,
+                self._pad[k:k + count * step].reshape(shape),
+                self._lu_out[:count * step].reshape(shape),
+            )
+        return plan
 
     def _lu(self, u_values: np.ndarray) -> np.ndarray:
-        self._buf[: u_values.size] = u_values
-        spec = rfft(self._buf)
+        """J*u - u on the cells of u_values, taking u = 0 outside them."""
+        m, k = u_values.size, self.kernel.half_cells
+        self._pad[k:k + m] = u_values
+        if self._filled > m:
+            self._pad[k + m:k + self._filled] = 0.0
+        self._filled = m
+        blocks, u_blocks, lu_blocks = self._plan(-(-m // self._step))
+        spec = rfft(blocks)
         spec *= self._kspec
-        conv = irfft(spec, n=self._nfft, overwrite_x=True)[: u_values.size]
-        return np.subtract(conv, u_values, out=self._lu_out)
+        conv = irfft(spec, n=self._block, overwrite_x=True)[..., k:k + self._step]
+        np.subtract(conv, u_blocks, out=lu_blocks)
+        return self._lu_out[:m]
 
-    def rate(self, u_values: np.ndarray, abs_u: np.ndarray):
+    def rate(self, u_values: np.ndarray, abs_u: np.ndarray, cells: slice = slice(None)):
         """Right-hand side and the nonlocal Dirichlet rate at this state.
 
-        abs_u is |u_values|.  The returned rhs is the stepper's own buffer:
-        the next call overwrites it, so use it before stepping another
-        field.  Every operation keeps the operand order of the plain
-        expression -(f_j - f_{j-1}) / dx + alpha lam^q Lu + mu lap / dx^2,
-        so results are bit-identical to it.
+        abs_u is |u_values|.  The rate is computed on `cells`, a slice of
+        the grid outside which u_values vanishes; there it equals the rate
+        of the whole field.  The returned rhs covers those cells and is the
+        stepper's own buffer: the next call overwrites it, so use it before
+        stepping another field.  Every operation keeps the operand order of
+        the plain expression -(f_j - f_{j-1}) / dx + alpha lam^q Lu
+        + mu lap / dx^2, so results are bit-identical to it.
         """
-        p, dx, rhs = self.p, self.dx, self._rhs
-        lu = self._lu(u_values) if p.alpha > 0.0 else None
-        f = flux(u_values, p.q, abs_u=abs_u, out=self._f)
+        p, dx = self.p, self.dx
+        u, abs_u = u_values[cells], abs_u[cells]
+        m = u.size
+        rhs = self._rhs[:m]
+        lu = self._lu(u) if p.alpha > 0.0 else None
+        f = flux(u, p.q, abs_u=abs_u, out=self._f[:m])
         rhs[0] = f[0]
         np.subtract(f[1:], f[:-1], out=rhs[1:])
         # -d / dx and d / (-dx) round alike: IEEE division is sign-symmetric
@@ -236,17 +316,18 @@ class _Stepper:
             # intint J (u(x)-u(y))^2 dx dy = -2 <u, Lu>.  einsum, not np.dot:
             # OpenBLAS hands dots over ~10k cells to a helper thread, which
             # spins against any other run sharing the CPUs.
-            u_lu = float(np.einsum("i,i->", u_values, lu))
+            u_lu = float(np.einsum("i,i->", u, lu))
             dirichlet = -2.0 * p.alpha * self.lamq * u_lu * dx
-            lu *= p.alpha * self.lamq
+            if p.alpha * self.lamq != 1.0:  # x * 1.0 is x: skip the pass
+                lu *= p.alpha * self.lamq
             rhs += lu
         if p.mu > 0.0:
-            lap = self._lap
-            np.multiply(u_values[1:-1], 2.0, out=lap[1:-1])
-            np.subtract(u_values[2:], lap[1:-1], out=lap[1:-1])
-            lap[1:-1] += u_values[:-2]
-            lap[0] = u_values[1] - 2.0 * u_values[0]
-            lap[-1] = u_values[-2] - 2.0 * u_values[-1]
+            lap = self._lap[:m]
+            np.multiply(u[1:-1], 2.0, out=lap[1:-1])
+            np.subtract(u[2:], lap[1:-1], out=lap[1:-1])
+            lap[1:-1] += u[:-2]
+            lap[0] = u[1] - 2.0 * u[0]
+            lap[-1] = u[-2] - 2.0 * u[-1]
             lap *= p.mu
             lap /= dx ** 2
             rhs += lap
@@ -260,6 +341,54 @@ class _Stepper:
         if denom == 0.0:
             return np.inf
         return p.cfl / denom
+
+
+class _Window:
+    """The cells a step of one field works on, and their views.
+
+    The field u is exactly zero outside its support, cells lo..hi-1.  A
+    step moves values at most `reach` cells, so it works on the support
+    widened by reach on both sides (clipped to the grid), and every other
+    cell stays zero; that window is the next step's support.  Every
+    _TIGHTEN_EVERY steps the support shrinks back to the nonzero cells,
+    which the rounding floor keeps few.  A window that spans the grid stays
+    there, views and all, and is no longer floored: the transform's
+    rounding noise then reaches every cell, as in a step of the whole grid.
+    reach None, or a zero field, means the whole grid from the start.
+    """
+
+    def __init__(self, u: np.ndarray, abs_u: np.ndarray, reach: int | None):
+        self.u, self.abs_u, self.reach = u, abs_u, reach
+        self.cells, self.u_w, self.abs_w = slice(0, u.size), u, abs_u
+        self.whole = True
+        nonzero = np.flatnonzero(u) if reach is not None else ()
+        if len(nonzero):
+            self._small = np.empty(u.size, dtype=bool)
+            self._age = 0
+            self._fit(nonzero[0], nonzero[-1] + 1)
+
+    def _fit(self, lo: int, hi: int):
+        a, b = max(0, lo - self.reach), min(self.u.size, hi + self.reach)
+        if (a, b) != (self.cells.start, self.cells.stop):
+            self.cells = slice(a, b)
+            self.u_w, self.abs_w = self.u[a:b], self.abs_u[a:b]
+            self.whole = a == 0 and b == self.u.size
+
+    def settle(self, max_abs: float):
+        """After a step: apply the rounding floor and move the window on."""
+        if self.whole:
+            return
+        small = np.less(self.abs_w, ROUNDING_FLOOR * max_abs,
+                        out=self._small[:self.abs_w.size])
+        np.copyto(self.u_w, 0.0, where=small)
+        np.copyto(self.abs_w, 0.0, where=small)
+        a, b = self.cells.start, self.cells.stop
+        self._age += 1
+        if self._age % _TIGHTEN_EVERY == 0:
+            # the nonzero cells are the ones the floor left alone; argmin
+            # stops at the first of them
+            a, b = a + int(small.argmin()), b - int(small[::-1].argmin())
+        self._fit(a, b)
 
 
 def run(phi: GridFunction, params: SimParams) -> Trajectory:
@@ -300,6 +429,8 @@ def run_lockstep(data, params: SimParams) -> list:
     # finite check (max propagates NaN and inf) and the next CFL speed
     abs_us = [np.abs(u) for u in us]
     max_abs = [a.max() for a in abs_us]
+    reach = stepper.reach if stepper.windowed else None
+    windows = [_Window(u, a, reach) for u, a in zip(us, abs_us)]
     t = 0.0
     mass0 = [float(u.sum() * params.dx) for u in us]
     dissipated = [0.0] * len(us)
@@ -324,13 +455,13 @@ def run_lockstep(data, params: SimParams) -> list:
             if hit:
                 dt = t_next - t
             t = t_next if hit else t + dt
-            for k, (u, abs_u) in enumerate(zip(us, abs_us)):
-                rhs, dirichlet = stepper.rate(u, abs_u)
+            for k, (u, w) in enumerate(zip(us, windows)):
+                rhs, dirichlet = stepper.rate(u, w.abs_u, w.cells)
                 rhs *= dt
-                u += rhs
+                w.u_w += rhs
                 dissipated[k] += dt * dirichlet
-                np.abs(u, out=abs_u)
-                max_abs[k] = abs_u.max()
+                np.abs(w.u_w, out=w.abs_w)
+                max_abs[k] = w.abs_w.max()
                 if not math.isfinite(max_abs[k]):
                     cell = int(np.flatnonzero(~np.isfinite(u))[0])
                     x_bad = params.x_min + (cell + 0.5) * params.dx
@@ -340,6 +471,7 @@ def run_lockstep(data, params: SimParams) -> list:
                         t=t,
                         cell=cell,
                     )
+                w.settle(max_abs[k])
             steps += 1
         for k, (u, traj) in enumerate(zip(us, trajs)):
             mass = float(u.sum() * params.dx)

@@ -149,11 +149,9 @@ def suite_decay(cfg: Config, out_dir: str | None = None) -> list:
 
     Box datum of mass 1, q in {1.25, 1.5, 1.75}, p in {1, 2, inf}; the
     p = inf fit also enforces the explicit amplitude bound and p = 1
-    enforces no L^1 growth.  The q runs are independent and go through
-    the thread pool (NWAVE_THREADS), its only user: they are FFT-bound,
-    and the transforms release the GIL, so two threads overlap (on 2
-    CPUs, 32.4 / 40.3 / 36.7 s pooled against 33.4 / 41.3 / 41.4 s
-    serial).  Reports come back in q order.
+    enforces no L^1 growth.  The q runs are independent and run one
+    after another in the calling thread (see experiments._pmap for why
+    not on threads).  Reports come back in q order.
     """
     from .experiments import _pmap
 

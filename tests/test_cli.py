@@ -87,6 +87,28 @@ def test_bad_datum_exits_2(args, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["study", "vanishing_viscosity"]])
+def test_datum_off_the_grid_exits_2(command, tmp_path, capsys):
+    # the gaussian's support [96, 104] misses the default grid [-8, 12]
+    args = [*command, "--set", "datum.kind=gaussian", "--set", "datum.center=100"]
+    assert main([*args, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --set:")
+    assert "outside the grid" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_bad_sign_changing_datum_exits_2(tmp_path, capsys):
+    # the study reads datum.pos_* and datum.neg_* whatever datum.kind is
+    args = ["study", "long_time_sign_changing", "--set", "datum.pos_height=nan"]
+    assert main([*args, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: datum.pos_height:")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nope"])
@@ -130,18 +152,6 @@ def test_study_kernel_bound_writes_artifacts(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "kernel_bound_sweep_verdicts.json"))
     manifest = open(os.path.join(out, "kernel_bound_sweep_manifest.txt")).read()
     assert "study.kind = kernel_bound_sweep" in manifest
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-1"])
-def test_bad_thread_count_exits_2(value, monkeypatch, tmp_path, capsys):
-    # rejected before any command runs, whether or not that command pools
-    monkeypatch.setenv("NWAVE_THREADS", value)
-    for command in (["verify", "decay"], ["study", "vanishing_viscosity"], ["simulate"]):
-        assert main([*command, "--out", str(tmp_path / "o")]) == 2
-        captured = capsys.readouterr()
-        assert "NWAVE_THREADS" in captured.err and repr(value) in captured.err
-        assert captured.out == ""
-    assert not (tmp_path / "o").exists()
 
 
 def test_import_does_not_load_scipy_signal():

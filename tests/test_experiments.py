@@ -1,7 +1,8 @@
+import threading
+
 import numpy as np
 import pytest
 
-import nwavelab.experiments as experiments
 from nwavelab.config import ConfigError, load_config
 from nwavelab.experiments import (
     StudySpec,
@@ -110,11 +111,10 @@ def test_kernel_bound_sweep_reports():
 def test_small_grid_studies_start_no_thread(monkeypatch):
     # Their steps hold the GIL for most of their time, so pool threads
     # would only queue on it; the sweeps run in the calling thread.
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a small-grid study built a thread pool")
+    def no_thread(self):
+        raise AssertionError("a small-grid study started a thread")
 
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setenv("NWAVE_THREADS", "2")
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     cfg = load_config(overrides=[
         "grid.x_min=-3", "grid.x_max=5", "study.mus=0.05,0.025", "study.lambdas=1,2",
     ])

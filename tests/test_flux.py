@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nwavelab.flux import flux, max_wave_speed, validate_q
+from nwavelab.flux import _power, flux, max_wave_speed, validate_q
 from nwavelab.solver import SimParams, _Stepper
 
 
@@ -15,6 +15,23 @@ def interface_flux(u_left, u_right, q):
     u = np.array([u_left, u_right], dtype=float)
     rhs, _ = _Stepper(p).rate(u, np.abs(u))
     return -p.dx * rhs[0]
+
+
+@pytest.mark.parametrize("q, ulps", [(1.25, 1.0), (1.75, 2.0), (1.5, 0.0)])
+def test_power_is_pow_to_an_ulp_or_two(q, ulps):
+    # sqrt chains for q = 1.25 and 1.75, pow itself for every other q
+    rng = np.random.default_rng(3)
+    a = np.concatenate([[0.0, 5e-324, 1e-300, 1e300],
+                        rng.random(20000) * 10.0 ** rng.integers(-300, 300, 20000)])
+    want = a ** (q - 1.0)
+    got = _power(a, q)
+    if ulps == 0.0:
+        np.testing.assert_array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= ulps * np.spacing(want))
+    out = np.empty_like(a)
+    assert _power(a, q, out=out) is out
+    np.testing.assert_array_equal(out, got)
 
 
 def test_flux_hand_values():

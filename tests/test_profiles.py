@@ -115,3 +115,16 @@ def test_check_datum_applies_the_grid_free_rules():
     ]:
         with pytest.raises(ValueError, match=msg):
             check_datum(kind, **params)
+
+
+def test_gaussian_support_must_meet_the_grid():
+    # support center +- 4 sigma against the extent, with no array
+    assert check_datum("gaussian", extent=(-8.0, 12.0), center=15.0)["center"] == 15.0
+    for center in (100.0, 16.0, -12.0):
+        with pytest.raises(ValueError, match="outside the grid"):
+            check_datum("gaussian", extent=(-8.0, 12.0), center=center)
+    with pytest.raises(ValueError, match="outside the grid"):
+        make_initial_datum("gaussian", -8.0, 0.5, 40, center=100.0)
+    # a support that only clips the grid still carries the full mass
+    u = make_initial_datum("gaussian", -8.0, 0.5, 40, center=15.0)
+    assert u.mass() == pytest.approx(1.0, abs=1e-12)

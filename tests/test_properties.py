@@ -8,23 +8,30 @@ alpha, mu and lambda are, and a rerun reproduces every bit.
 run() is also held to reference_run, the same scheme written out plainly,
 over the same inputs: same steps, same snapshots, mass that changes only
 by what crosses the boundary, the same nonlocal dissipation, and no L^2
-energy created.
+energy created.  On grids wide enough for J*u to take several blocks,
+run() steps each field on a window around its support; zero-padded data
+there are held to the same checks.
 """
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nwavelab.diagnostics import random_smooth_field
 from nwavelab.grid import grid_function
 from nwavelab.kernels import KERNEL_FAMILIES
+from nwavelab.profiles import make_initial_datum
 from nwavelab.solver import DomainTooSmall, SimParams, run, run_lockstep
 
 _ROUNDING = 1e-11
 _DX = 1.0 / 32.0
 _N = 256
+# A grid of this many cells takes J*u in several blocks, so run() steps
+# each field on a window of cells around its support.
+_WIDE = 2048
 
 qs = st.one_of(
     st.sampled_from([1.25, 1.5, 1.75, 2.0]),
@@ -36,7 +43,7 @@ mus = st.one_of(st.just(0.0), st.floats(0.01, 0.5))
 
 
 @st.composite
-def params(draw):
+def params(draw, n=_N):
     lam = draw(st.sampled_from([1.0, 2.0]))
     # rescaled support of `half` cells each side: 9 to about 80 taps
     half = draw(st.integers(4, 40))
@@ -48,7 +55,7 @@ def params(draw):
         kernel_family=draw(st.sampled_from(KERNEL_FAMILIES)),
         kernel_width=half * lam * _DX,
         x_min=-4.0,
-        x_max=-4.0 + _N * _DX,
+        x_max=-4.0 + n * _DX,
         dx=_DX,
         output_times=(0.05, 0.1),
         tail_cap=1e9,  # generated data may flow out of the domain
@@ -56,12 +63,19 @@ def params(draw):
 
 
 @st.composite
-def fields(draw):
-    kind = draw(st.sampled_from(["signed", "nonnegative", "zero"]))
+def fields(draw, n=_N, kinds=("signed", "nonnegative", "zero", "padded")):
+    kind = draw(st.sampled_from(kinds))
     if kind == "zero":
-        return grid_function(np.zeros(_N), -4.0, _DX)
+        return grid_function(np.zeros(n), -4.0, _DX)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return random_smooth_field(rng, -4.0, _DX, _N, nonnegative=kind == "nonnegative")
+    if kind == "padded":
+        # 32 nonzero cells amid zeros: on a wide grid, run() steps it on a
+        # window narrower than the grid
+        values = np.zeros(n)
+        start = draw(st.integers(0, n - 32))
+        values[start:start + 32] = random_smooth_field(rng, 0.0, _DX, 32).values
+        return grid_function(values, -4.0, _DX)
+    return random_smooth_field(rng, -4.0, _DX, n, nonnegative=kind == "nonnegative")
 
 
 def _l1(values):
@@ -176,3 +190,37 @@ def test_run_matches_reference_stepper(p, phi, cap):
     # dominates the CFL budget.
     energies = [_l2sq(phi.values)] + [_l2sq(u.values) for u in traj.snapshots]
     assert all(b <= a + 1e-10 for a, b in zip(energies, energies[1:]))
+
+
+@pytest.mark.parametrize("q, mu, alpha", [(1.25, 0.0, 1.0), (1.75, 0.05, 1.0), (2.0, 0.0, 2.0)])
+def test_windowed_run_matches_reference_and_stays_exactly_zero_outside(q, mu, alpha):
+    # A box of 32 cells on a grid of 2560, which J*u covers in several
+    # blocks: every step works on a window narrower than the grid, so most
+    # cells are never visited.
+    p = SimParams(q=q, mu=mu, alpha=alpha, kernel_width=0.25, x_min=-40.0, x_max=40.0,
+                  dx=_DX, output_times=(0.1, 0.2), tail_cap=1e-3)
+    n = p.grid_n()
+    phi = make_initial_datum("box", p.x_min, p.dx, n)
+    steps, times, snapshots, _, _ = reference_run(phi, p)
+    traj = run(phi, p)
+    assert traj.steps == steps
+    # one step moves a value at most K + 1 cells
+    nonzero = np.flatnonzero(phi.values)
+    reach = steps * (p.kernel().half_cells + 1)
+    lo, hi = nonzero[0] - reach, nonzero[-1] + 1 + reach
+    assert 0 < lo and hi < n
+    for u, want in zip(traj.snapshots, snapshots):
+        np.testing.assert_allclose(u.values, want, rtol=0.0, atol=1e-12)
+        assert not np.any(u.values[:lo]) and not np.any(u.values[hi:])
+        # the rounding floor: nothing nonzero below it, so nothing subnormal
+        size = np.abs(u.values)
+        assert not np.any(u.values[size < 1e-16 * size.max()])
+        assert not np.any(u.values[size < np.finfo(float).tiny])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(p=params(_WIDE), phi=fields(_WIDE, kinds=("padded",)),
+       cap=st.sampled_from([1e-3, 1e9]))
+def test_windowed_run_matches_reference_stepper(p, phi, cap):
+    # the checks above, on grids where run() steps each field on a window
+    test_run_matches_reference_stepper.hypothesis.inner_test(p, phi, cap)

@@ -1,4 +1,5 @@
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -52,41 +53,32 @@ def test_suite_seed_determinism(tmp_path):
     assert va == vb
 
 
-def _small_decay(monkeypatch, threads):
+def _small_decay(monkeypatch):
     import nwavelab.suites as suites
 
     monkeypatch.setattr(suites, "_DECAY_GRIDS",
                         {q: suites._DECAY_GRIDS[q] for q in (1.5, 1.75)})
     monkeypatch.setattr(suites, "_DECAY_TIMES", suites._DECAY_TIMES[:9])
-    monkeypatch.setenv("NWAVE_THREADS", str(threads))
     reports = run_suite("decay", load_config())
     return [(r.name, r.verdict, r.values) for r in reports]
 
 
-def test_decay_suite_independent_of_thread_count(monkeypatch):
-    import nwavelab.experiments as experiments
+def test_decay_suite_starts_no_thread(monkeypatch):
+    # Its steps hold the GIL for most of their time, so pool threads would
+    # only queue on it; the q runs go one after another.
+    def no_thread(self):
+        raise AssertionError("the decay suite started a thread")
 
-    serial = _small_decay(monkeypatch, 1)
-    pools = []
-
-    class CountedPool(experiments.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    # the decay runs are the one place the pool pays, so they still use it
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", CountedPool)
-    pooled = _small_decay(monkeypatch, 2)
-    assert pools == [2]
-    assert [name for name, _, _ in serial] == [
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    first = _small_decay(monkeypatch)
+    assert [name for name, _, _ in first] == [
         name
         for q in (1.5, 1.75)
         for name in (f"decay exponent p=1 q={q:g}", f"decay exponent p=2 q={q:g}",
                      f"decay exponent p=inf q={q:g}", "energy dissipation")
     ]
     # dict equality compares the floats exactly: bit-identical values
-    assert pooled == serial
-    assert _small_decay(monkeypatch, 2) == pooled
+    assert _small_decay(monkeypatch) == first
 
 
 def test_nan_measurement_fails_its_check(monkeypatch):
