@@ -11,7 +11,9 @@ profiles the datum, its support against the grid's extent included.
 load_config parses, builds those objects once and assigns blame: a broken
 rule becomes a ConfigError carrying the file and line (or the literal
 "--set") of the key at fault.
-It owns only the rules nothing else does: study.kind and nwave.*.
+It owns only the rules nothing else does: study.kind, tol.* and nwave.*.
+build_kernel is that blame for the kernel, shared with the suites and
+studies that build one on a grid of their own.
 
 Unknown keys, duplicate keys, malformed values and violated model
 constraints are all ConfigError; the CLI maps that to exit code 2.
@@ -22,11 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .kernels import make_kernel, rescale
+from .kernels import Kernel, make_kernel, rescale
 from .profiles import DATUM_PARAMS, check_datum, make_initial_datum
 from .solver import ParamError, SimParams
 
-__all__ = ["ConfigError", "Config", "load_config", "DEFAULTS", "STUDY_KINDS"]
+__all__ = ["ConfigError", "Config", "load_config", "build_kernel", "DEFAULTS", "STUDY_KINDS"]
 
 STUDY_KINDS = (
     "long_time_nonnegative",
@@ -117,6 +119,30 @@ class Config:
         )
 
 
+def _blame_key(key: str, message: str):
+    raise ConfigError(message, origin=key)
+
+
+def build_kernel(params: SimParams, width_key: str = "kernel.width",
+                 lam_key: str = "lambda", fail=_blame_key) -> Kernel:
+    """params.kernel() in its two steps, each error blamed on its own key.
+
+    make_kernel's errors (the width against dx, or a stencil over
+    MAX_CELLS) go to width_key, rescale's to lam_key, through
+    fail(key, message), which raises.  By default the key is the error's
+    origin: the form for suites and studies that pick their own dx or
+    rescale factor, so a kernel that does not fit exits 2 before they run.
+    """
+    try:
+        j = make_kernel(params.kernel_family, params.kernel_width, params.dx)
+    except ValueError as exc:
+        fail(width_key, str(exc))
+    try:
+        return rescale(j, params.lam)
+    except ValueError as exc:
+        fail(lam_key, f"lambda = {params.lam:g} rescales the kernel too far: {exc}")
+
+
 def _parse_scalar(key: str, text: str, default, origin: str):
     if isinstance(default, str):
         return text
@@ -185,22 +211,22 @@ def load_config(path: str | None = None, overrides: list | None = None,
     def fail(key, message):
         raise ConfigError(message, origins[key])
 
+    def first_set(keys, default):
+        return next((k for k in keys if origins[k] != "default"), default)
+
     try:
         params = SimParams(**{f: values[key] for f, key in _PARAM_KEYS.items()})
-        params.grid_n()
     except ParamError as exc:
         fail(_PARAM_KEYS[exc.field], str(exc))
-    # params.kernel() in its two steps, each blamed on its own key; built
-    # also when alpha = 0 leaves the kernel unused by runs: dump-kernel needs
-    # it.  A stencil the grid cannot resolve is grid.dx's fault if it was set.
     try:
-        j = make_kernel(params.kernel_family, params.kernel_width, params.dx)
-    except ValueError as exc:
-        fail("grid.dx" if origins["grid.dx"] != "default" else "kernel.width", str(exc))
-    try:
-        rescale(j, params.lam)
-    except ValueError as exc:
-        fail("lambda", f"lambda = {params.lam:g} rescales the kernel too far: {exc}")
+        params.grid_n()
+    except ParamError as exc:  # the three grid keys size the grid together
+        key = first_set(["grid.dx", "grid.x_max", "grid.x_min"], "grid.dx")
+        fail(key, f"{key} = {values[key]:g}: {exc}")
+    # built also when alpha = 0 leaves the kernel unused by runs: dump-kernel
+    # needs it.  A stencil the grid cannot resolve is grid.dx's fault if it
+    # was set.
+    build_kernel(params, first_set(["grid.dx"], "kernel.width"), fail=fail)
 
     # the datum's own rules, its support against the grid's extent too,
     # blamed on the first of its keys that was set
@@ -210,8 +236,10 @@ def load_config(path: str | None = None, overrides: list | None = None,
         datum_params = check_datum(kind, extent=(params.x_min, params.x_max),
                                    **{n: values[f"datum.{n}"] for n in names})
     except ValueError as exc:
-        set_keys = [f"datum.{n}" for n in names if origins[f"datum.{n}"] != "default"]
-        fail((set_keys or ["datum.kind"])[0], str(exc))
+        fail(first_set([f"datum.{n}" for n in names], "datum.kind"), str(exc))
+    for key in ("tol.scheme", "tol.quad"):
+        if not (math.isfinite(values[key]) and values[key] >= 0.0):
+            fail(key, f"{key} must be finite and nonnegative, got {values[key]}")
     if values["study.kind"] not in STUDY_KINDS:
         fail("study.kind",
              f"unknown study kind {values['study.kind']!r}; choose one of {STUDY_KINDS}")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .flux import flux, validate_q
 from .grid import GridFunction, grid_function
-from .kernels import Kernel, convolve, rescale
+from .kernels import Kernel, convolve
 from .nonlocal_op import apply_L
 from .profiles import NWave, nwave_sample
 
@@ -328,8 +328,10 @@ def entropy_residual(
     midpoint in space, trapezoid over the snapshot times; passes iff
     R >= -tol_quad.  alpha = 0 drops the nonlocal term (the pure
     conservation-law form, e.g. for the closed-form N-wave).  sgn(0) = 0.
-    J_lam*(u-k) is evaluated as J_lam*u - k, exact for the zero-extended u
-    because the kernel has unit mass.
+    kernel is J_lam itself, already rescaled (SimParams.kernel()); lam
+    enters only through the lam^q factor.  J_lam*(u-k) is evaluated as
+    J_lam*u - k, exact for the zero-extended u because the kernel has
+    unit mass.
     """
     validate_q(q)
     times = np.asarray(times, dtype=float)
@@ -346,7 +348,6 @@ def entropy_residual(
         )
     if alpha > 0.0 and kernel is None:
         raise ValueError("nonlocal form needs the kernel")
-    j_lam = rescale(kernel, lam) if (alpha > 0.0 and lam != 1.0) else kernel
 
     k = case.k
     fk = flux(k, q)
@@ -362,7 +363,7 @@ def entropy_residual(
         ) * u.dx
         b = 0.0
         if alpha > 0.0:
-            conv = convolve(j_lam, u).values - k
+            conv = convolve(kernel, u).values - k
             b = (
                 alpha
                 * lam ** q

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import DEFAULTS, STUDY_KINDS, Config, ConfigError
+from .config import DEFAULTS, STUDY_KINDS, Config, ConfigError, build_kernel
 from .diagnostics import (
     Report,
     energy_report,
@@ -34,7 +34,7 @@ from .grid import GridFunction, grid_function
 from .kernels import make_kernel
 from .nonlocal_op import second_order_bound_ratio
 from .profiles import DATUM_PARAMS, NWave, check_datum, make_initial_datum
-from .solver import SimParams, rescale_trajectory, run
+from .solver import ParamError, SimParams, rescale_trajectory, run
 
 __all__ = [
     "StudySpec",
@@ -68,6 +68,15 @@ def _dump_snapshots(spec: StudySpec, name: str, times, snapshots):
     write_snapshots_csv(times, snapshots, os.path.join(spec.out_dir, name))
 
 
+# The config key each study sweeps over; kernel_bound_sweep's is fixed.
+_SWEEP_KEYS = {
+    "long_time_nonnegative": "study.times",
+    "long_time_sign_changing": "study.times",
+    "vanishing_viscosity": "study.mus",
+    "rescaling_family": "study.lambdas",
+}
+
+
 @dataclass
 class StudySpec:
     """One study: a kind, base parameters, a datum, and the sweep values."""
@@ -87,18 +96,23 @@ class StudySpec:
                 origin="study.kind",
             )
         sweep = tuple(float(v) for v in self.sweep)
+        key = _SWEEP_KEYS.get(self.kind, "study.kind")
         if len(sweep) < 2:
-            raise ConfigError("a study needs at least two sweep values", origin="study.kind")
-        if any(v <= 0 for v in sweep):
-            raise ConfigError("sweep values must be positive", origin="study.kind")
+            raise ConfigError("a study needs at least two sweep values", origin=key)
+        if not all(math.isfinite(v) and v > 0 for v in sweep):
+            raise ConfigError("sweep values must be finite and positive", origin=key)
         diffs = np.diff(sweep)
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ConfigError("sweep values must be strictly monotone", origin="study.kind")
+            raise ConfigError("sweep values must be strictly monotone", origin=key)
         self.sweep = sweep
 
 
 def study_spec(cfg: Config, out_dir: str | None = None) -> StudySpec:
-    """Build the StudySpec for cfg.study_kind from a parsed config."""
+    """Build the StudySpec for cfg.study_kind from a parsed config.
+
+    It also builds every kernel the study will use, so a kernel that does
+    not fit the study's own grids raises ConfigError before anything runs.
+    """
     kind = cfg.study_kind
     if kind == "long_time_nonnegative":
         sweep = cfg.study_times
@@ -130,7 +144,7 @@ def study_spec(cfg: Config, out_dir: str | None = None) -> StudySpec:
     else:  # kernel_bound_sweep
         sweep = tuple(float(k) for k in range(1, 65))
         datum_kind, datum_params = cfg.datum_kind, dict(cfg.datum_params)
-    return StudySpec(
+    spec = StudySpec(
         kind=kind,
         base=cfg.params,
         datum_kind=datum_kind,
@@ -139,6 +153,36 @@ def study_spec(cfg: Config, out_dir: str | None = None) -> StudySpec:
         seed=cfg.seed,
         out_dir=out_dir,
     )
+    _build_kernels(spec)
+    return spec
+
+
+def _build_kernels(spec: StudySpec):
+    """Build the kernel of every grid and rescale factor the study will use."""
+    kind, sweep, lam_key = spec.kind, spec.sweep, "lambda"
+    if kind == "vanishing_viscosity":
+        grids = [(dx, 1.0) for dx in (_VISCOSITY_DX, _VISCOSITY_DX / 2.0)]
+    elif kind == "rescaling_family":
+        if min(sweep) < 1.0:
+            raise ConfigError("rescale factors must be >= 1", origin="study.lambdas")
+        grids = [(dx, lam) for dx in (_RESCALING_DX, _RESCALING_DX / 2.0)
+                 for lam in (1.0,) + sweep]
+        lam_key = "study.lambdas"
+    elif kind == "kernel_bound_sweep":
+        # the sweep's factors are fixed, so only the width can make room
+        grids = [(_SWEEP_GRID[2], lam) for lam in sweep]
+        lam_key = "kernel.width"
+    else:
+        params = _long_time_params(spec, sorted(sweep))
+        try:
+            params.grid_n()
+        except ParamError as exc:
+            raise ConfigError(str(exc), origin="study.times") from None
+        # the nonnegative study fixes its width, so only dx can misfit
+        build_kernel(params, width_key="grid.dx")
+        return
+    for dx, lam in grids:
+        build_kernel(replace(spec.base, dx=dx, lam=lam), lam_key=lam_key)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +318,10 @@ def _coarsen(u: GridFunction) -> GridFunction:
     return grid_function(u.values.reshape(-1, 2).mean(axis=1), u.x_min, 2.0 * u.dx)
 
 
+# The mu runs' grid spacing; the floor estimate runs at half of it.
+_VISCOSITY_DX = 1.0 / 128.0
+
+
 def run_vanishing_viscosity(spec: StudySpec):
     """|| u^mu(1) - u^0(1) ||_1 strictly decreasing along the mu sweep.
 
@@ -286,7 +334,7 @@ def run_vanishing_viscosity(spec: StudySpec):
     params = replace(
         spec.base,
         lam=1.0,
-        dx=1.0 / 128.0,
+        dx=_VISCOSITY_DX,
         output_times=(t_eval,),
     )
     datum = make_initial_datum(
@@ -377,6 +425,10 @@ def _rescaling_routes(spec: StudySpec, dx: float):
     return lams, a_fields, b_fields
 
 
+# The routes' grid spacing; the refinement check runs at half of it.
+_RESCALING_DX = 1.0 / 128.0
+
+
 def run_rescaling_family(spec: StudySpec):
     """u_lam(1, .) by trajectory rescaling vs by direct simulation.
 
@@ -385,9 +437,8 @@ def run_rescaling_family(spec: StudySpec):
     along both routes.
     """
     nw = NWave(m=1.0, q=spec.base.q)
-    dx = 1.0 / 128.0
-    lams, a_fields, b_fields = _rescaling_routes(spec, dx)
-    _, a_fine, b_fine = _rescaling_routes(spec, dx / 2.0)
+    lams, a_fields, b_fields = _rescaling_routes(spec, _RESCALING_DX)
+    _, a_fine, b_fine = _rescaling_routes(spec, _RESCALING_DX / 2.0)
 
     def l1(u, v):
         return lp_norm(u.with_values(u.values - v.values), 1)

@@ -12,7 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["GridFunction", "grid_function"]
+__all__ = ["GridFunction", "grid_function", "MAX_CELLS"]
+
+# The most cells a grid or a kernel stencil may have.  Sizes are checked
+# against it arithmetically, before anything is allocated; the largest
+# shipped grid has 22,016 cells.
+MAX_CELLS = 2 ** 22
 
 # Relative slack for "same spacing" / "same offset" decisions.
 _ALIGN_RTOL = 1e-9

@@ -30,15 +30,11 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import erf
 
-from .grid import GridFunction
+from .grid import MAX_CELLS, GridFunction
 
 __all__ = ["Kernel", "make_kernel", "rescale", "convolve", "KERNEL_FAMILIES"]
 
 KERNEL_FAMILIES = ("uniform", "triangle", "truncated_gaussian")
-
-# Stencils at most this many cells wide use the direct sum; larger ones go
-# through a zero-padded real FFT (Kernel.use_fft).
-_DIRECT_MAX_CELLS = 64
 
 # Truncated Gaussians cut the density at 4 standard deviations.
 _GAUSS_CUT_SIGMAS = 4.0
@@ -123,15 +119,18 @@ class Kernel:
         """Quadrature weights J_k dx; they sum to 1."""
         return self.samples * self.dx
 
-    @property
-    def use_fft(self) -> bool:
-        """Whether convolve and nonlocal_op sum J*u by a real FFT, not directly."""
-        return self.samples.shape[0] > _DIRECT_MAX_CELLS
+    def require_spacing(self, dx: float):
+        """Raise unless the stencil spacing equals a grid's dx (no resampling)."""
+        if abs(self.dx - dx) > 1e-12 * max(self.dx, dx):
+            raise ValueError(f"kernel spacing {self.dx:g} does not match grid spacing {dx:g}")
 
 
 def _build(family: str, width: float, dx: float, lam: float) -> Kernel:
     a = width / lam
-    half = int(np.ceil(a / dx + 0.5)) + 1
+    half = int(min(np.ceil(a / dx + 0.5), MAX_CELLS)) + 1  # min: a / dx may be inf
+    if 2 * half + 1 > MAX_CELLS:  # checked before np.arange allocates the stencil
+        raise ValueError(f"kernel width {a:g} at dx={dx:g} needs more than "
+                         f"MAX_CELLS = {MAX_CELLS} stencil cells")
     k = np.arange(-half, half + 1)
     x = k * dx
     # exact mass of the continuum density in each cell
@@ -225,16 +224,11 @@ def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def convolve(kernel: Kernel, u: GridFunction) -> GridFunction:
     """J * u on u's grid, extending u by zero outside its domain.
 
-    The stencil spacing must equal u.dx (no silent resampling).  Stencils up
-    to 64 cells wide use the direct sum; wider ones a zero-padded real FFT.
+    The stencil spacing must equal u.dx.  Every stencil width goes through
+    the same zero-padded real FFT (fftconvolve); its rounding is a few ulp
+    of max|u| on every cell.
     """
-    if abs(kernel.dx - u.dx) > 1e-12 * max(kernel.dx, u.dx):
-        raise ValueError(
-            f"kernel spacing {kernel.dx:g} does not match grid spacing {u.dx:g}"
-        )
-    if kernel.use_fft:
-        full = fftconvolve(kernel.weights, u.values)
-    else:
-        full = np.convolve(kernel.weights, u.values)
+    kernel.require_spacing(u.dx)
+    full = fftconvolve(kernel.weights, u.values)
     k = kernel.half_cells
     return u.with_values(full[k : k + u.n])

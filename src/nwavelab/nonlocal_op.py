@@ -5,11 +5,15 @@ toward its kernel average and conserves mass.  For smooth fields
 lam^2 (J_lam * u - u) approaches (m2 / 2) * u_xx; second_order_bound_ratio
 measures that correspondence in L^p.
 
-For small stencils L is evaluated in difference form,
-sum_k J_k dx (u_{j-k} - u_j), which keeps every term the size of a local
-increment of u.  The subtraction form J*u - u loses up to lam^2 / eps digits
-to cancellation at large rescale factors, where J*u hugs u; the difference
-form is what lets the lam-sweep identities hold to 1e-10.
+apply_L subtracts, kernels.convolve(J, u) - u.  At large rescale factors
+J*u hugs u, and lam^2 L u carries the subtraction's rounding, eps max|u|,
+times lam^2.  So second_order_bound_ratio uses the exact discrete Peano
+form of the even, unit-mass stencil w, with D2 the stencil (1, -2, 1):
+
+    J - delta = D2 H,   H_j = sum_{i > |j|} w_i (i - |j|),   |j| < K.
+
+H is nonnegative and sums to m2 / (2 dx^2), so J*u - u = H * D2 u is a
+positive average of second differences: nothing nearly equal is subtracted.
 """
 
 from __future__ import annotations
@@ -17,39 +21,20 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GridFunction
-from .kernels import Kernel, convolve, rescale
+from .kernels import Kernel, convolve, fftconvolve, rescale
 
 __all__ = ["apply_L", "second_order_bound_ratio"]
 
 
-def _shifted(values: np.ndarray, k: int) -> np.ndarray:
-    """values[j - k] with zero extension."""
-    out = np.zeros_like(values)
-    if k == 0:
-        out[:] = values
-    elif k > 0:
-        out[k:] = values[:-k]
-    else:
-        out[:k] = values[-k:]
-    return out
-
-
 def _L_values(kernel: Kernel, u: GridFunction) -> np.ndarray:
-    if abs(kernel.dx - u.dx) > 1e-12 * max(kernel.dx, u.dx):
-        raise ValueError(
-            f"kernel spacing {kernel.dx:g} does not match grid spacing {u.dx:g}"
-        )
-    if kernel.use_fft:
-        return convolve(kernel, u).values - u.values
-    weights = kernel.weights
-    out = (weights.sum() - 1.0) * u.values
-    half = kernel.half_cells
-    for i, w in enumerate(weights):
-        k = i - half
-        if k == 0:
-            continue
-        out += w * (_shifted(u.values, k) - u.values)
-    return out
+    return convolve(kernel, u).values - u.values
+
+
+def _peano_taps(kernel: Kernel) -> np.ndarray:
+    """H with J - delta = D2 H: 2K - 1 nonnegative taps on offsets 1-K..K-1."""
+    tail = np.cumsum(kernel.weights[:kernel.half_cells:-1])[::-1]  # sum_{i >= m} w_i, m = 1..K
+    right = np.cumsum(tail[::-1])[::-1]  # H_j = sum_{m > j} tail_m, j = 0..K-1
+    return np.concatenate((right[:0:-1], right))
 
 
 def apply_L(kernel: Kernel, u: GridFunction, alpha: float = 1.0) -> GridFunction:
@@ -75,14 +60,15 @@ def second_order_bound_ratio(kernel: Kernel, psi: GridFunction, lam: float, p: f
     if p not in (1, 2, np.inf):
         raise ValueError(f"p must be 1, 2 or inf, got {p}")
     j_lam = rescale(kernel, lam)
-    lpsi = lam * lam * _L_values(j_lam, psi)
-    d2 = np.zeros_like(psi.values)
-    d2[1:-1] = (psi.values[2:] - 2.0 * psi.values[1:-1] + psi.values[:-2]) / (psi.dx ** 2)
-    lo = max(j_lam.half_cells, 1)
+    lo = j_lam.half_cells
     hi = psi.n - lo
     if hi - lo < 3:
         raise ValueError("grid too small for an interior window; widen psi's domain")
-    num, den = lpsi[lo:hi], d2[lo:hi]
+    j_lam.require_spacing(psi.dx)
+    # D2 psi at cells 1..n-2; on [lo, hi) the Peano form reads only those
+    d2 = psi.values[2:] - 2.0 * psi.values[1:-1] + psi.values[:-2]
+    num = lam * lam * fftconvolve(_peano_taps(j_lam), d2)[2 * lo - 2 : hi + lo - 2]
+    den = d2[lo - 1 : hi - 1] / psi.dx ** 2
     if p == np.inf:
         norm_num, norm_den = np.max(np.abs(num)), np.max(np.abs(den))
     else:

@@ -49,7 +49,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .flux import flux, validate_q
-from .grid import GridFunction, grid_function
+from .grid import MAX_CELLS, GridFunction, grid_function
 from .kernels import KERNEL_FAMILIES, Kernel, make_kernel, rescale
 
 __all__ = [
@@ -151,7 +151,11 @@ class SimParams:
         return rescale(j, self.lam) if self.lam != 1.0 else j
 
     def grid_n(self) -> int:
-        n = int(round((self.x_max - self.x_min) / self.dx))
+        cells = (self.x_max - self.x_min) / self.dx
+        if not cells <= MAX_CELLS:
+            raise ParamError("dx", f"the grid would have {cells:.3g} cells; "
+                                   f"at most MAX_CELLS = {MAX_CELLS} are allowed")
+        n = int(round(cells))
         if abs(self.x_max - self.x_min - n * self.dx) > 1e-9 * max(self.dx, 1.0):
             raise ParamError("dx", "dx does not tile [x_min, x_max]")
         return n

@@ -3,7 +3,9 @@
 Each suite runs a fixed battery of checks and returns a list of Reports;
 the CLI prints one line per report and maps any failure to exit code 1.
 Suites are deterministic given the config (and its seed, for the
-randomized ones).
+randomized ones).  A suite that picks its own grid or rescale factor
+builds its kernel first, through config.build_kernel, so a configured
+kernel that does not fit it is a ConfigError before anything runs.
 
     oleinik              one-sided slope bound on the configured run,
                          with a half-dx refinement of any excess
@@ -22,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import Config, ConfigError
+from .config import Config, ConfigError, build_kernel
 from .diagnostics import (
     ComparisonCase,
     EntropyTestCase,
@@ -41,7 +43,6 @@ from .diagnostics import (
     worst_max,
 )
 from .grid import GridFunction
-from .kernels import make_kernel
 from .profiles import NWave, make_initial_datum, nwave_sample
 from .solver import SimParams, run
 from .solver import run_lockstep as _run_lockstep  # see _lockstep_runs
@@ -155,23 +156,20 @@ def suite_decay(cfg: Config, out_dir: str | None = None) -> list:
     """
     from .experiments import _pmap
 
-    def at_q(grid):
-        q, (x_min, x_max) = grid
-        params = replace(
-            cfg.params,
-            q=q,
-            kernel_width=0.25,
-            x_min=x_min,
-            x_max=x_max,
-            dx=1.0 / 128.0,
-            output_times=_DECAY_TIMES,
-        )
-        datum = make_initial_datum("box", x_min, params.dx, params.grid_n(),
+    runs = [
+        replace(cfg.params, q=q, kernel_width=0.25, x_min=x_min, x_max=x_max,
+                dx=1.0 / 128.0, output_times=_DECAY_TIMES)
+        for q, (x_min, x_max) in sorted(_DECAY_GRIDS.items())
+    ]
+    build_kernel(runs[0])  # the three runs share it
+
+    def at_q(params):
+        datum = make_initial_datum("box", params.x_min, params.dx, params.grid_n(),
                                    height=1.0, left=0.0, right=1.0)
         traj = run(datum, params)
         return [decay_fit(traj, p) for p in (1.0, 2.0, np.inf)] + [energy_report(traj)]
 
-    reports = [r for rs in _pmap(at_q, sorted(_DECAY_GRIDS.items())) for r in rs]
+    reports = [r for rs in _pmap(at_q, runs) for r in rs]
     _write_reports(reports, out_dir, "decay")
     return reports
 
@@ -211,6 +209,7 @@ def suite_contraction(cfg: Config, out_dir: str | None = None) -> list:
     """
     rng = np.random.default_rng(cfg.seed)
     params = _random_pair_params(cfg)
+    build_kernel(params)
     worst_l1 = -np.inf
     worst_pos = -np.inf
     for _ in range(_PAIR_COUNT):
@@ -250,6 +249,7 @@ def suite_comparison(cfg: Config, out_dir: str | None = None) -> list:
     """
     rng = np.random.default_rng(cfg.seed)
     params = _random_pair_params(cfg)
+    build_kernel(params)
     worst_order = -np.inf
     for _ in range(_PAIR_COUNT):
         a = random_smooth_field(rng, params.x_min, params.dx, params.grid_n())
@@ -334,6 +334,9 @@ def suite_entropy(cfg: Config, out_dir: str | None = None) -> list:
     x_min, x_max, dx = -4.0, 8.0, 1.0 / 128.0
     n = int(round((x_max - x_min) / dx))
     times = np.asarray(_ENTROPY_TIMES)
+    params = replace(cfg.params, x_min=x_min, x_max=x_max, dx=dx,
+                     output_times=tuple(times))
+    kernel = build_kernel(params)  # J_lam, the operator's own kernel
 
     reports = []
     snaps = _closed_form_snapshots(q, times, x_min, dx, n)
@@ -367,16 +370,8 @@ def suite_entropy(cfg: Config, out_dir: str | None = None) -> list:
         detail=detail,
     ))
 
-    params = replace(
-        cfg.params,
-        x_min=x_min,
-        x_max=x_max,
-        dx=dx,
-        output_times=tuple(times),
-    )
     datum = make_initial_datum("box", x_min, dx, n, height=1.0, left=0.0, right=1.0)
     traj = run(datum, params)
-    kernel = params.kernel()
     for k in _ENTROPY_KS:
         worst = _worst_residual(
             traj.times, traj.snapshots, q, k, tol,
@@ -472,7 +467,7 @@ def suite_nonlocal_comparison(cfg: Config, out_dir: str | None = None) -> list:
     q = cfg.params.q
     rng = np.random.default_rng(cfg.seed)
     x_min, dx, n = -4.0, 1.0 / 32.0, 256
-    kernel = make_kernel(cfg.params.kernel_family, cfg.params.kernel_width, dx)
+    kernel = build_kernel(replace(cfg.params, lam=1.0, dx=dx))
     betas = (0.0, 0.5, 1.0, (2.0 - q) / (q - 1.0))
     tol = 1e-10
 

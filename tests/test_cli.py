@@ -99,6 +99,51 @@ def test_datum_off_the_grid_exits_2(command, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("args, origin", [
+    # the config's own grid takes the kernel; a grid or rescale factor the
+    # suite or study picks for itself does not
+    (["verify", "nonlocal_comparison", "--set", "kernel.width=0.1"], "kernel.width"),
+    (["verify", "contraction", "--set", "kernel.width=0.05"], "kernel.width"),
+    (["verify", "comparison", "--set", "kernel.width=0.05"], "kernel.width"),
+    (["verify", "kernel_bound", "--set", "kernel.width=0.4"], "kernel.width"),
+    (["study", "kernel_bound_sweep", "--set", "kernel.width=0.4"], "kernel.width"),
+    (["study", "rescaling_family", "--set", "kernel.width=0.2"], "study.lambdas"),
+    (["study", "rescaling_family", "--set", "study.lambdas=0.5,1"], "study.lambdas"),
+    (["study", "vanishing_viscosity", "--set", "kernel.width=0.02"], "kernel.width"),
+    (["study", "long_time_nonnegative", "--set", "grid.dx=0.0625"], "grid.dx"),
+    (["study", "long_time_nonnegative", "--set", "study.times=1,1e30"], "study.times"),
+    (["verify", "decay", "--set", "lambda=10"], "lambda"),
+    (["verify", "entropy", "--set", "lambda=40"], "lambda"),
+    # non-finite sweeps and tolerances
+    (["study", "vanishing_viscosity", "--set", "study.mus=inf,0.1"], "study.mus"),
+    (["study", "rescaling_family", "--set", "study.lambdas=1,inf"], "study.lambdas"),
+    (["study", "long_time_nonnegative", "--set", "study.times=1,inf"], "study.times"),
+    (["verify", "oleinik", "--set", "tol.scheme=nan"], "--set: tol.scheme"),
+    (["verify", "entropy", "--set", "tol.quad=nan"], "--set: tol.quad"),
+    (["verify", "entropy", "--set", "tol.quad=-0.1"], "--set: tol.quad"),
+])
+def test_value_a_suite_cannot_use_exits_2(args, origin, tmp_path, capsys):
+    assert main([*args, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {origin}")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("setting, named", [
+    ("kernel.width=1e6", "kernel width 1e+06"),
+    ("grid.x_max=1e9", "grid.x_max = 1e+09"),
+    ("grid.dx=1e-9", "grid.dx = 1e-09"),
+])
+def test_oversized_array_exits_2(setting, named, tmp_path, capsys):
+    # each would size an array of 1e8 or more cells; the check is arithmetic
+    assert main(["simulate", "--set", setting, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --set: {named}") and "MAX_CELLS" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_sign_changing_datum_exits_2(tmp_path, capsys):
     # the study reads datum.pos_* and datum.neg_* whatever datum.kind is
     args = ["study", "long_time_sign_changing", "--set", "datum.pos_height=nan"]

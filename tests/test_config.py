@@ -167,11 +167,11 @@ _NUMERIC_KEYS = sorted(k for k, v in DEFAULTS.items() if not isinstance(v, str))
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.dictionaries(st.sampled_from(_NUMERIC_KEYS),
-                       st.sampled_from(["nan", "inf", "-inf", "0", "-1"]),
+                       st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e300", "1e-300"]),
                        min_size=1, max_size=3))
 def test_edge_values_load_or_raise_config_error(setting):
-    # Values that pass every rule but size an array (a tiny grid.dx, a huge
-    # kernel.width) are left out: they would allocate, not fail.
+    # 1e300 and 1e-300 size a grid or a stencil far past MAX_CELLS; the
+    # budget is checked by arithmetic, so they fail without allocating.
     overrides = [f"{k}={v}" for k, v in setting.items()]
     try:
         cfg = load_config(overrides=overrides)

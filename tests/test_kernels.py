@@ -67,15 +67,16 @@ def test_unknown_family_rejected():
 
 
 def test_convolve_backends_agree():
-    # the FFT path against a plain direct sum with zero extension
+    # the FFT path against a plain direct sum with zero extension, for a
+    # stencil of at most 64 taps and for a wider one
     rng = np.random.default_rng(3)
-    k = make_kernel("truncated_gaussian", 1.0, 1.0 / 128.0)
-    assert k.use_fft
     u = grid_function(rng.standard_normal(700), -3.0, 1.0 / 128.0)
-    half = k.half_cells
-    direct = np.convolve(k.weights, u.values)[half : half + u.n]
-    fft = convolve(k, u).values
-    np.testing.assert_allclose(fft, direct, atol=1e-12)
+    for width, taps in ((0.2, 53), (1.0, 257)):
+        k = make_kernel("truncated_gaussian", width, 1.0 / 128.0)
+        assert k.weights.size == taps
+        half = k.half_cells
+        direct = np.convolve(k.weights, u.values)[half : half + u.n]
+        np.testing.assert_allclose(convolve(k, u).values, direct, atol=1e-12)
 
 
 def test_convolve_matches_hand_sum():

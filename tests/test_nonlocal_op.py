@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nwavelab.grid import grid_function
-from nwavelab.kernels import make_kernel, rescale
-from nwavelab.nonlocal_op import apply_L, second_order_bound_ratio
+from nwavelab.kernels import KERNEL_FAMILIES, make_kernel, rescale
+from nwavelab.nonlocal_op import _peano_taps, apply_L, second_order_bound_ratio
 
 DX = 1.0 / 512.0
 X_MIN = -4.0
@@ -72,6 +72,31 @@ def test_quadratic_ratio_pinned_at_half_m2(base_kernel):
         for p in (1, 2, np.inf):
             r = second_order_bound_ratio(base_kernel, psi, lam, p)
             assert r == pytest.approx(base_kernel.m2 / 2.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+@pytest.mark.parametrize("lam", [1.0, 4.0, 7.0])
+def test_peano_taps_factor_the_operator(family, lam):
+    # J - delta = D2 H exactly, with H >= 0 summing to m2 / (2 dx^2)
+    k = rescale(make_kernel(family, 1.0, 1.0 / 64.0), lam)
+    h = _peano_taps(k)
+    assert h.size == 2 * k.half_cells - 1
+    j_minus_delta = k.weights.copy()
+    j_minus_delta[k.half_cells] -= 1.0
+    np.testing.assert_allclose(np.convolve(h, [1.0, -2.0, 1.0]), j_minus_delta,
+                               rtol=0, atol=4e-15)
+    assert h.min() >= 0.0
+    assert h.sum() == pytest.approx(k.m2 / (2.0 * k.dx ** 2), rel=1e-14)
+
+
+def test_quadratic_ratio_exact_at_every_lam(base_kernel):
+    # the Peano form subtracts no nearly equal numbers, so the exact
+    # quadratic lands on m2/2 to rounding even where J_lam * psi hugs psi
+    psi = _psi("quadratic")
+    for lam in (1.0, 4.0, 16.0, 64.0):
+        for p in (1, 2, np.inf):
+            r = second_order_bound_ratio(base_kernel, psi, lam, p)
+            assert abs(r - base_kernel.m2 / 2.0) <= 1e-14
 
 
 @pytest.mark.parametrize("name,lam", sorted(RATIO_REF))

@@ -39,10 +39,10 @@ def test_single_step_riemann_hand_value():
 def test_rate_is_bit_identical_to_the_plain_expression(q, width, mu):
     # The step writes into reused buffers; every operation keeps the
     # operand order of this expression, so not one bit may move.  Every
-    # width takes the stepper's FFT; 0.125 rescales to a stencil narrow
-    # enough that kernels.convolve would sum it directly.  The flux power
-    # is the stepper's own, which differs from ** by up to 2 ulp at q = 1.25
-    # and q = 1.75.
+    # width takes the stepper's FFT; 0.125 rescales to the 9-tap minimum
+    # stencil, the narrowest a kernel may be.  The flux power is the
+    # stepper's own, which differs from ** by up to 2 ulp at q = 1.25 and
+    # q = 1.75.
     p = _params(q=q, kernel_width=width, mu=mu, lam=2.0, alpha=0.7)
     stepper = _Stepper(p)
     rng = np.random.default_rng(5)

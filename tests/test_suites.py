@@ -97,3 +97,22 @@ def test_nan_measurement_fails_its_check(monkeypatch):
     assert not modulus.passed
     assert np.isnan(modulus.values["worst_growth"])
     assert reports["tail growth bound"].passed
+
+
+def test_entropy_suite_rescales_the_kernel_once(monkeypatch):
+    # the simulated residuals at lambda = 2 must convolve with J_2, the
+    # kernel the run used, not with J_2 rescaled once more to J_4
+    import nwavelab.diagnostics as diagnostics
+
+    seen = set()
+    real = diagnostics.convolve
+
+    def spy(kernel, u):
+        seen.add(kernel.lam)
+        return real(kernel, u)
+
+    monkeypatch.setattr(diagnostics, "convolve", spy)
+    reports = run_suite("entropy", load_config(overrides=["lambda=2"]))
+    assert seen == {2.0}
+    simulated = [r for r in reports if r.name.startswith("simulated residual")]
+    assert len(simulated) == 4 and all(r.passed for r in simulated)
