@@ -28,7 +28,8 @@ from .kernels import Kernel, make_kernel, rescale
 from .profiles import DATUM_PARAMS, check_datum, make_initial_datum
 from .solver import ParamError, SimParams
 
-__all__ = ["ConfigError", "Config", "load_config", "build_kernel", "DEFAULTS", "STUDY_KINDS"]
+__all__ = ["ConfigError", "Config", "load_config", "build_kernel", "check_grid", "DEFAULTS",
+           "STUDY_KINDS"]
 
 STUDY_KINDS = (
     "long_time_nonnegative",
@@ -141,6 +142,20 @@ def build_kernel(params: SimParams, width_key: str = "kernel.width",
         return rescale(j, params.lam)
     except ValueError as exc:
         fail(lam_key, f"lambda = {params.lam:g} rescales the kernel too far: {exc}")
+
+
+def check_grid(params: SimParams, what: str) -> int:
+    """params.grid_n() for `what`, a grid that a suite or study derives
+    from the configured [x_min, x_max] at a dx of its own.
+
+    A grid that does not fit is blamed on the extent: ConfigError.
+    """
+    try:
+        return params.grid_n()
+    except ParamError as exc:
+        raise ConfigError(f"{what} (dx = {params.dx:g}) does not fit "
+                          f"[{params.x_min:g}, {params.x_max:g}]: {exc}",
+                          origin="grid.x_min/grid.x_max") from None
 
 
 def _parse_scalar(key: str, text: str, default, origin: str):

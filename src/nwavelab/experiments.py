@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import DEFAULTS, STUDY_KINDS, Config, ConfigError, build_kernel
+from .config import DEFAULTS, STUDY_KINDS, Config, ConfigError, build_kernel, check_grid
 from .diagnostics import (
     Report,
     energy_report,
@@ -31,8 +31,8 @@ from .diagnostics import (
     worst_max,
 )
 from .grid import GridFunction, grid_function
-from .kernels import make_kernel
-from .nonlocal_op import second_order_bound_ratio
+from .kernels import make_kernel, rescale
+from .nonlocal_op import second_order_bound_ratios
 from .profiles import DATUM_PARAMS, NWave, check_datum, make_initial_datum
 from .solver import ParamError, SimParams, rescale_trajectory, run
 
@@ -182,7 +182,10 @@ def _build_kernels(spec: StudySpec):
         build_kernel(params, width_key="grid.dx")
         return
     for dx, lam in grids:
-        build_kernel(replace(spec.base, dx=dx, lam=lam), lam_key=lam_key)
+        params = replace(spec.base, dx=dx, lam=lam)
+        if kind == "vanishing_viscosity":  # the one study on the configured extent
+            check_grid(params, f"the {kind} study's grid")
+        build_kernel(params, lam_key=lam_key)
 
 
 # ---------------------------------------------------------------------------
@@ -521,14 +524,14 @@ def kernel_bound_sweep(spec: StudySpec):
     psis = {name: _psi_field(name, x_min, dx, n) for name in _PSI_NAMES}
     ps = (1.0, 2.0, np.inf)
 
-    by_lam = {
-        lam: {
-            (name, p): second_order_bound_ratio(kernel, psis[name], lam, p)
+    by_lam = {}
+    for lam in lams:
+        j_lam = rescale(kernel, lam)
+        by_lam[lam] = {
+            (name, p): ratio
             for name in _PSI_NAMES
-            for p in ps
+            for p, ratio in zip(ps, second_order_bound_ratios(j_lam, psis[name], lam, ps))
         }
-        for lam in lams
-    }
     rows = [
         (lam, f"{name}_p{p:g}", by_lam[lam][(name, p)])
         for lam in lams

@@ -24,15 +24,15 @@ kernel applies to the same grids as its parent; it must still span at least
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import erf
+from numpy.fft import irfft, rfft
 
 from .grid import MAX_CELLS, GridFunction
 
-__all__ = ["Kernel", "make_kernel", "rescale", "convolve", "KERNEL_FAMILIES"]
+__all__ = ["Kernel", "make_kernel", "rescale", "convolve", "fast_len", "KERNEL_FAMILIES"]
 
 KERNEL_FAMILIES = ("uniform", "triangle", "truncated_gaussian")
 
@@ -40,6 +40,9 @@ KERNEL_FAMILIES = ("uniform", "triangle", "truncated_gaussian")
 _GAUSS_CUT_SIGMAS = 4.0
 
 _MIN_SUPPORT_CELLS = 9
+
+# math.erf elementwise; it returns an object array
+_erf = np.frompyfunc(math.erf, 1, 1)
 
 
 def _family_cdf(family: str, a: float, x: np.ndarray) -> np.ndarray:
@@ -54,8 +57,8 @@ def _family_cdf(family: str, a: float, x: np.ndarray) -> np.ndarray:
         return np.where(x <= 0.0, neg, pos)
     if family == "truncated_gaussian":
         sigma = a / _GAUSS_CUT_SIGMAS
-        z = erf(a / (sigma * math.sqrt(2.0)))
-        return (erf(x / (sigma * math.sqrt(2.0))) + z) / (2.0 * z)
+        z = math.erf(a / (sigma * math.sqrt(2.0)))
+        return (_erf(x / (sigma * math.sqrt(2.0))).astype(float) + z) / (2.0 * z)
     raise ValueError(f"unknown kernel family {family!r}; choose one of {KERNEL_FAMILIES}")
 
 
@@ -69,7 +72,7 @@ def _family_m2(family: str, a: float) -> float:
         # variance of a normal truncated at +-t sigma, t = _GAUSS_CUT_SIGMAS
         t = _GAUSS_CUT_SIGMAS
         sigma = a / t
-        z = erf(t / math.sqrt(2.0))
+        z = math.erf(t / math.sqrt(2.0))
         phi_t = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
         return sigma * sigma * (1.0 - 2.0 * t * phi_t / z)
     raise ValueError(f"unknown kernel family {family!r}; choose one of {KERNEL_FAMILIES}")
@@ -214,10 +217,31 @@ def rescale(kernel: Kernel, lam: float) -> Kernel:
     return _build(kernel.family, kernel.width, kernel.dx, kernel.lam * lam)
 
 
+def _five_smooth(limit: int) -> list:
+    """Every 2^a 3^b 5^c <= limit, ascending."""
+    out = [1]
+    for p in (2, 3, 5):
+        out = [m * p ** e for m in out for e in range(limit.bit_length())
+               if m * p ** e <= limit]
+    return sorted(out)
+
+
+# The transform lengths pocketfft runs fastest: its real transforms are
+# markedly slower at the 7- and 11-smooth lengths.
+_SMOOTH = _five_smooth(2 * MAX_CELLS)
+
+
+def fast_len(n: int) -> int:
+    """The smallest 5-smooth number (2^a 3^b 5^c) >= n, for 1 <= n <= 2 * MAX_CELLS."""
+    if not 1 <= n <= _SMOOTH[-1]:
+        raise ValueError(f"no transform length for {n} cells; need 1 <= n <= {_SMOOTH[-1]}")
+    return _SMOOTH[bisect_left(_SMOOTH, n)]
+
+
 def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of two real 1-D arrays by a zero-padded real FFT."""
     n = a.size + b.size - 1
-    m = next_fast_len(n, real=True)
+    m = fast_len(n)
     return irfft(rfft(a, m) * rfft(b, m), m)[:n]
 
 

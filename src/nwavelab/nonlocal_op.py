@@ -23,7 +23,7 @@ import numpy as np
 from .grid import GridFunction
 from .kernels import Kernel, convolve, fftconvolve, rescale
 
-__all__ = ["apply_L", "second_order_bound_ratio"]
+__all__ = ["apply_L", "second_order_bound_ratio", "second_order_bound_ratios"]
 
 
 def _L_values(kernel: Kernel, u: GridFunction) -> np.ndarray:
@@ -57,9 +57,17 @@ def second_order_bound_ratio(kernel: Kernel, psi: GridFunction, lam: float, p: f
     ratio equals m2/2 for every lam; for smooth psi it tends to m2/2 as lam
     grows, and it stays below the Taylor bound m2/2 up to discretization.
     """
-    if p not in (1, 2, np.inf):
-        raise ValueError(f"p must be 1, 2 or inf, got {p}")
-    j_lam = rescale(kernel, lam)
+    return second_order_bound_ratios(rescale(kernel, lam), psi, lam, (p,))[0]
+
+
+def second_order_bound_ratios(j_lam: Kernel, psi: GridFunction, lam: float, ps) -> list:
+    """second_order_bound_ratio for each p in ps, given J_lam = rescale(J, lam).
+
+    One convolution serves every p.
+    """
+    for p in ps:
+        if p not in (1, 2, np.inf):
+            raise ValueError(f"p must be 1, 2 or inf, got {p}")
     lo = j_lam.half_cells
     hi = psi.n - lo
     if hi - lo < 3:
@@ -69,11 +77,14 @@ def second_order_bound_ratio(kernel: Kernel, psi: GridFunction, lam: float, p: f
     d2 = psi.values[2:] - 2.0 * psi.values[1:-1] + psi.values[:-2]
     num = lam * lam * fftconvolve(_peano_taps(j_lam), d2)[2 * lo - 2 : hi + lo - 2]
     den = d2[lo - 1 : hi - 1] / psi.dx ** 2
-    if p == np.inf:
-        norm_num, norm_den = np.max(np.abs(num)), np.max(np.abs(den))
-    else:
-        norm_num = (np.sum(np.abs(num) ** p) * psi.dx) ** (1.0 / p)
-        norm_den = (np.sum(np.abs(den) ** p) * psi.dx) ** (1.0 / p)
-    if norm_den == 0.0:
-        raise ValueError("psi has vanishing second difference on the window")
-    return float(norm_num / norm_den)
+    ratios = []
+    for p in ps:
+        if p == np.inf:
+            norm_num, norm_den = np.max(np.abs(num)), np.max(np.abs(den))
+        else:
+            norm_num = (np.sum(np.abs(num) ** p) * psi.dx) ** (1.0 / p)
+            norm_den = (np.sum(np.abs(den) ** p) * psi.dx) ** (1.0 / p)
+        if norm_den == 0.0:
+            raise ValueError("psi has vanishing second difference on the window")
+        ratios.append(float(norm_num / norm_den))
+    return ratios

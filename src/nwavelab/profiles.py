@@ -24,13 +24,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .flux import validate_q
 from .grid import GridFunction, grid_function
 
 __all__ = ["NWave", "nwave_eval", "nwave_sample", "make_initial_datum", "check_datum",
            "DATUM_KINDS", "DATUM_PARAMS"]
+
+# math.erf elementwise; it returns an object array
+_erf = np.frompyfunc(math.erf, 1, 1)
 
 # The parameters of each datum kind, in order, with their defaults.
 DATUM_PARAMS = {
@@ -146,7 +148,7 @@ def check_datum(kind: str, extent=None, **params) -> dict:
     if kind == "gaussian" and extent is not None:
         center, cut, scale = p["center"], 4.0 * p["sigma"], math.sqrt(2.0) * p["sigma"]
         lo, hi = max(extent[0], center - cut), min(extent[1], center + cut)
-        if not (hi > lo and erf((hi - center) / scale) > erf((lo - center) / scale)):
+        if not (hi > lo and math.erf((hi - center) / scale) > math.erf((lo - center) / scale)):
             raise ValueError(
                 f"gaussian support [{center - cut:g}, {center + cut:g}] lies outside "
                 f"the grid [{extent[0]:g}, {extent[1]:g}]")
@@ -180,8 +182,8 @@ def make_initial_datum(kind: str, x_min: float, dx: float, n: int, **params) -> 
         hi = np.clip(edges[1:], center - cut, center + cut)
         root2 = math.sqrt(2.0)
         cell_mass = 0.5 * (
-            erf((hi - center) / (root2 * sigma)) - erf((lo - center) / (root2 * sigma))
-        )
+            _erf((hi - center) / (root2 * sigma)) - _erf((lo - center) / (root2 * sigma))
+        ).astype(float)
         values = mass * cell_mass / (cell_mass.sum() * dx)
     elif kind == "two_boxes_signed":
         values = _box_cell_averages(

@@ -19,8 +19,9 @@ and run() picks dt adaptively from that budget.  Order preservation is what
 the comparison, contraction and sign-preservation checks lean on, so the
 budget is enforced every step, not just at t=0.
 
-J*u is computed by overlap-save: batched real FFTs over blocks of at least
-1024 cells, or one transform of the whole grid when it fits in two blocks.
+J*u is computed by overlap-save: batched real FFTs (numpy.fft) over blocks
+of at least 1024 cells, or one 5-smooth transform of the whole grid when it
+fits in two blocks.
 On a grid that takes several blocks, a step visits only a window of cells.
 After each step, cells with |u_j| < ROUNDING_FLOOR * max|u| (1e-16, the
 rounding noise the transform of J*u leaves anyway) are set to exact zero,
@@ -46,11 +47,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .flux import flux, validate_q
 from .grid import MAX_CELLS, GridFunction, grid_function
-from .kernels import KERNEL_FAMILIES, Kernel, make_kernel, rescale
+from .kernels import KERNEL_FAMILIES, Kernel, fast_len, make_kernel, rescale
 
 __all__ = [
     "SimParams",
@@ -236,15 +237,14 @@ class _Stepper:
         # cells are free of wrap-around.  Blocks are the smallest power of
         # two >= max(1024, 4(2k + 1)): above that, longer transforms cost
         # more per cell.  A grid that fits in two blocks takes one 5-smooth
-        # transform of the whole grid instead (pocketfft's real transforms
-        # are markedly slower at the 7- and 11-smooth lengths the default
-        # picks), and its fields step whole.
+        # transform of the whole grid instead (kernels.fast_len), and its
+        # fields step whole.
         block = 1024
         while block < 4 * (2 * k + 1):
             block *= 2
         self.windowed = n + 2 * k + 1 > 2 * block
         if not self.windowed:
-            block = next_fast_len(n + 2 * k + 1, real=True)
+            block = fast_len(n + 2 * k + 1)
         step = block - 2 * k
         count = -(-n // step)
         self._block, self._step = block, step
@@ -256,27 +256,28 @@ class _Stepper:
         self._pad = np.zeros(count * step + 2 * k)
         self._filled = 0
         self._lu_out = np.empty(count * step)
+        # the transforms write into these through out=, rows 0..count-1
+        self._spec = np.empty((count, block // 2 + 1), dtype=complex)
+        self._conv = np.empty((count, block))
         self._plans = {}
 
     def _plan(self, count: int):
         """The views a transform of `count` blocks reads and writes, made once.
 
-        One block is a plain 1-D transform, which scipy runs faster than a
-        batch of one.
+        One block is a batch of one too: numpy.fft runs that as fast as a
+        plain 1-D transform.
         """
         plan = self._plans.get(count)
         if plan is None:
-            k, step, block = self.kernel.half_cells, self._step, self._block
-            if count == 1:
-                blocks, shape = self._pad[:block], (step,)
-            else:
-                blocks = np.lib.stride_tricks.as_strided(
-                    self._pad, shape=(count, block), strides=(8 * step, 8), writeable=False)
-                shape = (count, step)
+            k, step = self.kernel.half_cells, self._step
             plan = self._plans[count] = (
-                blocks,
-                self._pad[k:k + count * step].reshape(shape),
-                self._lu_out[:count * step].reshape(shape),
+                np.lib.stride_tricks.as_strided(
+                    self._pad, shape=(count, self._block), strides=(8 * step, 8),
+                    writeable=False),
+                self._spec[:count],
+                self._conv[:count],
+                self._pad[k:k + count * step].reshape(count, step),
+                self._lu_out[:count * step].reshape(count, step),
             )
         return plan
 
@@ -287,11 +288,11 @@ class _Stepper:
         if self._filled > m:
             self._pad[k + m:k + self._filled] = 0.0
         self._filled = m
-        blocks, u_blocks, lu_blocks = self._plan(-(-m // self._step))
-        spec = rfft(blocks)
+        blocks, spec, conv, u_blocks, lu_blocks = self._plan(-(-m // self._step))
+        rfft(blocks, out=spec)
         spec *= self._kspec
-        conv = irfft(spec, n=self._block, overwrite_x=True)[..., k:k + self._step]
-        np.subtract(conv, u_blocks, out=lu_blocks)
+        irfft(spec, n=self._block, out=conv)
+        np.subtract(conv[:, k:k + self._step], u_blocks, out=lu_blocks)
         return self._lu_out[:m]
 
     def rate(self, u_values: np.ndarray, abs_u: np.ndarray, cells: slice = slice(None)):

@@ -24,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import Config, ConfigError, build_kernel
+from .config import Config, ConfigError, build_kernel, check_grid
 from .diagnostics import (
     ComparisonCase,
     EntropyTestCase,
@@ -93,6 +93,9 @@ def suite_oleinik(cfg: Config, out_dir: str | None = None) -> list:
     """
     datum = cfg.make_datum()
     _require_nonnegative_datum(cfg, datum, "oleinik")
+    fine_params = replace(cfg.params, dx=cfg.params.dx / 2.0)
+    check_grid(fine_params, "the oleinik suite's refined grid")
+    build_kernel(fine_params, width_key="grid.dx")
     traj = run(datum, cfg.params)
 
     reports = []
@@ -102,7 +105,6 @@ def suite_oleinik(cfg: Config, out_dir: str | None = None) -> list:
         excesses.append(rep.values["excess"])
         reports.append(rep)
 
-    fine_params = replace(cfg.params, dx=cfg.params.dx / 2.0)
     fine_traj = run(_datum_on(cfg, fine_params), fine_params)
     worst_ratio = 0.0
     checked = 0

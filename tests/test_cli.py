@@ -199,14 +199,33 @@ def test_study_kernel_bound_writes_artifacts(tmp_path, capsys):
     assert "study.kind = kernel_bound_sweep" in manifest
 
 
-def test_import_does_not_load_scipy_signal():
-    # scipy.signal costs about a second and 50 MB per fresh interpreter;
-    # the package needs only scipy.fft and scipy.special.
+@pytest.mark.parametrize("args", [
+    ["study", "vanishing_viscosity", "--set", "grid.x_max=12.05", "--set", "grid.dx=0.05"],
+    # the refined grid at dx/2 would have 6e6 cells, over MAX_CELLS
+    ["verify", "oleinik", "--set", f"grid.dx={20.0 / 3e6!r}"],
+])
+def test_derived_grid_that_does_not_fit_exits_2(args, tmp_path, capsys):
+    assert main([*args, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: grid.x_min/grid.x_max:")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_runs_without_scipy():
+    # every import path and a run through erf (truncated_gaussian kernel,
+    # gaussian datum) with scipy made unimportable
     src = os.path.dirname(os.path.dirname(nwavelab.__file__))
     code = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "import nwavelab, nwavelab.cli, nwavelab.experiments, nwavelab.io\n"
-        "assert 'scipy.signal' not in sys.modules, 'scipy.signal was imported'\n"
+        "from nwavelab.config import load_config\n"
+        "cfg = load_config(overrides=['kernel.family=truncated_gaussian',\n"
+        "    'datum.kind=gaussian', 'grid.x_min=-6', 'grid.x_max=6',\n"
+        "    'grid.dx=0.03125', 'output.times=0.25'])\n"
+        "traj = nwavelab.run(cfg.make_datum(), cfg.params)\n"
+        "assert abs(traj.snapshots[-1].mass() - 1.0) < 1e-6, traj.snapshots[-1].mass()\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy.')]\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

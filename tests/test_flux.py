@@ -17,9 +17,10 @@ def interface_flux(u_left, u_right, q):
     return -p.dx * rhs[0]
 
 
-@pytest.mark.parametrize("q, ulps", [(1.25, 1.0), (1.75, 2.0), (1.5, 0.0)])
+@pytest.mark.parametrize("q, ulps", [(1.25, 1.0), (1.75, 2.0), (1.5, 0.0), (1.3, 0.0)])
 def test_power_is_pow_to_an_ulp_or_two(q, ulps):
-    # sqrt chains for q = 1.25 and 1.75, pow itself for every other q
+    # sqrt chains for q = 1.25 and 1.75, sqrt (exactly pow) for q = 1.5,
+    # pow itself for every other q
     rng = np.random.default_rng(3)
     a = np.concatenate([[0.0, 5e-324, 1e-300, 1e300],
                         rng.random(20000) * 10.0 ** rng.integers(-300, 300, 20000)])

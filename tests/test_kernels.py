@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nwavelab.grid import grid_function
-from nwavelab.kernels import KERNEL_FAMILIES, convolve, make_kernel, rescale
+from nwavelab.grid import MAX_CELLS, grid_function
+from nwavelab.kernels import KERNEL_FAMILIES, convolve, fast_len, make_kernel, rescale
 
 # Second moments of the continuum densities at half-width 1, checked
 # against adaptive quadrature of the densities written out from scratch.
@@ -106,3 +106,29 @@ def test_convolve_requires_matching_spacing():
     u = grid_function(np.zeros(64), 0.0, 1.0 / 16.0)
     with pytest.raises(ValueError, match="spacing"):
         convolve(k, u)
+
+
+def _is_five_smooth(m: int) -> bool:
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def _next_five_smooth(n: int) -> int:
+    while not _is_five_smooth(n):
+        n += 1
+    return n
+
+
+def test_fast_len_is_the_next_five_smooth_number():
+    smooth = [m for m in range(1, 80_000) if _is_five_smooth(m)]
+    want = np.array(smooth)[np.searchsorted(smooth, np.arange(1, 70_001))]
+    got = [fast_len(n) for n in range(1, 70_001)]
+    np.testing.assert_array_equal(got, want)
+    for n in (MAX_CELLS - 1, MAX_CELLS, MAX_CELLS + 1, 3 * MAX_CELLS // 2 + 1,
+              2 * MAX_CELLS - 1, 2 * MAX_CELLS):
+        assert fast_len(n) == _next_five_smooth(n)
+    for n in (0, 2 * MAX_CELLS + 1):
+        with pytest.raises(ValueError, match="transform length"):
+            fast_len(n)
