@@ -37,16 +37,11 @@ def _power(a, q: float, out=None):
     return np.power(a, q - 1.0, out=out)
 
 
-def flux(u, q: float, abs_u=None, out=None):
-    """f(u), elementwise.
-
-    abs_u, when given, is |u| already computed; out, when given, is an
-    array of u's shape that receives the result.  Neither changes a bit
-    of the value.
-    """
+def flux(u, q: float):
+    """f(u), elementwise."""
     validate_q(q)
     u = np.asarray(u, dtype=float)
-    out = _power(np.abs(u) if abs_u is None else abs_u, q, out=out)
+    out = _power(np.abs(u), q)
     out *= u
     out /= q
     return out if out.ndim else float(out)

@@ -19,16 +19,20 @@ and run() picks dt adaptively from that budget.  Order preservation is what
 the comparison, contraction and sign-preservation checks lean on, so the
 budget is enforced every step, not just at t=0.
 
+The step runs as u += a (g_{j-1} - g_j) + b (J*u - u) + c lap_j, g = |u|^(q-1) u,
+with a = dt / (q dx), b = alpha lam^q dt and c = mu dt / dx^2: three scalar
+multiplies, no array division, and a few ulp per step off the formula above.
+
 J*u is computed by overlap-save: batched real FFTs (numpy.fft) over blocks
-of at least 1024 cells, or one 5-smooth transform of the whole grid when it
-fits in two blocks.
-On a grid that takes several blocks, a step visits only a window of cells.
-After each step, cells with |u_j| < ROUNDING_FLOOR * max|u| (1e-16, the
-rounding noise the transform of J*u leaves anyway) are set to exact zero,
-so the field is exactly zero outside its support, and one step moves a
-value at most K + 1 cells (K the stencil half-width).  The window is the
-support widened by K + 1 each step, and every few steps it shrinks back to
-the nonzero cells; once it spans the grid, it stays there unfloored.
+of the smallest power of two >= max(1024, 3(2K + 1)) cells (K the stencil
+half-width), or one 5-smooth transform of the padded grid if that is
+shorter.  On a grid that takes more than two blocks, a step visits only a
+window of cells.  After each step, cells with |u_j| < ROUNDING_FLOOR * max|u|
+(1e-16, the rounding noise the transform of J*u leaves anyway) are set to
+exact zero, so the field is exactly zero outside its support, and one step
+moves a value at most K + 1 cells.  The window is the support widened by
+K + 1 each step, and every few steps it shrinks back to the nonzero cells;
+once it spans the grid, it stays there unfloored.
 
 run() also accumulates the nonlocal energy-dissipation integral
 
@@ -49,7 +53,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .flux import flux, validate_q
+from .flux import _power, validate_q
 from .grid import MAX_CELLS, GridFunction, grid_function
 from .kernels import KERNEL_FAMILIES, Kernel, fast_len, make_kernel, rescale
 
@@ -197,6 +201,9 @@ class Trajectory:
 # subnormals, on which the transforms and the flux power run an order of
 # magnitude slower.
 ROUNDING_FLOOR = 1e-16
+# The diagnostics read values down to -UNDERSHOOT_FLOOR (times the field's
+# amplitude where they scale it) as zero: FFT rounding leaves that much.
+UNDERSHOOT_FLOOR = 1e-12
 # A window shrinks back to its field's nonzero cells every this many steps.
 _TIGHTEN_EVERY = 8
 
@@ -209,8 +216,8 @@ class _Stepper:
     which every field of a lockstep run reuses in turn.  A step may work on
     a window of cells outside which the field vanishes; its first cells
     are the front of every buffer.  `windowed` says whether fields step on
-    windows at all: only where J*u takes several blocks, since a window
-    saves no transform work on a grid that one transform covers.
+    windows at all: only where the padded grid takes more than two blocks,
+    since a window saves little transform work on fewer.
     """
 
     def __init__(self, params: SimParams):
@@ -235,16 +242,14 @@ class _Stepper:
         # `block` cells that overlap by 2k; one batched rfft/irfft pair
         # convolves them all circularly, and each block's middle `block - 2k`
         # cells are free of wrap-around.  Blocks are the smallest power of
-        # two >= max(1024, 4(2k + 1)): above that, longer transforms cost
-        # more per cell.  A grid that fits in two blocks takes one 5-smooth
-        # transform of the whole grid instead (kernels.fast_len), and its
-        # fields step whole.
+        # two >= max(1024, 3(2k + 1)), at least a third output; longer ones
+        # cost more per cell.  A shorter padded grid takes one 5-smooth
+        # transform (kernels.fast_len).  No timing: reruns must round alike.
         block = 1024
-        while block < 4 * (2 * k + 1):
+        while block < 3 * (2 * k + 1):
             block *= 2
+        block = min(block, fast_len(n + 2 * k + 1))
         self.windowed = n + 2 * k + 1 > 2 * block
-        if not self.windowed:
-            block = fast_len(n + 2 * k + 1)
         step = block - 2 * k
         count = -(-n // step)
         self._block, self._step = block, step
@@ -295,27 +300,26 @@ class _Stepper:
         np.subtract(conv[:, k:k + self._step], u_blocks, out=lu_blocks)
         return self._lu_out[:m]
 
-    def rate(self, u_values: np.ndarray, abs_u: np.ndarray, cells: slice = slice(None)):
-        """Right-hand side and the nonlocal Dirichlet rate at this state.
+    def rate(self, u_values: np.ndarray, abs_u: np.ndarray, dt: float,
+             cells: slice = slice(None)) -> float:
+        """Step the field u_values by dt in place; the nonlocal Dirichlet rate.
 
-        abs_u is |u_values|.  The rate is computed on `cells`, a slice of
-        the grid outside which u_values vanishes; there it equals the rate
-        of the whole field.  The returned rhs covers those cells and is the
-        stepper's own buffer: the next call overwrites it, so use it before
-        stepping another field.  Every operation keeps the operand order of
-        the plain expression -(f_j - f_{j-1}) / dx + alpha lam^q Lu
-        + mu lap / dx^2, so results are bit-identical to it.
+        abs_u is |u_values|; the rate is the state's before the step.  The
+        step works on `cells`, a slice of the grid outside which u_values
+        vanishes and stays zero.  Every operation keeps the operand order of
+        u + (a (g_{j-1} - g_j) + b Lu + c lap), with the module docstring's
+        scalars, so results are bit-identical to that plain expression.
         """
         p, dx = self.p, self.dx
         u, abs_u = u_values[cells], abs_u[cells]
         m = u.size
         rhs = self._rhs[:m]
         lu = self._lu(u) if p.alpha > 0.0 else None
-        f = flux(u, p.q, abs_u=abs_u, out=self._f[:m])
-        rhs[0] = f[0]
-        np.subtract(f[1:], f[:-1], out=rhs[1:])
-        # -d / dx and d / (-dx) round alike: IEEE division is sign-symmetric
-        np.divide(rhs, -dx, out=rhs)
+        g = _power(abs_u, p.q, out=self._f[:m])
+        g *= u
+        rhs[0] = -g[0]
+        np.subtract(g[:-1], g[1:], out=rhs[1:])
+        rhs *= dt / (p.q * dx)
         dirichlet = 0.0
         if lu is not None:
             # intint J (u(x)-u(y))^2 dx dy = -2 <u, Lu>.  einsum, not np.dot:
@@ -323,8 +327,7 @@ class _Stepper:
             # spins against any other run sharing the CPUs.
             u_lu = float(np.einsum("i,i->", u, lu))
             dirichlet = -2.0 * p.alpha * self.lamq * u_lu * dx
-            if p.alpha * self.lamq != 1.0:  # x * 1.0 is x: skip the pass
-                lu *= p.alpha * self.lamq
+            lu *= p.alpha * self.lamq * dt
             rhs += lu
         if p.mu > 0.0:
             lap = self._lap[:m]
@@ -333,10 +336,10 @@ class _Stepper:
             lap[1:-1] += u[:-2]
             lap[0] = u[1] - 2.0 * u[0]
             lap[-1] = u[-2] - 2.0 * u[-1]
-            lap *= p.mu
-            lap /= dx ** 2
+            lap *= p.mu * dt / dx ** 2
             rhs += lap
-        return rhs, dirichlet
+        u += rhs
+        return dirichlet
 
     def dt_budget(self, max_abs_u: float) -> float:
         """Largest order-preserving dt for a field with max_j |u_j| = max_abs_u."""
@@ -461,10 +464,7 @@ def run_lockstep(data, params: SimParams) -> list:
                 dt = t_next - t
             t = t_next if hit else t + dt
             for k, (u, w) in enumerate(zip(us, windows)):
-                rhs, dirichlet = stepper.rate(u, w.abs_u, w.cells)
-                rhs *= dt
-                w.u_w += rhs
-                dissipated[k] += dt * dirichlet
+                dissipated[k] += dt * stepper.rate(u, w.abs_u, dt, w.cells)
                 np.abs(w.u_w, out=w.abs_w)
                 max_abs[k] = w.abs_w.max()
                 if not math.isfinite(max_abs[k]):

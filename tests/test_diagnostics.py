@@ -8,6 +8,7 @@ from nwavelab.diagnostics import (
     check_nonlocal_comparison,
     decay_fit,
     entropy_residual,
+    entropy_residuals,
     l1_modulus,
     lp_norm,
     nwave_distance,
@@ -17,7 +18,8 @@ from nwavelab.diagnostics import (
     worst_max,
 )
 from nwavelab.grid import grid_function
-from nwavelab.kernels import make_kernel
+from nwavelab.flux import flux
+from nwavelab.kernels import convolve, make_kernel
 from nwavelab.profiles import NWave, make_initial_datum, nwave_eval, nwave_sample
 from nwavelab.solver import SimParams, Trajectory, run
 
@@ -186,6 +188,37 @@ def test_entropy_residual_error_paths():
         entropy_residual(times[:3], snaps[:3], 1.5, case, tol_quad=2e-2)
     with pytest.raises(ValueError, match="needs the kernel"):
         entropy_residual(times, snaps, 1.5, case, tol_quad=2e-2, alpha=1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7])
+def test_entropy_residuals_match_the_per_case_formula(alpha):
+    # entropy_residuals computes f(u), J*u and the bump factors once for
+    # every case; each residual must equal, bit for bit, the formula taken
+    # case by case with EntropyTestCase's own phi, phi_t and phi_x.
+    q, lam, dx = 1.5, 2.0, 1.0 / 64.0
+    times, snaps = _nwave_entropy_inputs(dt=0.1, dx=dx)
+    kernel = make_kernel("uniform", 0.5, dx)
+    cases = [EntropyTestCase(k, tc, 0.45, xc, xw) for k in (-1.0, 0.0, 0.5)
+             for tc in (1.0, 1.75) for xc, xw in ((-0.5, 1.0), (2.0, 0.75))]
+    got = entropy_residuals(times, snaps, q, cases, 2e-2, alpha=alpha, lam=lam, kernel=kernel)
+    for case, rep in zip(cases, got):
+        k = case.k
+        integrand = np.zeros(len(times))
+        for i, (t, u) in enumerate(zip(times, snaps)):
+            if not case.t_center - case.t_halfwidth < t < case.t_center + case.t_halfwidth:
+                continue
+            x, v = u.centers, u.values
+            sgn = np.sign(v - k)
+            a = np.sum(np.abs(v - k) * case.phi_t(t, x)
+                       + sgn * (flux(v, q) - flux(k, q)) * case.phi_x(t, x)) * u.dx
+            b = 0.0
+            if alpha > 0.0:
+                conv = convolve(kernel, u).values - k
+                b = alpha * lam ** q * np.sum((np.abs(v - k) - sgn * conv) * case.phi(t, x)) * u.dx
+            integrand[i] = a - b
+        assert rep.values["residual"] == float(np.trapezoid(integrand, times))
+        assert rep == entropy_residual(times, snaps, q, case, 2e-2, alpha=alpha, lam=lam,
+                                       kernel=kernel)
 
 
 def test_comparison_constant_z_saturates():

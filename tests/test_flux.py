@@ -8,13 +8,15 @@ from nwavelab.solver import SimParams, _Stepper
 def interface_flux(u_left, u_right, q):
     """The interface flux the solver applies between two neighbouring cells.
 
-    On a two-cell state with no diffusion, the first cell's rate is
-    -(F_{1/2} - f(ghost = 0)) / dx, so F_{1/2} = -dx * rhs[0].
+    On a two-cell state with no diffusion, a step of dt moves the first
+    cell by -(dt/dx) (F_{1/2} - f(ghost = 0)), so with dt = dx = 1,
+    F_{1/2} = u_0 - u'_0.
     """
     p = SimParams(q=q, alpha=0.0, mu=0.0, x_min=0.0, x_max=2.0, dx=1.0, output_times=(1.0,))
     u = np.array([u_left, u_right], dtype=float)
-    rhs, _ = _Stepper(p).rate(u, np.abs(u))
-    return -p.dx * rhs[0]
+    stepped = u.copy()
+    _Stepper(p).rate(stepped, np.abs(u), 1.0)
+    return u[0] - stepped[0]
 
 
 @pytest.mark.parametrize("q, ulps", [(1.25, 1.0), (1.75, 2.0), (1.5, 0.0), (1.3, 0.0)])

@@ -30,33 +30,58 @@ def test_single_step_riemann_hand_value():
     # (dt/dx) f(1) = (1/2)(2/3) = 1/3; the inflow cell loses the same.
     u = grid_function([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], 0.0, 0.5)
     p = SimParams(q=1.5, alpha=0.0, x_min=0.0, x_max=3.0, dx=0.5, output_times=(1.0,))
-    v = u.values + 0.25 * _Stepper(p).rate(u.values, np.abs(u.values))[0]
+    v = u.values.copy()
+    _Stepper(p).rate(v, np.abs(v), 0.25)
     np.testing.assert_allclose(v, [2.0 / 3.0, 1.0, 1.0, 1.0 / 3.0, 0.0, 0.0],
                                atol=1e-15)
 
 
 @pytest.mark.parametrize("q, width, mu", [(1.25, 2.0, 0.0), (1.5, 0.125, 0.05), (1.8, 1.0, 0.3)])
 def test_rate_is_bit_identical_to_the_plain_expression(q, width, mu):
-    # The step writes into reused buffers; every operation keeps the
-    # operand order of this expression, so not one bit may move.  Every
-    # width takes the stepper's FFT; 0.125 rescales to the 9-tap minimum
-    # stencil, the narrowest a kernel may be.  The flux power is the
-    # stepper's own, which differs from ** by up to 2 ulp at q = 1.25 and
-    # q = 1.75.
+    # The step writes into reused buffers and then into u; every operation
+    # keeps the operand order of this expression, with its three scalars,
+    # so not one bit may move.  Every width takes the stepper's FFT; 0.125
+    # rescales to the 9-tap minimum stencil, the narrowest a kernel may be.
+    # The flux power is the stepper's own, which differs from ** by up to
+    # 2 ulp at q = 1.25 and q = 1.75.
     p = _params(q=q, kernel_width=width, mu=mu, lam=2.0, alpha=0.7)
     stepper = _Stepper(p)
+    dt = 1e-3
     rng = np.random.default_rng(5)
-    for u in (rng.standard_normal(p.grid_n()), np.zeros(p.grid_n())):
-        lu = stepper._lu(u).copy()
-        f = _power(np.abs(u), q) * u / q
-        expect = -np.diff(f, prepend=0.0) / p.dx + p.alpha * stepper.lamq * lu
-        padded = np.concatenate(([0.0], u, [0.0]))
+    for u0 in (rng.standard_normal(p.grid_n()), np.zeros(p.grid_n())):
+        lu = stepper._lu(u0).copy()
+        g = _power(np.abs(u0), q) * u0
+        rhs = dt / (q * p.dx) * -np.diff(g, prepend=0.0) + p.alpha * stepper.lamq * dt * lu
+        padded = np.concatenate(([0.0], u0, [0.0]))
         if mu > 0.0:
-            expect = expect + mu * (padded[2:] - 2.0 * padded[1:-1] + padded[:-2]) / p.dx ** 2
-        dirichlet = -2.0 * p.alpha * stepper.lamq * float(np.einsum("i,i->", u, lu)) * p.dx
-        rhs, got = stepper.rate(u, np.abs(u))
-        np.testing.assert_array_equal(rhs, expect)
+            lap = padded[2:] - 2.0 * padded[1:-1] + padded[:-2]
+            rhs = rhs + mu * dt / p.dx ** 2 * lap
+        dirichlet = -2.0 * p.alpha * stepper.lamq * float(np.einsum("i,i->", u0, lu)) * p.dx
+        u = u0.copy()
+        got = stepper.rate(u, np.abs(u), dt)
+        np.testing.assert_array_equal(u, u0 + rhs)
         assert got == dirichlet
+
+
+def test_rate_runs_once_per_field_step_on_the_whole_field(monkeypatch):
+    # perfbench counts cell updates by wrapping _Stepper.rate: one call per
+    # field and step, with the whole field as its first argument, also
+    # when the fields step on windows.
+    p = _params(x_min=-16.0, x_max=16.0, output_times=(0.1, 0.2))
+    n = p.grid_n()
+    assert _Stepper(p).windowed
+    box = make_initial_datum("box", p.x_min, p.dx, n)
+    calls = []
+    rate = _Stepper.rate
+
+    def counted(self, u, *args, **kwargs):
+        calls.append(u.size)
+        return rate(self, u, *args, **kwargs)
+
+    monkeypatch.setattr(_Stepper, "rate", counted)
+    low, high = run_lockstep((box, box.with_values(2.0 * box.values)), p)
+    assert low.steps == high.steps > 2
+    assert calls == [n] * (2 * low.steps)
 
 
 def test_snapshots_hit_schedule_exactly():
@@ -255,27 +280,55 @@ def test_nan_dt_budget_still_aborts():
         run(grid_function(u, p.x_min, p.dx), p)
 
 
+@pytest.mark.parametrize("n, k, block, windowed", [
+    pytest.param(22016, 32, 1024, True, id="decay"),
+    pytest.param(18432, 256, 2048, True, id="long_time_signed"),
+    pytest.param(2560, 128, 1024, True, id="viscosity_sweep"),
+    pytest.param(5120, 256, 2048, True, id="viscosity_refined"),
+    pytest.param(10240, 512, 4096, True, id="oleinik"),
+    pytest.param(1536, 128, 1024, False, id="two_blocks"),
+    pytest.param(768, 64, 900, False, id="one_transform"),
+    pytest.param(256, 4, 270, False, id="minimum_stencil"),
+])
+def test_block_length_rule(n, k, block, windowed):
+    # Blocks are the smallest power of two >= max(1024, 3(2k + 1)), or one
+    # 5-smooth transform when the padded grid is shorter; fields step on
+    # windows past two blocks.  The grids are the benchmark workloads'.
+    p = SimParams(x_min=0.0, x_max=n / 128.0, dx=1.0 / 128.0, kernel_width=k / 128.0)
+    stepper = _Stepper(p)
+    assert (p.grid_n(), stepper.kernel.half_cells) == (n, k)
+    assert (stepper._block, stepper.windowed) == (block, windowed)
+
+
 @pytest.mark.parametrize("x_max, width, taps", [
     pytest.param(80.0, 0.25, 65, id="80.0"),
     pytest.param(56.0, 0.25, 65, id="56.0"),
     pytest.param(4.0, 0.125, 33, id="narrow"),
+    pytest.param(4.0, 1.0 / 32.0, 9, id="K4"),
+    pytest.param(56.0, 1.0, 257, id="K128"),
+    pytest.param(56.0, 2.0, 513, id="K256"),
+    pytest.param(56.0, 4.0, 1025, id="K512"),
 ])
 def test_fft_path_matches_direct_convolution(x_max, width, taps):
     # The decay grids (65-tap kernel, n = 11776 and 8704) whose padded
-    # length used to be 7- or 11-smooth, and a stencil of at most 64 taps,
-    # which the stepper also convolves by FFT.  Two different fields in a
-    # row, so a stale padded buffer would show.
+    # length used to be 7- or 11-smooth, and stencils of 9 to 1025 taps.
+    # Windows of one cell, one block's output, one cell more and the whole
+    # grid, in an order that narrows and widens them: a stale padded
+    # buffer or a wrong plan would show.  Two fields in a row.
     p = SimParams(q=1.5, kernel_width=width, x_min=-12.0, x_max=x_max, dx=1.0 / 128.0)
     stepper = _Stepper(p)
     kernel = p.kernel()
     assert kernel.weights.size == taps
+    assert stepper.windowed
     k = kernel.half_cells
     rng = np.random.default_rng(7)
     n = p.grid_n()
     box = np.where(np.arange(n) < n // 3, 1.0, 0.0)
     for values in (rng.random(n), box):
-        expect = np.convolve(kernel.weights, values)[k : k + n] - values
-        np.testing.assert_allclose(stepper._lu(values), expect, rtol=0.0, atol=1e-13)
+        for m in (n, 1, stepper._step + 1, stepper._step):
+            v = values[:m]
+            expect = np.convolve(kernel.weights, v)[k : k + m] - v
+            np.testing.assert_allclose(stepper._lu(v), expect, rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("name", ["q", "lam", "mu", "alpha", "cfl", "kernel_width",
