@@ -393,16 +393,16 @@ def entropy_residuals(
                 nonlocal_part = dist - sgn * (ju - k) if ju is not None else None
                 per_k[k] = dist, sgn * (fv - flux(k, q)), nonlocal_part
             dist, flux_part, nonlocal_part = per_k[k]
-            key = (u.x_min, u.dx, u.n, case.x_center, case.x_halfwidth)
-            if key not in bumps:
+            x_key = (u.x_min, u.dx, u.n, case.x_center, case.x_halfwidth)
+            if x_key not in bumps:
                 s = (x - case.x_center) / case.x_halfwidth
-                bumps[key] = _bump(s), _bump_prime(s)
-            bx, bx_prime = bumps[key]
-            key = (case.t_center, case.t_halfwidth)
-            if key not in per_t:
+                bumps[x_key] = _bump(s), _bump_prime(s)
+            bx, bx_prime = bumps[x_key]
+            t_key = (case.t_center, case.t_halfwidth)
+            if t_key not in per_t:
                 st = (t - case.t_center) / case.t_halfwidth
-                per_t[key] = _bump(st), _bump_prime(st) / case.t_halfwidth
-            bt, bt_prime = per_t[key]
+                per_t[t_key] = _bump(st), _bump_prime(st) / case.t_halfwidth
+            bt, bt_prime = per_t[t_key]
             # the operand order of EntropyTestCase.phi_t, phi_x and phi
             phi_t = bt_prime * bx
             phi_x = bt * bx_prime / case.x_halfwidth
