@@ -13,7 +13,7 @@ from .diagnostics import (
     Report,
     decay_fit,
     energy_report,
-    entropy_residual,
+    entropy_residuals,
     l1_modulus,
     lp_norm,
     nwave_distance,
@@ -24,14 +24,14 @@ from .diagnostics import (
 from .flux import flux, max_wave_speed, validate_q
 from .grid import GridFunction, grid_function
 from .kernels import KERNEL_FAMILIES, Kernel, convolve, make_kernel, rescale
-from .nonlocal_op import apply_L, second_order_bound_ratio
+from .nonlocal_op import apply_L, second_order_bound_ratios
 from .profiles import DATUM_KINDS, NWave, make_initial_datum, nwave_eval, nwave_sample
 from .solver import (
     DomainTooSmall,
     NumericalAbort,
     SimParams,
     Trajectory,
-    rescale_trajectory,
+    rescale_snapshot,
     run,
     run_lockstep,
 )
@@ -59,7 +59,7 @@ __all__ = [
     "convolve",
     "decay_fit",
     "energy_report",
-    "entropy_residual",
+    "entropy_residuals",
     "flux",
     "grid_function",
     "l1_modulus",
@@ -73,11 +73,11 @@ __all__ = [
     "nwave_sample",
     "oleinik_margin",
     "rescale",
-    "rescale_trajectory",
+    "rescale_snapshot",
     "run",
     "run_lockstep",
     "run_suite",
-    "second_order_bound_ratio",
+    "second_order_bound_ratios",
     "sup_norm_bound_report",
     "tail_mass",
     "validate_q",

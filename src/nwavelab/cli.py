@@ -13,7 +13,8 @@ Shared flags: --config PATH, --set key=value (repeatable), --out DIR,
 
 Exit codes are a stable contract: 0 success / all checks passed,
 1 at least one verification check failed, 2 usage or configuration
-error, 3 the time stepper aborted on a non-finite value.
+error (a file that cannot be read or written included), 3 the time
+stepper aborted on a non-finite value.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalAbort as exc:

@@ -11,7 +11,7 @@ profiles the datum, its support against the grid's extent included.
 load_config parses, builds those objects once and assigns blame: a broken
 rule becomes a ConfigError carrying the file and line (or the literal
 "--set") of the key at fault.
-It owns only the rules nothing else does: study.kind, tol.* and nwave.*.
+It owns only the rules nothing else does: seed, study.kind, tol.* and nwave.*.
 build_kernel is that blame for the kernel, shared with the suites and
 studies that build one on a grid of their own.
 
@@ -252,6 +252,8 @@ def load_config(path: str | None = None, overrides: list | None = None,
                                    **{n: values[f"datum.{n}"] for n in names})
     except ValueError as exc:
         fail(first_set([f"datum.{n}" for n in names], "datum.kind"), str(exc))
+    if values["seed"] < 0:
+        fail("seed", f"seed must be nonnegative, got {values['seed']}")
     for key in ("tol.scheme", "tol.quad"):
         if not (math.isfinite(values[key]) and values[key] >= 0.0):
             fail(key, f"{key} must be finite and nonnegative, got {values[key]}")

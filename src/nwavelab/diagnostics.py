@@ -6,11 +6,11 @@ produces a Report with a pass/fail verdict at an explicit tolerance:
 * oleinik_margin: the one-sided slope bound (u^(q-1))_x <= 1/t.
 * decay_fit: L^p decay exponents -(1/q)(1 - 1/p), plus the explicit sup
   bound (q ||phi||_1 / ((q-1) t))^(1/q) snapshot by snapshot.
-* entropy_residual: the Kruzkov-type inequality tested against one smooth
-  bump test function, midpoint in space and trapezoid in time.
+* entropy_residuals: the Kruzkov-type inequality tested against smooth
+  bump test functions, midpoint in space and trapezoid in time.
 * check_nonlocal_comparison: the pointwise inequality at a maximum of w,
       z L(z^b w)(x0) - b/(b+1) w L(z^(b+1))(x0) <= A_z(x0) w(x0),
-  with A_z(x0) <= 0; both sides evaluated from the same discrete operator.
+  with A_z(x0) <= 0; both sides are sums over the one stencil gathered at x0.
 * nwave_distance: t^((1/q)(1-1/p)) || u(t) - w_M(t) ||_p, the quantity whose
   decay expresses convergence to the N-wave.
 
@@ -29,7 +29,6 @@ import numpy as np
 from .flux import flux, validate_q
 from .grid import GridFunction, grid_function
 from .kernels import Kernel, convolve
-from .nonlocal_op import apply_L
 from .profiles import NWave, nwave_sample
 from .solver import UNDERSHOOT_FLOOR
 
@@ -44,7 +43,6 @@ __all__ = [
     "l1_modulus",
     "nwave_distance",
     "EntropyTestCase",
-    "entropy_residual",
     "entropy_residuals",
     "ComparisonCase",
     "check_nonlocal_comparison",
@@ -92,16 +90,11 @@ def worst_max(worst: float, value: float) -> float:
     return float(np.maximum(worst, value))
 
 
-def lp_norm(u: GridFunction, p: float, window: tuple | None = None) -> float:
-    """||u||_p with cell-average quadrature; window=(x_lo, x_hi) restricts."""
+def lp_norm(u: GridFunction, p: float) -> float:
+    """||u||_p with cell-average quadrature."""
     if p != np.inf and p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     v = u.values
-    if window is not None:
-        x = u.centers
-        v = v[(x >= window[0]) & (x <= window[1])]
-    if v.size == 0:
-        return 0.0
     if p == np.inf:
         return float(np.max(np.abs(v)))
     return float((np.sum(np.abs(v) ** p) * u.dx) ** (1.0 / p))
@@ -312,32 +305,6 @@ class EntropyTestCase:
         )
 
 
-def entropy_residual(
-    times,
-    snapshots,
-    q: float,
-    case: EntropyTestCase,
-    tol_quad: float,
-    alpha: float = 0.0,
-    lam: float = 1.0,
-    kernel: Kernel | None = None,
-) -> Report:
-    """Residual of the Kruzkov-type inequality for one (k, phi) pair.
-
-    R = intint |u-k| phi_t + sgn(u-k)(f(u)-f(k)) phi_x dx dt
-        - alpha lam^q intint (|u-k| - sgn(u-k) (J_lam*(u-k))) phi dx dt,
-
-    midpoint in space, trapezoid over the snapshot times; passes iff
-    R >= -tol_quad.  alpha = 0 drops the nonlocal term (the pure
-    conservation-law form, e.g. for the closed-form N-wave).  sgn(0) = 0.
-    kernel is J_lam itself, already rescaled (SimParams.kernel()); lam
-    enters only through the lam^q factor.  J_lam*(u-k) is evaluated as
-    J_lam*u - k, exact for the zero-extended u because the kernel has
-    unit mass.
-    """
-    return entropy_residuals(times, snapshots, q, (case,), tol_quad, alpha, lam, kernel)[0]
-
-
 def entropy_residuals(
     times,
     snapshots,
@@ -348,11 +315,22 @@ def entropy_residuals(
     lam: float = 1.0,
     kernel: Kernel | None = None,
 ) -> list:
-    """entropy_residual for each of several cases over the same snapshots.
+    """Residuals of the Kruzkov-type inequality, one Report per (k, phi) case:
+
+    R = intint |u-k| phi_t + sgn(u-k)(f(u)-f(k)) phi_x dx dt
+        - alpha lam^q intint (|u-k| - sgn(u-k) (J_lam*(u-k))) phi dx dt,
+
+    midpoint in space, trapezoid over the snapshot times; a case passes iff
+    R >= -tol_quad.  alpha = 0 drops the nonlocal term (the pure
+    conservation-law form, e.g. for the closed-form N-wave).  sgn(0) = 0.
+    kernel is J_lam itself, already rescaled (SimParams.kernel()); lam
+    enters only through the lam^q factor.  J_lam*(u-k) is evaluated as
+    J_lam*u - k, exact for the zero-extended u because the kernel has
+    unit mass.
 
     Each snapshot's f(u) and J_lam*u, each (snapshot, k) pair's factors and
     each bump's spatial factors are computed once and shared by every case
-    that needs them; every residual is bit-identical to the one case alone.
+    that needs them.
     """
     validate_q(q)
     times = np.asarray(times, dtype=float)
@@ -463,6 +441,33 @@ class ComparisonCase:
         return cls(beta=beta, z=z, w=w, x0=int(np.argmax(w.values)))
 
 
+def _comparison_terms(kernel: Kernel, case: ComparisonCase):
+    """L(z^b w)(x0), L(z^(b+1))(x0) and A_z(x0), from one stencil gather at x0.
+
+    L(v)(x0) = sum_k J_k dx v(x0 - k dx) - v(x0), with z^b w zero off-grid
+    because w is.
+    """
+    b = case.beta
+    z, w, x0 = case.z, case.w, case.x0
+    zb = z.values ** b
+    zb1 = z.values ** (b + 1.0)
+    yi = x0 - kernel.offsets
+    valid = (yi >= 0) & (yi < z.n)
+    yi = np.clip(yi, 0, z.n - 1)
+    pad_b = 1.0 if b == 0.0 else 0.0
+    zb_y = np.where(valid, zb[yi], pad_b)
+    zb1_y = np.where(valid, zb1[yi], 0.0)
+    w_y = np.where(valid, w.values[yi], 0.0)
+    wgt = kernel.weights
+    l_zbw = np.dot(wgt, zb_y * w_y) - zb[x0] * w.values[x0]
+    l_zb1 = np.dot(wgt, zb1_y) - zb1[x0]
+    a_z = float(
+        np.dot(wgt, z.values[x0] * zb_y - b / (b + 1.0) * zb1_y)
+        - (1.0 / (b + 1.0)) * zb1[x0] * wgt.sum()
+    )
+    return l_zbw, l_zb1, a_z
+
+
 def check_nonlocal_comparison(kernel: Kernel, case: ComparisonCase, tol: float = 1e-10) -> Report:
     """Verify A_z(x0) <= tol and LHS <= A_z(x0) w(x0) + tol at w's maximum.
 
@@ -472,27 +477,14 @@ def check_nonlocal_comparison(kernel: Kernel, case: ComparisonCase, tol: float =
                              - 1/(b+1) z^(b+1)(x0) ],
 
     with z^b extended by 0^b off-grid (1 when b = 0, matching the continuum
-    convention z^0 == 1).
+    convention z^0 == 1).  Both sides are sums over the one stencil
+    gathered at x0 (_comparison_terms).
     """
-    b = case.beta
-    z, w, x0 = case.z, case.w, case.x0
-    zb = z.values ** b
-    zb1 = z.values ** (b + 1.0)
-    l_zbw = apply_L(kernel, z.with_values(zb * w.values)).values[x0]
-    l_zb1 = apply_L(kernel, z.with_values(zb1)).values[x0]
-    lhs = z.values[x0] * l_zbw - b / (b + 1.0) * w.values[x0] * l_zb1
-
-    yi = x0 - kernel.offsets
-    valid = (yi >= 0) & (yi < z.n)
-    pad_b = 1.0 if b == 0.0 else 0.0
-    zb_y = np.where(valid, zb[np.clip(yi, 0, z.n - 1)], pad_b)
-    zb1_y = np.where(valid, zb1[np.clip(yi, 0, z.n - 1)], 0.0)
-    wgt = kernel.weights
-    a_z = float(
-        np.dot(wgt, z.values[x0] * zb_y - b / (b + 1.0) * zb1_y)
-        - (1.0 / (b + 1.0)) * zb1[x0] * wgt.sum()
-    )
-    rhs = a_z * w.values[x0]
+    b, x0 = case.beta, case.x0
+    l_zbw, l_zb1, a_z = _comparison_terms(kernel, case)
+    w0 = case.w.values[x0]
+    lhs = case.z.values[x0] * l_zbw - b / (b + 1.0) * w0 * l_zb1
+    rhs = a_z * w0
     ok = (a_z <= tol) and (lhs <= rhs + tol)
     return Report(
         name=f"nonlocal comparison beta={b:g}",
@@ -513,10 +505,9 @@ def random_smooth_field(
     n: int,
     amplitude: float = 1.0,
     nonnegative: bool = False,
-    n_bumps: int = 3,
     margin_cells: int = 0,
 ) -> GridFunction:
-    """A few random Gaussian bumps, tapered to zero near the boundary.
+    """Three random Gaussian bumps, tapered to zero near the boundary.
 
     The taper guarantees the zero-extended field is smooth-ish across the
     domain edge and that its global extrema sit inside the grid, which the
@@ -525,7 +516,7 @@ def random_smooth_field(
     x = x_min + (np.arange(n) + 0.5) * dx
     span = n * dx
     values = np.zeros(n)
-    for _ in range(n_bumps):
+    for _ in range(3):
         c = x_min + span * rng.uniform(0.25, 0.75)
         width = span * rng.uniform(0.03, 0.15)
         a = amplitude * rng.uniform(-1.0, 1.0)

@@ -34,7 +34,7 @@ from .grid import GridFunction, grid_function
 from .kernels import make_kernel, rescale
 from .nonlocal_op import second_order_bound_ratios
 from .profiles import DATUM_PARAMS, NWave, check_datum, make_initial_datum
-from .solver import ParamError, SimParams, rescale_trajectory, run
+from .solver import ParamError, SimParams, rescale_snapshot, run
 
 __all__ = [
     "StudySpec",
@@ -86,7 +86,6 @@ class StudySpec:
     datum_kind: str
     datum_params: dict = field(default_factory=dict)
     sweep: tuple = ()
-    seed: int = 0
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -150,7 +149,6 @@ def study_spec(cfg: Config, out_dir: str | None = None) -> StudySpec:
         datum_kind=datum_kind,
         datum_params=datum_params,
         sweep=sweep,
-        seed=cfg.seed,
         out_dir=out_dir,
     )
     _build_kernels(spec)
@@ -421,10 +419,7 @@ def _rescaling_routes(spec: StudySpec, dx: float):
         return _restrict(run(datum_b, p).snapshots[-1], x_min, n)
 
     b_fields = {lam: route_b(lam) for lam in lams}
-    a_fields = {
-        lam: rescale_trajectory(base_traj, lam, (1.0,), x_min, dx, n).snapshots[-1]
-        for lam in lams
-    }
+    a_fields = {lam: rescale_snapshot(base_traj, lam, 1.0, x_min, dx, n) for lam in lams}
     return lams, a_fields, b_fields
 
 

@@ -14,7 +14,8 @@ nwave CSV       header ``x,w``.
 field binary    little-endian: magic ``NWGF`` (4 bytes), version uint32,
                 n uint64, dx float64, x_min float64, then n float64 cell
                 values.  Byte-exact round trip.
-verdicts JSON   list of {name, verdict, values, tolerance, detail}.
+verdicts JSON   list of {name, verdict, values, tolerance, detail}; a value
+                keeps its type (bool, int or float).
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def write_verdicts_json(reports, path: str):
         {
             "name": r.name,
             "verdict": r.verdict,
-            "values": {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
+            "values": {k: (v.item() if isinstance(v, np.generic) else v)
                        for k, v in r.values.items()},
             "tolerance": r.tolerance,
             "detail": r.detail,

@@ -2,12 +2,12 @@
 
 L is the generator of the nonlocal diffusion: alpha * (J * u - u) relaxes u
 toward its kernel average and conserves mass.  For smooth fields
-lam^2 (J_lam * u - u) approaches (m2 / 2) * u_xx; second_order_bound_ratio
+lam^2 (J_lam * u - u) approaches (m2 / 2) * u_xx; second_order_bound_ratios
 measures that correspondence in L^p.
 
 apply_L subtracts, kernels.convolve(J, u) - u.  At large rescale factors
 J*u hugs u, and lam^2 L u carries the subtraction's rounding, eps max|u|,
-times lam^2.  So second_order_bound_ratio uses the exact discrete Peano
+times lam^2.  So second_order_bound_ratios uses the exact discrete Peano
 form of the even, unit-mass stencil w, with D2 the stencil (1, -2, 1):
 
     J - delta = D2 H,   H_j = sum_{i > |j|} w_i (i - |j|),   |j| < K.
@@ -21,9 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GridFunction
-from .kernels import Kernel, convolve, fftconvolve, rescale
+from .kernels import Kernel, convolve, fftconvolve
 
-__all__ = ["apply_L", "second_order_bound_ratio", "second_order_bound_ratios"]
+__all__ = ["apply_L", "second_order_bound_ratios"]
 
 
 def _L_values(kernel: Kernel, u: GridFunction) -> np.ndarray:
@@ -37,33 +37,25 @@ def _peano_taps(kernel: Kernel) -> np.ndarray:
     return np.concatenate((right[:0:-1], right))
 
 
-def apply_L(kernel: Kernel, u: GridFunction, alpha: float = 1.0) -> GridFunction:
-    """alpha * (J * u - u) on u's grid, with u extended by zero.
+def apply_L(kernel: Kernel, u: GridFunction) -> GridFunction:
+    """J * u - u on u's grid, with u extended by zero.
 
     Mass-neutral up to what leaks past the boundary: summed over cells whose
     stencil stays inside the domain the result integrates to ~0.
     """
-    if not alpha >= 0.0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    return u.with_values(alpha * _L_values(kernel, u))
-
-
-def second_order_bound_ratio(kernel: Kernel, psi: GridFunction, lam: float, p: float) -> float:
-    """|| lam^2 (J_lam * psi - psi) ||_p  /  || psi_xx ||_p.
-
-    psi_xx is the centered second difference.  Both norms are taken over the
-    interior window where the full rescaled stencil fits, so boundary
-    zero-extension never pollutes the ratio.  For an interior quadratic the
-    ratio equals m2/2 for every lam; for smooth psi it tends to m2/2 as lam
-    grows, and it stays below the Taylor bound m2/2 up to discretization.
-    """
-    return second_order_bound_ratios(rescale(kernel, lam), psi, lam, (p,))[0]
+    return u.with_values(_L_values(kernel, u))
 
 
 def second_order_bound_ratios(j_lam: Kernel, psi: GridFunction, lam: float, ps) -> list:
-    """second_order_bound_ratio for each p in ps, given J_lam = rescale(J, lam).
+    """|| lam^2 (J_lam * psi - psi) ||_p  /  || psi_xx ||_p for each p in ps.
 
-    One convolution serves every p.
+    j_lam is the rescaled kernel, rescale(J, lam).  psi_xx is the centered
+    second difference.  Both norms are taken over the interior window where
+    the full rescaled stencil fits, so boundary zero-extension never
+    pollutes the ratio.  For an interior quadratic the ratio equals m2/2
+    for every lam; for smooth psi it tends to m2/2 as lam grows, and it
+    stays below the Taylor bound m2/2 up to discretization.  One
+    convolution serves every p.
     """
     for p in ps:
         if p not in (1, 2, np.inf):

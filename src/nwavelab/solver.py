@@ -48,7 +48,7 @@ energy-inequality check, so it is done here, exactly where the scheme is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -65,7 +65,7 @@ __all__ = [
     "DomainTooSmall",
     "run",
     "run_lockstep",
-    "rescale_trajectory",
+    "rescale_snapshot",
 ]
 
 
@@ -497,52 +497,17 @@ def run_lockstep(data, params: SimParams) -> list:
     return trajs
 
 
-def rescale_trajectory(
-    traj: Trajectory, lam: float, times, x_min: float, dx: float, n: int
-) -> Trajectory:
+def rescale_snapshot(
+    traj: Trajectory, lam: float, t: float, x_min: float, dx: float, n: int
+) -> GridFunction:
     """The rescaled field u_lam(t, x) = lam * u(lam^q t, lam x), resampled.
 
-    Each requested time t needs a source snapshot at lam^q * t (taken
-    exactly when one exists, otherwise linearly interpolated between the
-    two bracketing snapshots; unbracketed times raise).  Space is linear
-    interpolation from cell centers, zero outside the source domain.
+    The source is traj's snapshot at lam^q * t, which must exist.  Space is
+    linear interpolation from cell centers, zero outside the source domain.
     """
     if not lam >= 1.0:
         raise ValueError(f"lambda must be >= 1, got {lam}")
-    q = traj.params.q
-    src_times = np.asarray(traj.times)
+    src = traj.snapshot_at(lam ** traj.params.q * t)
     centers = x_min + (np.arange(n) + 0.5) * dx
-    out = Trajectory(
-        params=replace(
-            traj.params,
-            lam=traj.params.lam * lam,
-            x_min=x_min,
-            x_max=x_min + n * dx,
-            dx=dx,
-            output_times=tuple(times),
-        )
-    )
-    for t in times:
-        t_src = lam ** q * t
-        i = int(np.argmin(np.abs(src_times - t_src)))
-        if abs(src_times[i] - t_src) <= 1e-9 * max(1.0, t_src):
-            src = traj.snapshots[i]
-            values = src.values
-        else:
-            after = int(np.searchsorted(src_times, t_src))
-            if after == 0 or after == len(src_times):
-                raise ValueError(
-                    f"time {t} needs a source snapshot near {t_src:g}, outside "
-                    f"[{src_times[0]:g}, {src_times[-1]:g}]"
-                )
-            lo, hi = traj.snapshots[after - 1], traj.snapshots[after]
-            w = (t_src - src_times[after - 1]) / (src_times[after] - src_times[after - 1])
-            values = (1.0 - w) * lo.values + w * hi.values
-            src = lo
-        sampled = lam * np.interp(lam * centers, src.centers, values, left=0.0, right=0.0)
-        u = grid_function(sampled, x_min, dx)
-        out.times.append(float(t))
-        out.snapshots.append(u)
-        out.mass_history.append((float(t), u.mass()))
-        out.dissipation_history.append((float(t), np.nan))
-    return out
+    sampled = lam * np.interp(lam * centers, src.centers, src.values, left=0.0, right=0.0)
+    return grid_function(sampled, x_min, dx)

@@ -42,6 +42,39 @@ def test_config_file_error_names_line(tmp_path, capsys):
     assert "bad.cfg:2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("how, origin", [
+    (["--seed", "-1"], "--seed"),
+    (["--set", "seed=-1"], "--set"),
+    ("file", None),
+], ids=["--seed", "--set", "file"])
+def test_negative_seed_exits_2(how, origin, tmp_path, capsys):
+    if how == "file":
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = -1\n")
+        how, origin = ["--config", str(cfg)], f"{cfg}:1"
+    assert main(["verify", "tails", *how, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {origin}: seed must be nonnegative")
+    assert not (tmp_path / "o").exists()
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "nope.cfg")
+    assert main(["simulate", "--config", missing, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_under_a_regular_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "o")
+    assert main(["dump-kernel", *FAST, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err
+
+
 def test_numerical_abort_exits_3(tmp_path, capsys):
     args = ["simulate", "--set", "grid.x_min=-1", "--set", "grid.x_max=1.5",
             "--set", "kernel.width=0.5", "--set", "datum.right=0.5",

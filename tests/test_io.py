@@ -105,6 +105,17 @@ def test_verdicts_json_roundtrip(tmp_path):
     assert not back[1].passed
 
 
+def test_verdicts_json_keeps_value_types(tmp_path):
+    values = {"monotone": True, "violations": 0, "gap": 1.0, "np_bool": np.bool_(False),
+              "np_int": np.int64(3), "np_float": np.float64(0.25)}
+    path = str(tmp_path / "verdicts.json")
+    write_verdicts_json([Report(name="a", verdict="pass", values=values)], path)
+    back = read_verdicts_json(path)[0].values
+    assert back == {"monotone": True, "violations": 0, "gap": 1.0, "np_bool": False,
+                    "np_int": 3, "np_float": 0.25}
+    assert [type(v) for v in back.values()] == [bool, int, float, bool, int, float]
+
+
 def test_atomic_write_replaces_not_appends(tmp_path):
     path = str(tmp_path / "f.txt")
     atomic_write_text(path, "long old content\n")

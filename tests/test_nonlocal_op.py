@@ -3,7 +3,7 @@ import pytest
 
 from nwavelab.grid import grid_function
 from nwavelab.kernels import KERNEL_FAMILIES, make_kernel, rescale
-from nwavelab.nonlocal_op import _peano_taps, apply_L, second_order_bound_ratio
+from nwavelab.nonlocal_op import _peano_taps, apply_L, second_order_bound_ratios
 
 DX = 1.0 / 512.0
 X_MIN = -4.0
@@ -57,20 +57,11 @@ def test_apply_l_mass_neutral_inside(base_kernel):
     assert apply_L(base_kernel, u).mass() == pytest.approx(0.0, abs=1e-12)
 
 
-def test_apply_l_alpha_scales(base_kernel):
-    u = _psi("gaussian")
-    one = apply_L(base_kernel, u, alpha=1.0).values
-    three = apply_L(base_kernel, u, alpha=3.0).values
-    np.testing.assert_allclose(three, 3.0 * one, rtol=1e-14)
-    with pytest.raises(ValueError, match="nonnegative"):
-        apply_L(base_kernel, u, alpha=-1.0)
-
-
 def test_quadratic_ratio_pinned_at_half_m2(base_kernel):
     psi = _psi("quadratic")
     for lam in (1.0, 4.0, 16.0, 64.0):
         for p in (1, 2, np.inf):
-            r = second_order_bound_ratio(base_kernel, psi, lam, p)
+            r = second_order_bound_ratios(rescale(base_kernel, lam), psi, lam, (p,))[0]
             assert r == pytest.approx(base_kernel.m2 / 2.0, abs=1e-10)
 
 
@@ -95,7 +86,7 @@ def test_quadratic_ratio_exact_at_every_lam(base_kernel):
     psi = _psi("quadratic")
     for lam in (1.0, 4.0, 16.0, 64.0):
         for p in (1, 2, np.inf):
-            r = second_order_bound_ratio(base_kernel, psi, lam, p)
+            r = second_order_bound_ratios(rescale(base_kernel, lam), psi, lam, (p,))[0]
             assert abs(r - base_kernel.m2 / 2.0) <= 1e-14
 
 
@@ -103,7 +94,8 @@ def test_quadratic_ratio_exact_at_every_lam(base_kernel):
 def test_smooth_ratios_match_independent_computation(base_kernel, name, lam):
     psi = _psi(name)
     for p, ref in zip((1, 2, np.inf), RATIO_REF[(name, lam)]):
-        assert second_order_bound_ratio(base_kernel, psi, lam, p) == pytest.approx(ref, rel=1e-9)
+        r = second_order_bound_ratios(rescale(base_kernel, lam), psi, lam, (p,))[0]
+        assert r == pytest.approx(ref, rel=1e-9)
 
 
 def test_smooth_ratios_stay_below_taylor_bound(base_kernel):

@@ -11,7 +11,7 @@ from nwavelab.solver import (
     ParamError,
     SimParams,
     _Stepper,
-    rescale_trajectory,
+    rescale_snapshot,
     run,
     run_lockstep,
 )
@@ -230,36 +230,32 @@ def test_run_rejects_mismatched_grid():
 def test_rescale_trajectory_lam1_identity():
     p = _params(output_times=(0.25, 0.5))
     traj = run(make_initial_datum("box", p.x_min, p.dx, p.grid_n()), p)
-    back = rescale_trajectory(traj, 1.0, (0.25, 0.5), p.x_min, p.dx, p.grid_n())
-    for a, b in zip(back.snapshots, traj.snapshots):
+    back = [rescale_snapshot(traj, 1.0, t, p.x_min, p.dx, p.grid_n()) for t in (0.25, 0.5)]
+    for a, b in zip(back, traj.snapshots):
         np.testing.assert_array_equal(a.values, b.values)
 
 
-def test_rescale_trajectory_interpolates_time():
-    p = _params(output_times=(0.2, 0.4))
-    traj = run(make_initial_datum("box", p.x_min, p.dx, p.grid_n()), p)
-    mid = rescale_trajectory(traj, 1.0, (0.3,), p.x_min, p.dx, p.grid_n())
-    expect = 0.5 * (traj.snapshots[0].values + traj.snapshots[1].values)
-    np.testing.assert_allclose(mid.snapshots[0].values, expect, atol=1e-15)
-
-
 def test_rescale_trajectory_rejects_unbracketed_time():
+    # lam^q t must be a snapshot time: 2^1.5 * 0.4 is past the last one,
+    # 0.3 lies between two
     p = _params(output_times=(0.2, 0.4))
     traj = run(make_initial_datum("box", p.x_min, p.dx, p.grid_n()), p)
-    with pytest.raises(ValueError, match="outside"):
-        rescale_trajectory(traj, 2.0, (0.4,), p.x_min, p.dx, p.grid_n())
+    with pytest.raises(ValueError, match="no snapshot"):
+        rescale_snapshot(traj, 2.0, 0.4, p.x_min, p.dx, p.grid_n())
+    with pytest.raises(ValueError, match="no snapshot"):
+        rescale_snapshot(traj, 1.0, 0.3, p.x_min, p.dx, p.grid_n())
 
 
 def test_rescale_trajectory_scales_amplitude_and_space():
     p = _params(output_times=(2.0 ** 1.5,), tail_cap=1e9)
     traj = run(make_initial_datum("box", p.x_min, p.dx, p.grid_n()), p)
     lam = 2.0
-    out = rescale_trajectory(traj, lam, (1.0,), -2.0, p.dx / lam, 256)
+    out = rescale_snapshot(traj, lam, 1.0, -2.0, p.dx / lam, 256)
     src = traj.snapshots[-1]
     # u_lam(1, x) = lam * u(lam^q, lam x), here sampled exactly at source centers
-    expect = lam * np.interp(lam * out.snapshots[0].centers, src.centers, src.values,
+    expect = lam * np.interp(lam * out.centers, src.centers, src.values,
                              left=0.0, right=0.0)
-    np.testing.assert_allclose(out.snapshots[0].values, expect, atol=1e-15)
+    np.testing.assert_allclose(out.values, expect, atol=1e-15)
 
 
 def test_infinite_dt_budget_steps_to_each_snapshot():
