@@ -11,6 +11,7 @@ produces a Report with a pass/fail verdict at an explicit tolerance:
 * check_nonlocal_comparison: the pointwise inequality at a maximum of w,
       z L(z^b w)(x0) - b/(b+1) w L(z^(b+1))(x0) <= A_z(x0) w(x0),
   with A_z(x0) <= 0; both sides are sums over the one stencil gathered at x0.
+  nonlocal_comparisons checks many (z, w) rows at once, the same way.
 * nwave_distance: t^((1/q)(1-1/p)) || u(t) - w_M(t) ||_p, the quantity whose
   decay expresses convergence to the N-wave.
 
@@ -46,6 +47,8 @@ __all__ = [
     "entropy_residuals",
     "ComparisonCase",
     "check_nonlocal_comparison",
+    "nonlocal_comparisons",
+    "random_smooth_rows",
     "random_smooth_field",
     "worst_max",
 ]
@@ -328,9 +331,10 @@ def entropy_residuals(
     J_lam*u - k, exact for the zero-extended u because the kernel has
     unit mass.
 
-    Each snapshot's f(u) and J_lam*u, each (snapshot, k) pair's factors and
-    each bump's spatial factors are computed once and shared by every case
-    that needs them.
+    Each snapshot's f(u) and J_lam*u, each (snapshot, k) pair's factors,
+    each (snapshot, bump) pair's phi_t, phi_x and phi, and each bump's
+    spatial factors are computed once and shared by every case that needs
+    them.
     """
     validate_q(q)
     times = np.asarray(times, dtype=float)
@@ -361,7 +365,7 @@ def entropy_residuals(
         v = u.values
         fv = flux(v, q)
         ju = convolve(kernel, u).values if alpha > 0.0 else None
-        per_k, per_t = {}, {}
+        per_k, per_t, per_phi = {}, {}, {}
         for c in todo:
             case = cases[c]
             k = case.k
@@ -372,22 +376,24 @@ def entropy_residuals(
                 per_k[k] = dist, sgn * (fv - flux(k, q)), nonlocal_part
             dist, flux_part, nonlocal_part = per_k[k]
             x_key = (u.x_min, u.dx, u.n, case.x_center, case.x_halfwidth)
-            if x_key not in bumps:
-                s = (x - case.x_center) / case.x_halfwidth
-                bumps[x_key] = _bump(s), _bump_prime(s)
-            bx, bx_prime = bumps[x_key]
             t_key = (case.t_center, case.t_halfwidth)
-            if t_key not in per_t:
-                st = (t - case.t_center) / case.t_halfwidth
-                per_t[t_key] = _bump(st), _bump_prime(st) / case.t_halfwidth
-            bt, bt_prime = per_t[t_key]
-            # the operand order of EntropyTestCase.phi_t, phi_x and phi
-            phi_t = bt_prime * bx
-            phi_x = bt * bx_prime / case.x_halfwidth
-            a = np.sum((dist * phi_t + flux_part * phi_x)) * u.dx
+            if (x_key, t_key) not in per_phi:
+                if x_key not in bumps:
+                    s = (x - case.x_center) / case.x_halfwidth
+                    bumps[x_key] = _bump(s), _bump_prime(s)
+                bx, bx_prime = bumps[x_key]
+                if t_key not in per_t:
+                    st = (t - case.t_center) / case.t_halfwidth
+                    per_t[t_key] = _bump(st), _bump_prime(st) / case.t_halfwidth
+                bt, bt_prime = per_t[t_key]
+                # the operand order of EntropyTestCase.phi_t, phi_x and phi
+                per_phi[x_key, t_key] = (bt_prime * bx, bt * bx_prime / case.x_halfwidth,
+                                         bt * bx if ju is not None else None)
+            phi_t, phi_x, phi = per_phi[x_key, t_key]
+            a = (dist * phi_t + flux_part * phi_x).sum() * u.dx
             b = 0.0
             if nonlocal_part is not None:
-                b = alpha * lam ** q * np.sum(nonlocal_part * (bt * bx)) * u.dx
+                b = alpha * lam ** q * (nonlocal_part * phi).sum() * u.dx
             integrands[c, i] = a - b
     return [
         Report(
@@ -411,6 +417,7 @@ class ComparisonCase:
     z >= 0 bounded, w bounded with its maximum at index x0 (the global
     maximum of the zero-extended field, so w[x0] >= 0 is required), and
     exponent beta >= 0.  Ties in the maximum resolve to the lowest index.
+    The rules are those of nonlocal_comparisons, for one row.
     """
 
     beta: float
@@ -419,53 +426,81 @@ class ComparisonCase:
     x0: int
 
     def __post_init__(self):
-        if not self.beta >= 0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
         self.z.require_same_geometry(self.w, "z and w")
-        if not np.all(np.isfinite(self.z.values)) or not np.all(np.isfinite(self.w.values)):
-            raise ValueError("z and w must be finite")
-        if np.min(self.z.values) < 0:
-            raise ValueError("z must be nonnegative")
-        if not 0 <= self.x0 < self.w.n:
-            raise ValueError("x0 out of range")
-        wmax = float(np.max(self.w.values))
-        if self.w.values[self.x0] < wmax:
-            raise ValueError("x0 must attain the maximum of w")
-        if int(np.argmax(self.w.values)) != self.x0:
-            raise ValueError("ties in the maximum must resolve to the lowest index")
-        if self.w.values[self.x0] < 0:
-            raise ValueError("the zero-extended w attains its maximum off-grid; invalid case")
+        _check_comparison_rows(self.beta, self.z.values[None], self.w.values[None],
+                               np.array([self.x0]))
 
     @classmethod
     def at_argmax(cls, beta: float, z: GridFunction, w: GridFunction) -> "ComparisonCase":
         return cls(beta=beta, z=z, w=w, x0=int(np.argmax(w.values)))
 
 
-def _comparison_terms(kernel: Kernel, case: ComparisonCase):
-    """L(z^b w)(x0), L(z^(b+1))(x0) and A_z(x0), from one stencil gather at x0.
+def _check_comparison_rows(beta: float, z: np.ndarray, w: np.ndarray, x0: np.ndarray):
+    """ComparisonCase's rules, row by row: raise ValueError on the first broken one."""
+    if not beta >= 0:
+        raise ValueError(f"beta must be nonnegative, got {beta}")
+    if not np.all(np.isfinite(z)) or not np.all(np.isfinite(w)):
+        raise ValueError("z and w must be finite")
+    if np.min(z) < 0:
+        raise ValueError("z must be nonnegative")
+    if not np.all((0 <= x0) & (x0 < w.shape[1])):
+        raise ValueError("x0 out of range")
+    w0 = w[np.arange(len(x0)), x0]
+    if np.any(w0 < np.max(w, axis=1)):
+        raise ValueError("x0 must attain the maximum of w")
+    if np.any(np.argmax(w, axis=1) != x0):
+        raise ValueError("ties in the maximum must resolve to the lowest index")
+    if np.any(w0 < 0):
+        raise ValueError("the zero-extended w attains its maximum off-grid; invalid case")
+
+
+def _comparison_terms(kernel: Kernel, beta: float, z: np.ndarray, w: np.ndarray,
+                      x0: np.ndarray):
+    """L(z^b w)(x0), L(z^(b+1))(x0) and A_z(x0) for each row, from one stencil gather.
 
     L(v)(x0) = sum_k J_k dx v(x0 - k dx) - v(x0), with z^b w zero off-grid
-    because w is.
+    because w is.  z is raised to b and b+1 on the gathered cells only;
+    each weighted sum is one np.dot over a row's stencil.
     """
-    b = case.beta
-    z, w, x0 = case.z, case.w, case.x0
-    zb = z.values ** b
-    zb1 = z.values ** (b + 1.0)
-    yi = x0 - kernel.offsets
-    valid = (yi >= 0) & (yi < z.n)
-    yi = np.clip(yi, 0, z.n - 1)
+    b = beta
+    rows = np.arange(len(x0))
+    n = z.shape[1]
+    yi = x0[:, None] - kernel.offsets
+    valid = (yi >= 0) & (yi < n)
+    yi = np.clip(yi, 0, n - 1)
+    z_y = z[rows[:, None], yi]
     pad_b = 1.0 if b == 0.0 else 0.0
-    zb_y = np.where(valid, zb[yi], pad_b)
-    zb1_y = np.where(valid, zb1[yi], 0.0)
-    w_y = np.where(valid, w.values[yi], 0.0)
+    zb_y = np.where(valid, z_y ** b, pad_b)
+    zb1_y = np.where(valid, z_y ** (b + 1.0), 0.0)
+    w_y = np.where(valid, w[rows[:, None], yi], 0.0)
+    z0, w0 = z[rows, x0], w[rows, x0]
+    zb0, zb10 = z0 ** b, z0 ** (b + 1.0)
     wgt = kernel.weights
-    l_zbw = np.dot(wgt, zb_y * w_y) - zb[x0] * w.values[x0]
-    l_zb1 = np.dot(wgt, zb1_y) - zb1[x0]
-    a_z = float(
-        np.dot(wgt, z.values[x0] * zb_y - b / (b + 1.0) * zb1_y)
-        - (1.0 / (b + 1.0)) * zb1[x0] * wgt.sum()
-    )
+    mixed_y = z0[:, None] * zb_y - b / (b + 1.0) * zb1_y
+    sums = np.array([(np.dot(wgt, p), np.dot(wgt, r), np.dot(wgt, s))
+                     for p, r, s in zip(zb_y * w_y, zb1_y, mixed_y)])
+    l_zbw = sums[:, 0] - zb0 * w0
+    l_zb1 = sums[:, 1] - zb10
+    a_z = sums[:, 2] - (1.0 / (b + 1.0)) * zb10 * wgt.sum()
     return l_zbw, l_zb1, a_z
+
+
+def nonlocal_comparisons(kernel: Kernel, beta: float, z: np.ndarray, w: np.ndarray,
+                         x0: np.ndarray, tol: float = 1e-10):
+    """check_nonlocal_comparison for rows of z and w on one grid, sharing beta.
+
+    z and w are (rows, n) arrays and x0 the rows' maximum indices, under
+    ComparisonCase's rules.  Returns the arrays a_z, lhs and rhs and the
+    boolean pass mask, which is False wherever a value is not finite.
+    """
+    _check_comparison_rows(beta, z, w, x0)
+    l_zbw, l_zb1, a_z = _comparison_terms(kernel, beta, z, w, x0)
+    rows = np.arange(len(x0))
+    z0, w0 = z[rows, x0], w[rows, x0]
+    lhs = z0 * l_zbw - beta / (beta + 1.0) * w0 * l_zb1
+    rhs = a_z * w0
+    finite = np.isfinite(a_z) & np.isfinite(lhs) & np.isfinite(rhs)
+    return a_z, lhs, rhs, finite & (a_z <= tol) & (lhs <= rhs + tol)
 
 
 def check_nonlocal_comparison(kernel: Kernel, case: ComparisonCase, tol: float = 1e-10) -> Report:
@@ -478,24 +513,57 @@ def check_nonlocal_comparison(kernel: Kernel, case: ComparisonCase, tol: float =
 
     with z^b extended by 0^b off-grid (1 when b = 0, matching the continuum
     convention z^0 == 1).  Both sides are sums over the one stencil
-    gathered at x0 (_comparison_terms).
+    gathered at x0 (_comparison_terms); this is nonlocal_comparisons for
+    one row.
     """
-    b, x0 = case.beta, case.x0
-    l_zbw, l_zb1, a_z = _comparison_terms(kernel, case)
-    w0 = case.w.values[x0]
-    lhs = case.z.values[x0] * l_zbw - b / (b + 1.0) * w0 * l_zb1
-    rhs = a_z * w0
-    ok = (a_z <= tol) and (lhs <= rhs + tol)
+    a_z, lhs, rhs, ok = nonlocal_comparisons(
+        kernel, case.beta, case.z.values[None], case.w.values[None], np.array([case.x0]), tol)
     return Report(
-        name=f"nonlocal comparison beta={b:g}",
-        verdict="pass" if ok else "fail",
-        values={"a_z": a_z, "lhs": float(lhs), "rhs": float(rhs)},
+        name=f"nonlocal comparison beta={case.beta:g}",
+        verdict="pass" if ok[0] else "fail",
+        values={"a_z": float(a_z[0]), "lhs": float(lhs[0]), "rhs": float(rhs[0])},
         tolerance=tol,
     )
 
 
 # ---------------------------------------------------------------------------
 # Random smooth fields for randomized checks
+
+
+def random_smooth_rows(
+    rng: np.random.Generator,
+    x_min: float,
+    dx: float,
+    n: int,
+    amplitudes,
+    nonnegative,
+    margin_cells: int = 0,
+) -> np.ndarray:
+    """A (rows, n) array of random_smooth_field values, one row per amplitude.
+
+    Row i has amplitude amplitudes[i] and takes |.| where nonnegative[i]
+    holds.  Rows are drawn in order, each bump's (center, width, height)
+    in turn, so row i equals the i-th of len(amplitudes) sequential
+    random_smooth_field calls with the same arguments, bit for bit.
+    """
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    x = x_min + (np.arange(n) + 0.5) * dx
+    span = n * dx
+    draws = rng.uniform([0.25, 0.03, -1.0], [0.75, 0.15, 1.0], size=(len(amplitudes), 3, 3))
+    values = np.zeros((len(amplitudes), n))
+    for j in range(3):
+        c = x_min + span * draws[:, j, 0, None]
+        width = span * draws[:, j, 1, None]
+        a = amplitudes[:, None] * draws[:, j, 2, None]
+        values += a * np.exp(-(((x - c) / width) ** 2))
+    nonnegative = np.asarray(nonnegative, dtype=bool)
+    values[nonnegative] = np.abs(values[nonnegative])
+    margin = max(margin_cells, n // 16, 2)
+    taper = np.ones(n)
+    ramp = 0.5 - 0.5 * np.cos(np.pi * (np.arange(margin) + 0.5) / margin)
+    taper[:margin] = ramp
+    taper[n - margin:] = ramp[::-1]
+    return values * taper
 
 
 def random_smooth_field(
@@ -511,21 +579,8 @@ def random_smooth_field(
 
     The taper guarantees the zero-extended field is smooth-ish across the
     domain edge and that its global extrema sit inside the grid, which the
-    comparison checks rely on.
+    comparison checks rely on.  This is random_smooth_rows' one-row case,
+    so a run of calls draws the same fields as one call for all the rows.
     """
-    x = x_min + (np.arange(n) + 0.5) * dx
-    span = n * dx
-    values = np.zeros(n)
-    for _ in range(3):
-        c = x_min + span * rng.uniform(0.25, 0.75)
-        width = span * rng.uniform(0.03, 0.15)
-        a = amplitude * rng.uniform(-1.0, 1.0)
-        values += a * np.exp(-(((x - c) / width) ** 2))
-    if nonnegative:
-        values = np.abs(values)
-    margin = max(margin_cells, n // 16, 2)
-    taper = np.ones(n)
-    ramp = 0.5 - 0.5 * np.cos(np.pi * (np.arange(margin) + 0.5) / margin)
-    taper[:margin] = ramp
-    taper[n - margin:] = ramp[::-1]
-    return grid_function(values * taper, x_min, dx)
+    values = random_smooth_rows(rng, x_min, dx, n, (amplitude,), (nonnegative,), margin_cells)
+    return grid_function(values[0], x_min, dx)

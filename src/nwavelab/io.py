@@ -15,12 +15,15 @@ field binary    little-endian: magic ``NWGF`` (4 bytes), version uint32,
                 n uint64, dx float64, x_min float64, then n float64 cell
                 values.  Byte-exact round trip.
 verdicts JSON   list of {name, verdict, values, tolerance, detail}; a value
-                keeps its type (bool, int or float).
+                keeps its type (bool, int or float).  A non-finite float
+                is the string "nan", "inf" or "-inf", so the file is
+                strict JSON and a reloaded fail-closed Report fails again.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -158,19 +161,33 @@ def write_nwave_csv(u: GridFunction, path: str):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+# the strings that stand for non-finite floats in a verdicts file
+_NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+def _json_value(v):
+    v = v.item() if isinstance(v, np.generic) else v
+    if isinstance(v, float) and not math.isfinite(v):
+        return repr(v)  # "nan", "inf" or "-inf"
+    return v
+
+
+def _from_json(v):
+    return _NON_FINITE.get(v, v) if isinstance(v, str) else v
+
+
 def write_verdicts_json(reports, path: str):
     payload = [
         {
             "name": r.name,
             "verdict": r.verdict,
-            "values": {k: (v.item() if isinstance(v, np.generic) else v)
-                       for k, v in r.values.items()},
-            "tolerance": r.tolerance,
+            "values": {k: _json_value(v) for k, v in r.values.items()},
+            "tolerance": _json_value(r.tolerance),
             "detail": r.detail,
         }
         for r in reports
     ]
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    atomic_write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def read_verdicts_json(path: str):
@@ -180,8 +197,8 @@ def read_verdicts_json(path: str):
         Report(
             name=item["name"],
             verdict=item["verdict"],
-            values=item.get("values", {}),
-            tolerance=item.get("tolerance"),
+            values={k: _from_json(v) for k, v in item.get("values", {}).items()},
+            tolerance=_from_json(item.get("tolerance")),
             detail=item.get("detail", ""),
         )
         for item in payload

@@ -388,8 +388,9 @@ class _Window:
             return
         small = np.less(self.abs_w, ROUNDING_FLOOR * max_abs,
                         out=self._small[:self.abs_w.size])
+        # abs_w keeps the floored cells' old |u|: rate multiplies its power
+        # by u, which is 0 there, and the loop's np.abs then rewrites it
         np.copyto(self.u_w, 0.0, where=small)
-        np.copyto(self.abs_w, 0.0, where=small)
         a, b = self.cells.start, self.cells.stop
         self._age += 1
         if self._age % _TIGHTEN_EVERY == 0:

@@ -11,9 +11,11 @@ from nwavelab.diagnostics import (
     entropy_residuals,
     l1_modulus,
     lp_norm,
+    nonlocal_comparisons,
     nwave_distance,
     oleinik_margin,
     random_smooth_field,
+    random_smooth_rows,
     tail_mass,
     worst_max,
 )
@@ -253,8 +255,9 @@ def test_comparison_gather_matches_apply_l(beta, x0):
     assert 5 < k.half_cells < 128
     z = random_smooth_field(rng, -4.0, dx, 256, amplitude=1.5, nonnegative=True)
     w = grid_function(np.exp(-((np.arange(256) - x0) ** 2) / 40.0), -4.0, dx)
-    case = ComparisonCase(beta=beta, z=z, w=w, x0=x0)
-    l_zbw, l_zb1, _ = _comparison_terms(k, case)
+    ComparisonCase(beta=beta, z=z, w=w, x0=x0)  # a valid case
+    l_zbw, l_zb1, _ = (v[0] for v in _comparison_terms(
+        k, beta, z.values[None], w.values[None], np.array([x0])))
     zb, zb1 = z.values ** beta, z.values ** (beta + 1.0)
     for got, v in ((l_zbw, zb * w.values), (l_zb1, zb1)):
         ref = apply_L(k, z.with_values(v)).values[x0]
@@ -280,6 +283,79 @@ def test_random_smooth_field_properties():
     c = random_smooth_field(rng1, -2.0, 1.0 / 32.0, 128, nonnegative=True, margin_cells=16)
     assert c.values.min() >= 0.0
     assert abs(c.values[0]) < 0.05 * max(c.values.max(), 1e-30)
+
+
+def _reference_field(rng, x_min, dx, n, amplitude=1.0, nonnegative=False):
+    # random_smooth_field as three scalar draws per bump, one call per field
+    x = x_min + (np.arange(n) + 0.5) * dx
+    span = n * dx
+    values = np.zeros(n)
+    for _ in range(3):
+        c = x_min + span * rng.uniform(0.25, 0.75)
+        width = span * rng.uniform(0.03, 0.15)
+        a = amplitude * rng.uniform(-1.0, 1.0)
+        values += a * np.exp(-(((x - c) / width) ** 2))
+    if nonnegative:
+        values = np.abs(values)
+    margin = max(n // 16, 2)
+    taper = np.ones(n)
+    ramp = 0.5 - 0.5 * np.cos(np.pi * (np.arange(margin) + 0.5) / margin)
+    taper[:margin] = ramp
+    taper[n - margin:] = ramp[::-1]
+    return values * taper
+
+
+def test_random_smooth_field_matches_scalar_draws():
+    rng1, rng2 = np.random.default_rng(41), np.random.default_rng(41)
+    for amplitude, nonnegative in ((1.5, True), (1.0, False), (0.5, False), (2.0, True)):
+        got = random_smooth_field(rng1, -4.0, 1.0 / 32.0, 256, amplitude, nonnegative)
+        ref = _reference_field(rng2, -4.0, 1.0 / 32.0, 256, amplitude, nonnegative)
+        np.testing.assert_array_equal(got.values, ref)
+
+
+def test_random_smooth_rows_match_sequential_calls():
+    # three chunks of the nonlocal_comparison suite's interleaved z/w draws
+    from nwavelab.suites import _COMPARISON_CHUNK as m
+
+    rng_rows, rng_seq = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(3):
+        rows = random_smooth_rows(rng_rows, -4.0, 1.0 / 32.0, 256,
+                                  (1.5, 1.0) * m, (True, False) * m)
+        assert rows.shape == (2 * m, 256)
+        seq = []
+        for _ in range(m):
+            seq.append(random_smooth_field(rng_seq, -4.0, 1.0 / 32.0, 256,
+                                           amplitude=1.5, nonnegative=True).values)
+            seq.append(random_smooth_field(rng_seq, -4.0, 1.0 / 32.0, 256).values)
+        assert np.array_equal(rows, np.array(seq))
+
+
+def test_nonlocal_comparisons_match_the_one_case_check():
+    rng = np.random.default_rng(13)
+    k = make_kernel("triangle", 1.0, 1.0 / 32.0)
+    rows = random_smooth_rows(rng, -4.0, 1.0 / 32.0, 256, (1.5, 1.0) * 12, (True, False) * 12)
+    z, w = rows[0::2], rows[1::2]
+    w = np.where(w.max(axis=1, keepdims=True) < 0.0, -w, w)
+    x0 = np.argmax(w, axis=1)
+    a_z, lhs, rhs, ok = nonlocal_comparisons(k, 0.5, z, w, x0)
+    for i in range(len(x0)):
+        case = ComparisonCase.at_argmax(0.5, grid_function(z[i], -4.0, 1.0 / 32.0),
+                                        grid_function(w[i], -4.0, 1.0 / 32.0))
+        rep = check_nonlocal_comparison(k, case)
+        assert rep.values == {"a_z": a_z[i], "lhs": lhs[i], "rhs": rhs[i]}
+        assert rep.passed == ok[i]
+    with pytest.raises(ValueError, match="maximum"):
+        nonlocal_comparisons(k, 0.5, z, w, (x0 + 1) % 256)
+
+
+def test_nonlocal_comparisons_fail_closed_on_non_finite_values():
+    k = make_kernel("uniform", 1.0, 1.0 / 16.0)
+    z = np.full((1, 64), 1e200)
+    w = np.exp(-((np.arange(64) - 32.0) ** 2) / 50.0)[None]
+    with np.errstate(all="ignore"):
+        a_z, lhs, rhs, ok = nonlocal_comparisons(k, 2.0, z, w, np.array([32]))
+    assert not np.isfinite(a_z[0]) or not np.isfinite(lhs[0])
+    assert not ok[0]
 
 
 def test_energy_and_sup_reports_on_a_run():

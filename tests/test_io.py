@@ -116,6 +116,26 @@ def test_verdicts_json_keeps_value_types(tmp_path):
     assert [type(v) for v in back.values()] == [bool, int, float, bool, int, float]
 
 
+def test_verdicts_json_is_strict_for_non_finite_values(tmp_path):
+    import json
+    import math
+
+    def refuse(token):
+        raise ValueError(f"bare {token} in a verdicts file")
+
+    values = {"a": float("nan"), "b": float("inf"), "c": -np.inf, "d": np.float64("nan")}
+    path = str(tmp_path / "verdicts.json")
+    write_verdicts_json([Report(name="a", verdict="pass", values=values, tolerance=0.1)], path)
+    with open(path, encoding="utf-8") as fh:
+        json.loads(fh.read(), parse_constant=refuse)
+    back = read_verdicts_json(path)[0]
+    assert not back.passed
+    assert math.isnan(back.values["a"]) and math.isnan(back.values["d"])
+    assert back.values["b"] == math.inf and back.values["c"] == -math.inf
+    assert [type(v) for v in back.values.values()] == [float] * 4
+    assert back.tolerance == 0.1
+
+
 def test_atomic_write_replaces_not_appends(tmp_path):
     path = str(tmp_path / "f.txt")
     atomic_write_text(path, "long old content\n")

@@ -53,6 +53,115 @@ def test_suite_seed_determinism(tmp_path):
     assert va == vb
 
 
+def _counted_runs(monkeypatch):
+    """The trajectories of every suites.run call, in order."""
+    import nwavelab.suites as suites
+
+    runs = []
+    real = suites.run
+
+    def counted(phi, params):
+        runs.append(real(phi, params))
+        return runs[-1]
+
+    monkeypatch.setattr(suites, "run", counted)
+    return runs
+
+
+def test_oleinik_suite_skips_the_refinement_without_an_excess(monkeypatch):
+    from nwavelab.diagnostics import Report, energy_report, oleinik_margin, sup_norm_bound_report
+
+    cfg = load_config()
+    runs = _counted_runs(monkeypatch)
+    reports = run_suite("oleinik", cfg)
+    assert len(runs) == 1
+    traj = runs[0]
+    expected = [oleinik_margin(u, cfg.params.q, t, cfg.tol_scheme)
+                for t, u in zip(traj.times, traj.snapshots)]
+    expected += [
+        Report(name="oleinik excess refinement", verdict="pass",
+               values={"worst_ratio": 0.0, "snapshots_checked": 0}, tolerance=0.5,
+               detail="no positive excess to refine"),
+        sup_norm_bound_report(traj),
+        energy_report(traj),
+    ]
+    assert reports == expected
+
+
+_SMALL_OLEINIK = ["grid.dx=0.015625", "output.times=1,2"]
+
+
+def _excess_at_t1(monkeypatch, coarse, fine=None):
+    """suites.oleinik_margin, with the t = 1 excess set on the coarse grid
+    (and on the refined grid when fine is given)."""
+    import nwavelab.suites as suites
+    from nwavelab.diagnostics import Report
+
+    real = suites.oleinik_margin
+
+    def margin(u, q, t, tol):
+        rep = real(u, q, t, tol)
+        excess = coarse if u.dx == 0.015625 else fine
+        if t != 1.0 or excess is None:
+            return rep
+        return Report(rep.name, rep.verdict, {**rep.values, "excess": excess}, rep.tolerance)
+
+    monkeypatch.setattr(suites, "oleinik_margin", margin)
+
+
+def test_oleinik_suite_refines_a_positive_excess(monkeypatch):
+    cfg = load_config(overrides=_SMALL_OLEINIK)
+    _excess_at_t1(monkeypatch, coarse=0.5, fine=0.125)
+    runs = _counted_runs(monkeypatch)
+    reports = run_suite("oleinik", cfg)
+    assert [traj.initial.dx for traj in runs] == [0.015625, 0.0078125]
+    refine = [r for r in reports if r.name == "oleinik excess refinement"][0]
+    assert refine.values == {"worst_ratio": 0.25, "snapshots_checked": 1}
+    assert refine.passed and refine.detail == ""
+
+
+def test_oleinik_suite_refines_a_nan_excess_and_fails(monkeypatch):
+    import math
+
+    cfg = load_config(overrides=_SMALL_OLEINIK)
+    _excess_at_t1(monkeypatch, coarse=float("nan"))
+    runs = _counted_runs(monkeypatch)
+    reports = run_suite("oleinik", cfg)
+    assert len(runs) == 2
+    refine = [r for r in reports if r.name == "oleinik excess refinement"][0]
+    assert math.isnan(refine.values["worst_ratio"])
+    assert refine.values["snapshots_checked"] == 1
+    assert not refine.passed
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+def test_nonlocal_comparison_suite_matches_the_per_case_loop(seed):
+    from dataclasses import replace
+
+    from nwavelab.config import build_kernel
+    from nwavelab.diagnostics import (ComparisonCase, check_nonlocal_comparison,
+                                      random_smooth_field, worst_max)
+
+    cfg = load_config(seed=seed)
+    q = cfg.params.q
+    kernel = build_kernel(replace(cfg.params, lam=1.0, dx=1.0 / 32.0))
+    betas = (0.0, 0.5, 1.0, (2.0 - q) / (q - 1.0))
+    rng = np.random.default_rng(seed)
+    violations, worst_a, worst_gap = 0, -np.inf, -np.inf
+    for i in range(1000):
+        z = random_smooth_field(rng, -4.0, 1.0 / 32.0, 256, amplitude=1.5, nonnegative=True)
+        w = random_smooth_field(rng, -4.0, 1.0 / 32.0, 256)
+        if float(np.max(w.values)) < 0.0:
+            w = w.with_values(-w.values)
+        rep = check_nonlocal_comparison(kernel, ComparisonCase.at_argmax(betas[i % 4], z, w))
+        violations += not rep.passed
+        worst_a = worst_max(worst_a, rep.values["a_z"])
+        worst_gap = worst_max(worst_gap, rep.values["lhs"] - rep.values["rhs"])
+    (report,) = run_suite("nonlocal_comparison", cfg)
+    assert report.values == {"violations": violations, "worst_a_z": worst_a,
+                             "worst_gap": worst_gap}
+
+
 def _small_decay(monkeypatch):
     import nwavelab.suites as suites
 
