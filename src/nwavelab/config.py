@@ -28,8 +28,8 @@ from .kernels import Kernel, make_kernel, rescale
 from .profiles import DATUM_PARAMS, check_datum, make_initial_datum
 from .solver import ParamError, SimParams
 
-__all__ = ["ConfigError", "Config", "load_config", "build_kernel", "check_grid", "DEFAULTS",
-           "STUDY_KINDS"]
+__all__ = ["ConfigError", "Config", "load_config", "build_kernel", "rescale_kernel",
+           "check_grid", "DEFAULTS", "STUDY_KINDS"]
 
 STUDY_KINDS = (
     "long_time_nonnegative",
@@ -112,6 +112,8 @@ class Config:
     nwave_mass: float
     nwave_time: float
     raw: dict = field(default_factory=dict)
+    # suites._configured_run's one entry; replace() hands a copy a fresh one
+    run_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def make_datum(self):
         n = self.params.grid_n()
@@ -138,10 +140,16 @@ def build_kernel(params: SimParams, width_key: str = "kernel.width",
         j = make_kernel(params.kernel_family, params.kernel_width, params.dx)
     except ValueError as exc:
         fail(width_key, str(exc))
+    return rescale_kernel(j, params.lam, lam_key, fail)
+
+
+def rescale_kernel(j: Kernel, lam: float, lam_key: str = "lambda",
+                   fail=_blame_key) -> Kernel:
+    """rescale(j, lam), its error blamed on lam_key through fail(key, message)."""
     try:
-        return rescale(j, params.lam)
+        return rescale(j, lam)
     except ValueError as exc:
-        fail(lam_key, f"lambda = {params.lam:g} rescales the kernel too far: {exc}")
+        fail(lam_key, f"lambda = {lam:g} rescales the kernel too far: {exc}")
 
 
 def check_grid(params: SimParams, what: str) -> int:

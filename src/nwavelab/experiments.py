@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import DEFAULTS, STUDY_KINDS, Config, ConfigError, build_kernel, check_grid
+from .config import (DEFAULTS, STUDY_KINDS, Config, ConfigError, build_kernel, check_grid,
+                     rescale_kernel)
 from .diagnostics import (
     Report,
     energy_report,
@@ -167,9 +168,12 @@ def _build_kernels(spec: StudySpec):
                  for lam in (1.0,) + sweep]
         lam_key = "study.lambdas"
     elif kind == "kernel_bound_sweep":
-        # the sweep's factors are fixed, so only the width can make room
-        grids = [(_SWEEP_GRID[2], lam) for lam in sweep]
-        lam_key = "kernel.width"
+        # the sweep's factors are fixed, so only the width can make room;
+        # one base kernel, rescaled by each factor
+        base = build_kernel(replace(spec.base, dx=_SWEEP_GRID[2], lam=1.0))
+        for lam in sweep:
+            rescale_kernel(base, lam, lam_key="kernel.width")
+        return
     else:
         params = _long_time_params(spec, sorted(sweep))
         try:

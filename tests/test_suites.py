@@ -134,6 +134,59 @@ def test_oleinik_suite_refines_a_nan_excess_and_fails(monkeypatch):
     assert not refine.passed
 
 
+# a configured case both oleinik and tails accept, small enough to run often
+_SMALL_SHARED = ["grid.dx=0.015625", "output.times=1,8"]
+
+
+def test_oleinik_and_tails_share_one_configured_run(monkeypatch):
+    cfg = load_config(overrides=_SMALL_SHARED)
+    runs = _counted_runs(monkeypatch)
+    run_suite("oleinik", cfg)
+    run_suite("tails", cfg)
+    assert [traj.params for traj in runs] == [cfg.params]
+
+
+def test_equal_configs_each_make_their_own_run(monkeypatch):
+    # the memo lives on the Config instance: two loads with equal values,
+    # or a dataclasses.replace copy, share nothing
+    from dataclasses import replace
+
+    cfg_a = load_config(overrides=_SMALL_SHARED)
+    cfg_b = load_config(overrides=_SMALL_SHARED)
+    assert cfg_a == cfg_b
+    runs = _counted_runs(monkeypatch)
+    run_suite("tails", cfg_a)
+    run_suite("tails", cfg_b)
+    run_suite("tails", replace(cfg_a, seed=cfg_a.seed + 1))
+    assert len(runs) == 3
+
+
+@pytest.mark.parametrize("change", ["params", "datum_params"])
+def test_a_changed_config_gets_a_fresh_run(monkeypatch, change):
+    from dataclasses import replace
+
+    cfg = load_config(overrides=_SMALL_SHARED)
+    runs = _counted_runs(monkeypatch)
+    run_suite("oleinik", cfg)
+    if change == "params":
+        cfg.params = replace(cfg.params, alpha=0.5)
+    else:
+        cfg.datum_params["height"] = 0.5  # in place: the key is the values
+    run_suite("tails", cfg)
+    assert len(runs) == 2
+    assert runs[1].params == cfg.params
+    assert float(np.max(runs[1].initial.values)) == cfg.datum_params["height"]
+
+
+def test_tails_on_the_shared_run_equals_tails_alone():
+    cfg = load_config()
+    run_suite("oleinik", cfg)
+    shared = run_suite("tails", cfg)
+    alone = run_suite("tails", load_config())
+    assert repr(shared) == repr(alone)
+    assert shared == alone
+
+
 @pytest.mark.parametrize("seed", [5, 7])
 def test_nonlocal_comparison_suite_matches_the_per_case_loop(seed):
     from dataclasses import replace
@@ -206,6 +259,45 @@ def test_nan_measurement_fails_its_check(monkeypatch):
     assert not modulus.passed
     assert np.isnan(modulus.values["worst_growth"])
     assert reports["tail growth bound"].passed
+
+
+def test_tails_fails_closed_on_a_nan_calibration(monkeypatch):
+    # max(0.0, nan) is 0.0, which would record a fit that was never measured
+    import nwavelab.suites as suites
+
+    t_cal, r_cal = suites._TAIL_CAL
+    runs = _counted_runs(monkeypatch)
+    real = suites.tail_mass
+
+    def nan_at_cal(u, r):
+        if r == r_cal and u is runs[0].snapshot_at(t_cal):
+            return np.nan
+        return real(u, r)
+
+    monkeypatch.setattr(suites, "tail_mass", nan_at_cal)
+    reports = {r.name: r for r in run_suite("tails", load_config(overrides=_SMALL_SHARED))}
+    tail = reports["tail growth bound"]
+    assert not tail.passed
+    assert np.isnan(tail.values["c_fit"])
+
+
+def test_kernel_bound_builds_its_base_kernel_once(monkeypatch):
+    # one base kernel and its 63 rescalings (lam = 1 is the base itself),
+    # once while checking the sweep and once while running it
+    import nwavelab.kernels as kernels
+
+    cfg = load_config()
+    builds = []
+    real = kernels._build
+
+    def counted(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "_build", counted)
+    reports = run_suite("kernel_bound", cfg)
+    assert all(r.passed for r in reports)
+    assert len(builds) <= 128
 
 
 def test_entropy_suite_rescales_the_kernel_once(monkeypatch):
