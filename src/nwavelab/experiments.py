@@ -32,7 +32,6 @@ from .diagnostics import (
     worst_max,
 )
 from .grid import GridFunction, grid_function
-from .kernels import make_kernel, rescale
 from .nonlocal_op import second_order_bound_ratios
 from .profiles import DATUM_PARAMS, NWave, check_datum, make_initial_datum
 from .solver import ParamError, SimParams, rescale_snapshot, run
@@ -88,6 +87,9 @@ class StudySpec:
     datum_params: dict = field(default_factory=dict)
     sweep: tuple = ()
     out_dir: str | None = None
+    # the kernel_bound sweep's kernels by rescale factor (1.0 the base),
+    # as _build_kernels built and checked them; replace() starts empty
+    kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in STUDY_KINDS:
@@ -171,8 +173,9 @@ def _build_kernels(spec: StudySpec):
         # the sweep's factors are fixed, so only the width can make room;
         # one base kernel, rescaled by each factor
         base = build_kernel(replace(spec.base, dx=_SWEEP_GRID[2], lam=1.0))
+        spec.kernels = {1.0: base}
         for lam in sweep:
-            rescale_kernel(base, lam, lam_key="kernel.width")
+            spec.kernels[lam] = rescale_kernel(base, lam, lam_key="kernel.width")
         return
     else:
         params = _long_time_params(spec, sorted(sweep))
@@ -518,18 +521,19 @@ def kernel_bound_sweep(spec: StudySpec):
     lams = spec.sweep
     x_min, x_max, dx = _SWEEP_GRID
     n = int(round((x_max - x_min) / dx))
-    kernel = make_kernel(spec.base.kernel_family, spec.base.kernel_width, dx)
-    half = kernel.m2 / 2.0
+    if not spec.kernels:  # a spec made without study_spec
+        _build_kernels(spec)
+    half = spec.kernels[1.0].m2 / 2.0
     psis = {name: _psi_field(name, x_min, dx, n) for name in _PSI_NAMES}
     ps = (1.0, 2.0, np.inf)
 
     by_lam = {}
     for lam in lams:
-        j_lam = rescale(kernel, lam)
         by_lam[lam] = {
             (name, p): ratio
             for name in _PSI_NAMES
-            for p, ratio in zip(ps, second_order_bound_ratios(j_lam, psis[name], lam, ps))
+            for p, ratio in zip(ps, second_order_bound_ratios(spec.kernels[lam], psis[name],
+                                                              lam, ps))
         }
     rows = [
         (lam, f"{name}_p{p:g}", by_lam[lam][(name, p)])

@@ -34,6 +34,18 @@ moves a value at most K + 1 cells.  The window is the support widened by
 K + 1 each step, and every few steps it shrinks back to the nonzero cells;
 once it spans the grid, it stays there unfloored.
 
+run_lockstep() is the one time loop.  It runs groups of fields: the fields
+of a group share one dt schedule, and each group keeps its own clock, dt,
+step count and snapshots.  A step advances the rows of every group still
+short of the next snapshot time as one (rows, n) array, each row by its
+group's dt; rows of groups that have reached it are gathered out and
+scattered back, never stepped with dt = 0.  Each row rounds as it does
+alone: budgets are scalar per row, the Dirichlet rate is one einsum per
+row, and the batched transforms round every row as a transform of that
+row would.  On a windowed grid a batch steps on the union of its rows'
+windows and floors each row against its own max; one field alone steps
+on its own window.  run() is the one-group, one-field case.
+
 run() also accumulates the nonlocal energy-dissipation integral
 
     int_0^t  alpha * lam^q  intint J_lam(x - y) (u(x) - u(y))^2 dx dy  dt'
@@ -211,16 +223,16 @@ _TIGHTEN_EVERY = 8
 class _Stepper:
     """Precomputed pieces of one forward-Euler step, and its work buffers.
 
-    A stepper serves one run, so one thread.  The loop owns one |u| buffer
-    per field; everything else a step writes goes into the buffers here,
-    which every field of a lockstep run reuses in turn.  A step may work on
-    a window of cells outside which the field vanishes; its first cells
-    are the front of every buffer.  `windowed` says whether fields step on
-    windows at all: only where the padded grid takes more than two blocks,
-    since a window saves little transform work on fewer.
+    A stepper serves one run, so one thread.  A step advances one field,
+    or a batch of up to `rows` fields, the rows of a (rows, n) array, each
+    by its own dt; every buffer here has room for `rows` fields, and the
+    loop owns the |u| rows.  A step may work on a window of cells outside
+    which every field of the batch vanishes.  `windowed` says whether
+    fields step on windows at all: only where the padded grid takes more
+    than two blocks, since a window saves little transform work on fewer.
     """
 
-    def __init__(self, params: SimParams):
+    def __init__(self, params: SimParams, rows: int = 1):
         self.p = params
         # alpha = 0 runs never touch the kernel, so don't demand one
         self.kernel = params.kernel() if params.alpha > 0.0 else None
@@ -231,20 +243,21 @@ class _Stepper:
         # how far one step can move a value: k cells through J*u, one
         # through the upwind flux and the Laplacian
         self.reach = k + 1
-        self._f = np.empty(n)
-        self._rhs = np.empty(n)
-        self._lap = np.empty(n) if params.mu > 0.0 else None
+        self._f = np.empty((rows, n))
+        self._rhs = np.empty((rows, n))
+        self._lap = np.empty((rows, n)) if params.mu > 0.0 else None
         self.windowed = False
         if self.kernel is None:
             return
         # J*u by overlap-save against a cached kernel spectrum: a window of
         # m cells, zero-padded by k on both sides, is cut into blocks of
         # `block` cells that overlap by 2k; one batched rfft/irfft pair
-        # convolves them all circularly, and each block's middle `block - 2k`
-        # cells are free of wrap-around.  Blocks are the smallest power of
-        # two >= max(1024, 3(2k + 1)), at least a third output; longer ones
-        # cost more per cell.  A shorter padded grid takes one 5-smooth
-        # transform (kernels.fast_len).  No timing: reruns must round alike.
+        # convolves them all, for every row, circularly, and each block's
+        # middle `block - 2k` cells are free of wrap-around.  Blocks are the
+        # smallest power of two >= max(1024, 3(2k + 1)), at least a third
+        # output; longer ones cost more per cell.  A shorter padded grid
+        # takes one 5-smooth transform (kernels.fast_len).  No timing:
+        # reruns must round alike.
         block = 1024
         while block < 3 * (2 * k + 1):
             block *= 2
@@ -256,86 +269,108 @@ class _Stepper:
         ker = np.zeros(block)
         ker[self.kernel.offsets % block] = self.kernel.weights
         self._kspec = rfft(ker)
-        # only pad[k:k + m] is ever written, and cleared again when a
+        # only pad[:, k:k + m] is ever written, and cleared again when a
         # narrower window follows, so the padding stays zero
-        self._pad = np.zeros(count * step + 2 * k)
+        self._pad = np.zeros((rows, count * step + 2 * k))
         self._filled = 0
-        self._lu_out = np.empty(count * step)
-        # the transforms write into these through out=, rows 0..count-1
-        self._spec = np.empty((count, block // 2 + 1), dtype=complex)
-        self._conv = np.empty((count, block))
+        self._lu_out = np.empty((rows, count * step))
+        # the transforms write into these through out=
+        self._spec = np.empty((rows, count, block // 2 + 1), dtype=complex)
+        self._conv = np.empty((rows, count, block))
         self._plans = {}
 
-    def _plan(self, count: int):
-        """The views a transform of `count` blocks reads and writes, made once.
+    def _plan(self, rows, count: int):
+        """The views a transform of `count` blocks reads and writes, made
+        once: of one field for rows 0, else of the first `rows` rows.
 
         One block is a batch of one too: numpy.fft runs that as fast as a
-        plain 1-D transform.
+        plain 1-D transform, and each row of a batch rounds as it does
+        alone.
         """
-        plan = self._plans.get(count)
+        plan = self._plans.get((rows, count))
         if plan is None:
             k, step = self.kernel.half_cells, self._step
-            plan = self._plans[count] = (
+            at = slice(rows) if rows else 0
+            pad = self._pad[at]
+            lead = pad.shape[:-1]
+            plan = self._plans[rows, count] = (
                 np.lib.stride_tricks.as_strided(
-                    self._pad, shape=(count, self._block), strides=(8 * step, 8),
-                    writeable=False),
-                self._spec[:count],
-                self._conv[:count],
-                self._pad[k:k + count * step].reshape(count, step),
-                self._lu_out[:count * step].reshape(count, step),
+                    pad, shape=lead + (count, self._block),
+                    strides=pad.strides[:-1] + (8 * step, 8), writeable=False),
+                self._spec[at, :count],
+                self._conv[at, :count],
+                pad[..., k:k + count * step].reshape(lead + (count, step)),
+                self._lu_out[at, :count * step].reshape(lead + (count, step)),
             )
         return plan
 
     def _lu(self, u_values: np.ndarray) -> np.ndarray:
-        """J*u - u on the cells of u_values, taking u = 0 outside them."""
-        m, k = u_values.size, self.kernel.half_cells
-        self._pad[k:k + m] = u_values
+        """J*u - u on the cells of u_values, taking u = 0 outside them.
+
+        u_values is one field or a (rows, m) batch; the result has its shape.
+        """
+        m, k = u_values.shape[-1], self.kernel.half_cells
+        rows = len(u_values) if u_values.ndim == 2 else 0
+        at = slice(rows) if rows else 0
+        self._pad[at, k:k + m] = u_values
         if self._filled > m:
-            self._pad[k + m:k + self._filled] = 0.0
+            self._pad[:, k + m:k + self._filled] = 0.0
         self._filled = m
-        blocks, spec, conv, u_blocks, lu_blocks = self._plan(-(-m // self._step))
+        blocks, spec, conv, u_blocks, lu_blocks = self._plan(rows, -(-m // self._step))
         rfft(blocks, out=spec)
         spec *= self._kspec
         irfft(spec, n=self._block, out=conv)
-        np.subtract(conv[:, k:k + self._step], u_blocks, out=lu_blocks)
-        return self._lu_out[:m]
+        np.subtract(conv[..., k:k + self._step], u_blocks, out=lu_blocks)
+        return self._lu_out[at, :m]
 
-    def rate(self, u_values: np.ndarray, abs_u: np.ndarray, dt: float,
-             cells: slice = slice(None)) -> float:
-        """Step the field u_values by dt in place; the nonlocal Dirichlet rate.
+    def rate(self, u_values: np.ndarray, abs_u: np.ndarray, dt,
+             cells: slice = slice(None)) -> np.ndarray:
+        """Step the fields of u_values by dt in place; their nonlocal
+        Dirichlet rates.
 
-        abs_u is |u_values|; the rate is the state's before the step.  The
-        step works on `cells`, a slice of the grid outside which u_values
-        vanishes and stays zero.  Every operation keeps the operand order of
+        u_values is one field or a (rows, n) batch of fields, and abs_u is
+        |u_values|; dt is one scalar for every field, or a (rows, 1) column.
+        numpy steps one field faster as a plain vector than as a batch of
+        one row.  The rates, one float for one field and one per row for a
+        batch, are the states' before the step.  The step works on
+        `cells`, a slice of the grid outside which every field vanishes and
+        stays zero.  Every operation keeps the operand order of
         u + (a (g_{j-1} - g_j) + b Lu + c lap), with the module docstring's
-        scalars, so results are bit-identical to that plain expression.
+        scalars, so each field is bit-identical to that plain expression.
         """
         p, dx = self.p, self.dx
-        u, abs_u = u_values[cells], abs_u[cells]
-        m = u.size
-        rhs = self._rhs[:m]
+        u, abs_u = u_values[..., cells], abs_u[..., cells]
+        # the buffers' cells for these fields, shaped as u
+        at = (slice(len(u)) if u.ndim == 2 else 0, slice(u.shape[-1]))
+        rhs = self._rhs[at]
         lu = self._lu(u) if p.alpha > 0.0 else None
-        g = _power(abs_u, p.q, out=self._f[:m])
+        g = _power(abs_u, p.q, out=self._f[at])
         g *= u
-        rhs[0] = -g[0]
-        np.subtract(g[:-1], g[1:], out=rhs[1:])
+        np.negative(g[..., :1], out=rhs[..., :1])
+        np.subtract(g[..., :-1], g[..., 1:], out=rhs[..., 1:])
         rhs *= dt / (p.q * dx)
-        dirichlet = 0.0
-        if lu is not None:
+        if lu is None:
+            dirichlet = np.zeros(u.shape[:-1])
+        else:
             # intint J (u(x)-u(y))^2 dx dy = -2 <u, Lu>.  einsum, not np.dot:
             # OpenBLAS hands dots over ~10k cells to a helper thread, which
-            # spins against any other run sharing the CPUs.
-            u_lu = float(np.einsum("i,i->", u, lu))
+            # spins against any other run sharing the CPUs.  One "i,i->" per
+            # field: "ij,ij->i" sums in another order past 8192 cells.
+            if u.ndim == 1:
+                u_lu = float(np.einsum("i,i->", u, lu))
+            else:
+                u_lu = np.array([np.einsum("i,i->", a, b) for a, b in zip(u, lu)])
             dirichlet = -2.0 * p.alpha * self.lamq * u_lu * dx
             lu *= p.alpha * self.lamq * dt
             rhs += lu
         if p.mu > 0.0:
-            lap = self._lap[:m]
-            np.multiply(u[1:-1], 2.0, out=lap[1:-1])
-            np.subtract(u[2:], lap[1:-1], out=lap[1:-1])
-            lap[1:-1] += u[:-2]
-            lap[0] = u[1] - 2.0 * u[0]
-            lap[-1] = u[-2] - 2.0 * u[-1]
+            lap = self._lap[at]
+            # (u_{j+1} - 2 u_j) + u_{j-1}, with the ghost zeros left out:
+            # -2 u + u_{m-2} at the right edge is u_{m-2} - 2 u exactly
+            np.multiply(u, 2.0, out=lap)
+            np.subtract(u[..., 1:], lap[..., :-1], out=lap[..., :-1])
+            np.negative(lap[..., -1:], out=lap[..., -1:])
+            lap[..., 1:] += u[..., :-1]
             lap *= p.mu * dt / dx ** 2
             rhs += lap
         u += rhs
@@ -351,53 +386,73 @@ class _Stepper:
         return p.cfl / denom
 
 
-class _Window:
-    """The cells a step of one field works on, and their views.
+class _Windows:
+    """The cells the steps of each row of a run work on.
 
-    The field u is exactly zero outside its support, cells lo..hi-1.  A
-    step moves values at most `reach` cells, so it works on the support
-    widened by reach on both sides (clipped to the grid), and every other
-    cell stays zero; that window is the next step's support.  Every
-    _TIGHTEN_EVERY steps the support shrinks back to the nonzero cells,
-    which the rounding floor keeps few.  A window that spans the grid stays
-    there, views and all, and is no longer floored: the transform's
-    rounding noise then reaches every cell, as in a step of the whole grid.
-    reach None, or a zero field, means the whole grid from the start.
+    Row i is exactly zero outside its support.  A step moves values at
+    most `reach` cells, so the row's window is its support widened by
+    reach on both sides (clipped to the grid), cells lo[i]..hi[i]-1, and
+    every other cell stays zero.  A batch of rows steps on the union of
+    their windows, which becomes each stepped row's support.  Each row is
+    then floored against its own max, and every _TIGHTEN_EVERY of its
+    steps its support shrinks back to its nonzero cells, which the
+    rounding floor keeps few.  A row whose window spans the grid stays
+    there and is no longer floored: the transform's rounding noise then
+    reaches every cell, as in a step of the whole grid.  reach None, or a
+    zero row, means the whole grid from the start.  One row alone steps on
+    its own window.
     """
 
-    def __init__(self, u: np.ndarray, abs_u: np.ndarray, reach: int | None):
-        self.u, self.abs_u, self.reach = u, abs_u, reach
-        self.cells, self.u_w, self.abs_w = slice(0, u.size), u, abs_u
-        self.whole = True
-        nonzero = np.flatnonzero(u) if reach is not None else ()
-        if len(nonzero):
-            self._small = np.empty(u.size, dtype=bool)
-            self._age = 0
-            self._fit(nonzero[0], nonzero[-1] + 1)
-
-    def _fit(self, lo: int, hi: int):
-        a, b = max(0, lo - self.reach), min(self.u.size, hi + self.reach)
-        if (a, b) != (self.cells.start, self.cells.stop):
-            self.cells = slice(a, b)
-            self.u_w, self.abs_w = self.u[a:b], self.abs_u[a:b]
-            self.whole = a == 0 and b == self.u.size
-
-    def settle(self, max_abs: float):
-        """After a step: apply the rounding floor and move the window on."""
-        if self.whole:
+    def __init__(self, u: np.ndarray, reach: int | None):
+        rows, self.n = u.shape
+        self.reach = reach
+        self._grid = slice(0, self.n)
+        self.lo, self.hi, self.whole = [0] * rows, [self.n] * rows, [True] * rows
+        self._narrow = 0  # rows whose window is narrower than the grid
+        self._age = [0] * rows
+        self._small = np.empty(self.n, dtype=bool)
+        if reach is None:
             return
-        small = np.less(self.abs_w, ROUNDING_FLOOR * max_abs,
-                        out=self._small[:self.abs_w.size])
-        # abs_w keeps the floored cells' old |u|: rate multiplies its power
-        # by u, which is 0 there, and the loop's np.abs then rewrites it
-        np.copyto(self.u_w, 0.0, where=small)
-        a, b = self.cells.start, self.cells.stop
-        self._age += 1
-        if self._age % _TIGHTEN_EVERY == 0:
-            # the nonzero cells are the ones the floor left alone; argmin
-            # stops at the first of them
-            a, b = a + int(small.argmin()), b - int(small[::-1].argmin())
-        self._fit(a, b)
+        for i, row in enumerate(u):
+            nonzero = np.flatnonzero(row)
+            if len(nonzero):
+                self._fit(i, nonzero[0], nonzero[-1] + 1)
+
+    def _fit(self, i: int, lo: int, hi: int):
+        a, b = max(0, lo - self.reach), min(self.n, hi + self.reach)
+        self.lo[i], self.hi[i] = a, b
+        whole = bool(a == 0 and b == self.n)
+        if whole != self.whole[i]:
+            self._narrow += -1 if whole else 1
+            self.whole[i] = whole
+
+    def cells(self, rows) -> slice:
+        """The union of the windows of `rows`."""
+        if not self._narrow:
+            return self._grid
+        return slice(min(map(self.lo.__getitem__, rows)), max(map(self.hi.__getitem__, rows)))
+
+    def settle(self, rows, u, abs_u, max_abs, cells: slice):
+        """After a step of `rows` on cells, row rows[j] held by u[j] and
+        abs_u[j]: apply each row's rounding floor and move its window on."""
+        if not self._narrow:
+            return
+        a, b = cells.start, cells.stop
+        for i, u_i, abs_i, max_i in zip(rows, u, abs_u, max_abs):
+            if self.whole[i]:
+                continue
+            small = np.less(abs_i[a:b], ROUNDING_FLOOR * max_i, out=self._small[:b - a])
+            # abs_u keeps the floored cells' old |u|: rate multiplies its
+            # power by u, which is 0 there, and the loop's np.abs then
+            # rewrites it
+            np.copyto(u_i[a:b], 0.0, where=small)
+            lo, hi = a, b
+            self._age[i] += 1
+            if self._age[i] % _TIGHTEN_EVERY == 0:
+                # the nonzero cells are the ones the floor left alone;
+                # argmin stops at the first of them
+                lo, hi = a + int(small.argmin()), b - int(small[::-1].argmin())
+            self._fit(i, lo, hi)
 
 
 def run(phi: GridFunction, params: SimParams) -> Trajectory:
@@ -409,92 +464,142 @@ def run(phi: GridFunction, params: SimParams) -> Trajectory:
     infinite dt budget (a zero field with alpha = mu = 0 cannot move) is
     not a collapse: the run steps straight to the next snapshot.
     """
-    return run_lockstep((phi,), params)[0]
+    return run_lockstep([[phi]], params)[0][0]
 
 
-def run_lockstep(data, params: SimParams) -> list:
-    """run() for several fields at once, all on one shared dt schedule.
+def run_lockstep(groups, params: SimParams) -> list:
+    """run() for groups of fields at once: one list of Trajectories per group.
 
     Contraction and order preservation are statements about a single
     discrete update operator applied to every field (Crandall-Majda), so
-    the fields must see the same sequence of steps; separate adaptive
-    schedules would only test the (true but weaker) statement that nearby
-    trajectories stay close.  dt is the minimum of the per-field budgets
-    each step.  Every field gets run()'s checks, and an abort names the
-    field (when there are several) and its cell.
+    the fields of a group see the same sequence of steps: dt is the
+    minimum of their budgets each step.  Separate adaptive schedules
+    would only test the (true but weaker) statement that nearby
+    trajectories stay close.  Groups are independent runs: each keeps its
+    own t, dt, step count and snapshots.  `groups` is a sequence of
+    groups, each a sequence of fields; a plain sequence of fields is one
+    group.
+
+    A step advances the rows of every group still short of the next
+    snapshot time as one (rows, n) batch, each row by its group's dt.  The
+    rows of groups that have reached it are gathered out and scattered
+    back around the step, never stepped with dt = 0.  Off windowed grids,
+    and on them for one field, every group rounds as it does alone, bit
+    for bit; on a windowed grid a batch of several rows steps on the
+    union of their windows (see _Windows).  Every field gets run()'s
+    checks, and an abort names the field (when its group has several)
+    and the group (when there are several) and the cell.
     """
+    if isinstance(groups[0], GridFunction):
+        groups = [groups]
+    data = [phi for group in groups for phi in group]
     n = params.grid_n()
     for phi in data:
         if phi.n != n or abs(phi.x_min - params.x_min) > 1e-9 or abs(phi.dx - params.dx) > 1e-12:
             raise ValueError("initial datum grid does not match params grid")
-    stepper = _Stepper(params)
+    stepper = _Stepper(params, len(data))
     dt_min = 1e-12 * params.t_final
+    spans, start = [], 0
+    for group in groups:
+        spans.append(range(start, start + len(group)))
+        start += len(group)
 
-    def which(k):
-        return f" of field {k}" if len(data) > 1 else ""
+    def which(g, i):
+        field = f" of field {i - spans[g].start}"
+        if len(groups) > 1:
+            return f"{field} in group {g}"
+        return field if len(data) > 1 else ""
 
-    us = [phi.values.copy() for phi in data]
-    # |u| of each field, refreshed after every update: its max is both the
+    u = np.array([phi.values for phi in data])
+    # |u| of each row, refreshed after every update: its max is both the
     # finite check (max propagates NaN and inf) and the next CFL speed
-    abs_us = [np.abs(u) for u in us]
-    max_abs = [a.max() for a in abs_us]
-    reach = stepper.reach if stepper.windowed else None
-    windows = [_Window(u, a, reach) for u, a in zip(us, abs_us)]
-    t = 0.0
-    mass0 = [float(u.sum() * params.dx) for u in us]
-    dissipated = [0.0] * len(us)
-    trajs = [Trajectory(params=params, initial=phi.copy()) for phi in data]
-    steps = 0
+    abs_u = np.abs(u)
+    max_abs = list(abs_u.max(axis=1))
+    windows = _Windows(u, stepper.reach if stepper.windowed else None)
+    t = [0.0] * len(groups)
+    steps = [0] * len(groups)
+    mass0 = [float(row.sum() * params.dx) for row in u]
+    dissipated = [0.0] * len(data)
+    trajs = [[Trajectory(params=params, initial=phi.copy()) for phi in group]
+             for group in groups]
 
     for t_next in params.output_times:
-        while t < t_next:
-            budgets = [stepper.dt_budget(m) for m in max_abs]
-            for k, (u, dt) in enumerate(zip(us, budgets)):
-                if not dt >= dt_min:
-                    cell = int(np.argmax(abs_us[k]))
-                    raise NumericalAbort(
-                        f"time step collapsed to dt={dt:g} at t={t:g}, driven by "
-                        f"cell {cell}{which(k)} (|u|={abs(u[cell]):g}); cfl budget "
-                        f"unsatisfiable",
-                        t=t,
-                        cell=cell,
-                    )
-            dt = min(budgets)  # the checks above leave no NaN for min to drop
-            hit = dt >= t_next - t
-            if hit:
-                dt = t_next - t
-            t = t_next if hit else t + dt
-            for k, (u, w) in enumerate(zip(us, windows)):
-                dissipated[k] += dt * stepper.rate(u, w.abs_u, dt, w.cells)
-                np.abs(w.u_w, out=w.abs_w)
-                max_abs[k] = w.abs_w.max()
-                if not math.isfinite(max_abs[k]):
-                    cell = int(np.flatnonzero(~np.isfinite(u))[0])
+        while True:
+            rows, dts, moving = [], [], 0
+            for g, span in enumerate(spans):
+                if t[g] >= t_next:
+                    continue
+                budgets = [stepper.dt_budget(max_abs[i]) for i in span]
+                for i, dt in zip(span, budgets):
+                    if not dt >= dt_min:
+                        cell = int(np.argmax(abs_u[i]))
+                        raise NumericalAbort(
+                            f"time step collapsed to dt={dt:g} at t={t[g]:g}, driven by "
+                            f"cell {cell}{which(g, i)} (|u|={abs(u[i, cell]):g}); cfl "
+                            f"budget unsatisfiable",
+                            t=t[g],
+                            cell=cell,
+                        )
+                dt = min(budgets)  # the checks above leave no NaN for min to drop
+                hit = dt >= t_next - t[g]
+                if hit:
+                    dt = t_next - t[g]
+                t[g] = t_next if hit else t[g] + dt
+                steps[g] += 1
+                moving += 1
+                rows.extend(span)
+                dts.extend([dt] * len(span))
+            if not moving:
+                break
+            # one row steps as a plain vector; rows of groups that wait at
+            # t_next sit the step out
+            gathered = 1 < len(rows) < len(data)
+            if len(rows) == 1:
+                u_b, abs_b = u[rows[0]], abs_u[rows[0]]
+            else:
+                u_b, abs_b = (u[rows], abs_u[rows]) if gathered else (u, abs_u)
+            cells = windows.cells(rows)
+            dt = dts[0] if moving == 1 else np.array(dts)[:, None]
+            rates = stepper.rate(u_b, abs_b, dt, cells)
+            abs_w = abs_b[..., cells]
+            np.abs(u_b[..., cells], out=abs_w)
+            peaks = abs_w.max(axis=-1)
+            if u_b.ndim == 1:  # from here on, index the one row as row 0
+                u_b, abs_b, rates, peaks = (u_b,), (abs_b,), (rates,), (peaks,)
+            for j, i in enumerate(rows):
+                dissipated[i] += dts[j] * rates[j]
+                max_abs[i] = peaks[j]
+                if not math.isfinite(max_abs[i]):
+                    g = next(g for g, span in enumerate(spans) if i in span)
+                    cell = int(np.flatnonzero(~np.isfinite(u_b[j]))[0])
                     x_bad = params.x_min + (cell + 0.5) * params.dx
                     raise NumericalAbort(
-                        f"non-finite value in cell {cell}{which(k)} (x={x_bad:g}) "
-                        f"at t={t:g}",
-                        t=t,
+                        f"non-finite value in cell {cell}{which(g, i)} (x={x_bad:g}) "
+                        f"at t={t[g]:g}",
+                        t=t[g],
                         cell=cell,
                     )
-                w.settle(max_abs[k])
-            steps += 1
-        for k, (u, traj) in enumerate(zip(us, trajs)):
-            mass = float(u.sum() * params.dx)
-            drift = abs(mass - mass0[k])
-            if drift > params.tail_cap:
-                raise DomainTooSmall(
-                    f"mass drift {drift:g}{which(k)} exceeds tail cap "
-                    f"{params.tail_cap:g} at t={t:g}; widen the domain "
-                    f"[{params.x_min:g}, {params.x_max:g}] or raise tail_cap",
-                    t=t,
-                )
-            traj.times.append(t)
-            traj.snapshots.append(grid_function(u.copy(), params.x_min, params.dx))
-            traj.mass_history.append((t, mass))
-            traj.dissipation_history.append((t, dissipated[k]))
-    for traj in trajs:
-        traj.steps = steps
+            windows.settle(rows, u_b, abs_b, peaks, cells)
+            if gathered:
+                u[rows], abs_u[rows] = u_b, abs_b
+        for g, span in enumerate(spans):
+            for i, traj in zip(span, trajs[g]):
+                mass = float(u[i].sum() * params.dx)
+                drift = abs(mass - mass0[i])
+                if drift > params.tail_cap:
+                    raise DomainTooSmall(
+                        f"mass drift {drift:g}{which(g, i)} exceeds tail cap "
+                        f"{params.tail_cap:g} at t={t[g]:g}; widen the domain "
+                        f"[{params.x_min:g}, {params.x_max:g}] or raise tail_cap",
+                        t=t[g],
+                    )
+                traj.times.append(t[g])
+                traj.snapshots.append(grid_function(u[i].copy(), params.x_min, params.dx))
+                traj.mass_history.append((t[g], mass))
+                traj.dissipation_history.append((t[g], float(dissipated[i])))
+    for group_trajs, count in zip(trajs, steps):
+        for traj in group_trajs:
+            traj.steps = count
     return trajs
 
 

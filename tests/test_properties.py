@@ -95,7 +95,7 @@ def _positive_part(values):
 def test_lockstep_contraction_order_and_determinism(p, a, b):
     lo = a.with_values(np.minimum(a.values, b.values))
     hi = a.with_values(np.maximum(a.values, b.values))
-    trajs = run_lockstep((a, b, lo, hi), p)
+    trajs = run_lockstep([(a, b, lo, hi)], p)[0]
     ta, tb, tlo, thi = trajs
     d0 = b.values - a.values
     for ua, ub, ulo, uhi in zip(ta.snapshots, tb.snapshots, tlo.snapshots, thi.snapshots):
@@ -104,7 +104,7 @@ def test_lockstep_contraction_order_and_determinism(p, a, b):
         assert _positive_part(d) <= _positive_part(d0) + _ROUNDING
         assert float(np.max(ulo.values - uhi.values)) <= _ROUNDING
 
-    for first, again in zip(trajs, run_lockstep((a, b, lo, hi), p)):
+    for first, again in zip(trajs, run_lockstep([(a, b, lo, hi)], p)[0]):
         for u, v in zip(first.snapshots, again.snapshots):
             np.testing.assert_array_equal(u.values, v.values)
 

@@ -1,3 +1,7 @@
+import importlib.util
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -63,25 +67,116 @@ def test_rate_is_bit_identical_to_the_plain_expression(q, width, mu):
         assert got == dirichlet
 
 
-def test_rate_runs_once_per_field_step_on_the_whole_field(monkeypatch):
+def _two_groups(p):
+    # a pair and a lone field; the pair's tall box has the tighter CFL
+    # budget, so the pair takes more steps to each snapshot
+    box = make_initial_datum("box", p.x_min, p.dx, p.grid_n())
+    return [(box, box.with_values(2.0 * box.values)), (box,)]
+
+
+def test_rate_runs_once_per_batched_step_on_the_moving_rows(monkeypatch):
     # perfbench counts cell updates by wrapping _Stepper.rate: one call per
-    # field and step, with the whole field as its first argument, also
-    # when the fields step on windows.
+    # batched step, whose first argument holds exactly the rows that move,
+    # as whole grids, also when the fields step on windows.  The lone
+    # field waits at each snapshot time while the pair catches up.
     p = _params(x_min=-16.0, x_max=16.0, output_times=(0.1, 0.2))
     n = p.grid_n()
     assert _Stepper(p).windowed
-    box = make_initial_datum("box", p.x_min, p.dx, n)
-    calls = []
+    shapes = []
     rate = _Stepper.rate
 
     def counted(self, u, *args, **kwargs):
-        calls.append(u.size)
+        shapes.append(u.shape)
         return rate(self, u, *args, **kwargs)
 
     monkeypatch.setattr(_Stepper, "rate", counted)
-    low, high = run_lockstep((box, box.with_values(2.0 * box.values)), p)
-    assert low.steps == high.steps > 2
-    assert calls == [n] * (2 * low.steps)
+    (low, high), (lone,) = run_lockstep(_two_groups(p), p)
+    assert low.steps == high.steps > lone.steps > 2
+    assert len(shapes) == low.steps
+    assert {cols for _, cols in shapes} == {n}
+    assert sorted({rows for rows, _ in shapes}) == [2, 3]
+    assert sum(rows * cols for rows, cols in shapes) == (2 * low.steps + lone.steps) * n
+
+
+def test_benchmark_step_counter_counts_every_group_s_cells():
+    # perfbench's untraced runs read cell updates from tracer.StepCounter
+    tracer_path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    if not tracer_path.exists():
+        pytest.skip("no benchmark harness in this tree")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", tracer_path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    p = _params(output_times=(0.1, 0.2))
+    counter = tracer.StepCounter()
+    counter.install()
+    try:
+        groups = run_lockstep(_two_groups(p), p)
+    finally:
+        counter.uninstall()
+    assert counter.found
+    assert groups[0][0].steps != groups[1][0].steps
+    assert counter.cells == sum(len(g) * g[0].steps * p.grid_n() for g in groups)
+
+
+def _assert_same_run(got, want):
+    assert got.steps == want.steps
+    assert got.times == want.times
+    for a, b in zip(got.snapshots, want.snapshots, strict=True):
+        np.testing.assert_array_equal(a.values, b.values)
+    assert got.mass_history == want.mass_history
+    assert got.dissipation_history == want.dissipation_history
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.02])
+def test_each_group_of_a_batch_runs_as_it_does_alone(mu):
+    # Groups share the batched steps, never a clock: each must come out bit
+    # for bit as its own one-group run.  The tall box pair takes several
+    # times the steps of the others to every snapshot, so they wait at
+    # each snapshot time while it steps on alone.
+    rng = np.random.default_rng(3)
+    times = (0.1, 0.2, 0.3)
+    p = _params(mu=mu, lam=2.0, alpha=0.7, output_times=times, tail_cap=1e9)
+    n = p.grid_n()
+    assert not _Stepper(p).windowed
+    box = make_initial_datum("box", p.x_min, p.dx, n)
+    smooth = [random_smooth_field(rng, p.x_min, p.dx, n) for _ in range(3)]
+    groups = [(smooth[0],), (box.with_values(4.0 * box.values), box), (smooth[1], smooth[2])]
+    together = run_lockstep(groups, p)
+    for group, got in zip(groups, together, strict=True):
+        for a, b in zip(got, run_lockstep([group], p)[0], strict=True):
+            _assert_same_run(a, b)
+    for k in range(1, len(times) + 1):
+        early = replace(p, output_times=times[:k])
+        lone, tall, pair = (run_lockstep([g], early)[0][0].steps for g in groups)
+        assert tall >= max(lone, pair) + 5
+
+
+def test_windowed_batch_matches_lone_runs_to_rounding():
+    # On a windowed grid a batch steps on the union of its rows' windows,
+    # so a row there rounds as it does alone only to the transform's
+    # noise.  The far box's window lies apart from the pair's.
+    p = _params(x_min=-16.0, x_max=16.0, output_times=(0.1, 0.2))
+    n = p.grid_n()
+    far = make_initial_datum("box", p.x_min, p.dx, n, left=8.0, right=9.0)
+    groups = _two_groups(p) + [(far,)]
+    for group, got in zip(groups, run_lockstep(groups, p), strict=True):
+        for a, b in zip(got, run_lockstep([group], p)[0], strict=True):
+            assert a.steps == b.steps and a.times == b.times
+            for x, y in zip(a.snapshots, b.snapshots, strict=True):
+                np.testing.assert_allclose(x.values, y.values, rtol=0.0, atol=1e-13)
+
+
+def test_zero_group_with_infinite_budget_beside_a_moving_group():
+    # alpha = mu = 0: the zero field has no CFL constraint and steps
+    # straight to each snapshot while the box beside it takes many steps
+    p = _params(alpha=0.0, mu=0.0, output_times=(0.25, 0.5))
+    zero = grid_function(np.zeros(p.grid_n()), p.x_min, p.dx)
+    box = make_initial_datum("box", p.x_min, p.dx, p.grid_n())
+    (z,), (moved,) = run_lockstep([(zero,), (box,)], p)
+    _assert_same_run(z, run(zero, p))
+    _assert_same_run(moved, run(box, p))
+    assert z.steps == 2 and moved.steps > 10
+    assert not any(np.any(u.values) for u in z.snapshots)
 
 
 def test_snapshots_hit_schedule_exactly():
@@ -117,7 +212,7 @@ def test_l1_contraction_and_order_preservation():
     b = random_smooth_field(rng, p.x_min, p.dx, n, margin_cells=40)
     lo = a.with_values(np.minimum(a.values, b.values))
     hi = a.with_values(np.maximum(a.values, b.values))
-    ua, ub, ulo, uhi = (traj.snapshots[-1] for traj in run_lockstep((a, b, lo, hi), p))
+    ua, ub, ulo, uhi = (traj.snapshots[-1] for traj in run_lockstep([(a, b, lo, hi)], p)[0])
     d0 = lp_norm(a.with_values(a.values - b.values), 1)
     d1 = lp_norm(ua.with_values(ua.values - ub.values), 1)
     assert d1 <= d0 + 1e-11
@@ -130,7 +225,7 @@ def test_lockstep_shares_one_schedule_and_keeps_run_bookkeeping():
     box = make_initial_datum("box", p.x_min, p.dx, p.grid_n())
     # the taller box has the tighter CFL budget, so it sets the shared dt
     tall = box.with_values(2.0 * box.values)
-    low, high = run_lockstep((box, tall), p)
+    low, high = run_lockstep([(box, tall)], p)[0]
     alone = run(tall, p)
     assert low.steps == high.steps == alone.steps
     assert low.times == high.times == alone.times
@@ -207,6 +302,21 @@ def test_abort_on_collapsed_timestep():
                   output_times=(1.0,), tail_cap=1e300)
     with pytest.raises(NumericalAbort, match="collapsed"):
         run(u, p)
+
+
+def test_abort_in_a_group_names_the_field_and_the_group():
+    p = SimParams(q=2.0, alpha=0.0, x_min=0.0, x_max=10.0, dx=1.0,
+                  output_times=(1e-210,), tail_cap=1e300)
+    huge = grid_function(np.full(10, 1e200), 0.0, 1.0)
+    zero = grid_function(np.zeros(10), 0.0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalAbort,
+                           match=r"non-finite value in cell \d+ of field 1 in group 1 "):
+            run_lockstep([(zero,), (zero, huge), (zero,)], p)
+    p = replace(p, output_times=(1.0,))
+    steep = grid_function(np.full(10, 1e15), 0.0, 1.0)
+    with pytest.raises(NumericalAbort, match=r"collapsed .* cell \d+ of field 0 in group 2 "):
+        run_lockstep([(zero,), (zero,), (steep, zero)], p)
 
 
 def test_abort_when_mass_escapes():

@@ -215,6 +215,38 @@ def test_nonlocal_comparison_suite_matches_the_per_case_loop(seed):
                              "worst_gap": worst_gap}
 
 
+@pytest.mark.parametrize("seed", [5, 7])
+@pytest.mark.parametrize("suite", ["contraction", "comparison"])
+def test_pair_suites_step_every_pair_in_one_batch(monkeypatch, suite, seed):
+    # One _lockstep_runs call takes all 20 pairs, each pair its own group,
+    # and the Reports equal those of one-group runs made pair by pair.
+    # comparison's rerun determinism still makes two separate runs.
+    import nwavelab.suites as suites
+    from nwavelab.solver import run_lockstep
+
+    batches, runs = [], []
+    batched, single = suites._lockstep_runs, suites.run
+
+    def counted_batch(pairs, params):
+        batches.append(len(pairs))
+        return batched(pairs, params)
+
+    def counted_run(phi, params):
+        runs.append(phi)
+        return single(phi, params)
+
+    monkeypatch.setattr(suites, "_lockstep_runs", counted_batch)
+    monkeypatch.setattr(suites, "run", counted_run)
+    together = run_suite(suite, load_config(seed=seed))
+    assert batches == [20]
+    assert len(runs) == (2 if suite == "comparison" else 0)
+    monkeypatch.setattr(suites, "_lockstep_runs",
+                        lambda pairs, params: [run_lockstep([pair], params)[0] for pair in pairs])
+    pair_by_pair = run_suite(suite, load_config(seed=seed))
+    assert together == pair_by_pair
+    assert repr(together) == repr(pair_by_pair)
+
+
 def _small_decay(monkeypatch):
     import nwavelab.suites as suites
 
@@ -283,7 +315,7 @@ def test_tails_fails_closed_on_a_nan_calibration(monkeypatch):
 
 def test_kernel_bound_builds_its_base_kernel_once(monkeypatch):
     # one base kernel and its 63 rescalings (lam = 1 is the base itself),
-    # once while checking the sweep and once while running it
+    # built while checking the sweep; running it reuses them
     import nwavelab.kernels as kernels
 
     cfg = load_config()
@@ -297,7 +329,7 @@ def test_kernel_bound_builds_its_base_kernel_once(monkeypatch):
     monkeypatch.setattr(kernels, "_build", counted)
     reports = run_suite("kernel_bound", cfg)
     assert all(r.passed for r in reports)
-    assert len(builds) <= 128
+    assert len(builds) <= 64
 
 
 def test_entropy_suite_rescales_the_kernel_once(monkeypatch):
