@@ -8,10 +8,10 @@ produces a Report with a pass/fail verdict at an explicit tolerance:
   bound (q ||phi||_1 / ((q-1) t))^(1/q) snapshot by snapshot.
 * entropy_residuals: the Kruzkov-type inequality tested against smooth
   bump test functions, midpoint in space and trapezoid in time.
-* check_nonlocal_comparison: the pointwise inequality at a maximum of w,
+* nonlocal_comparisons: the pointwise inequality at a maximum of w,
       z L(z^b w)(x0) - b/(b+1) w L(z^(b+1))(x0) <= A_z(x0) w(x0),
-  with A_z(x0) <= 0; both sides are sums over the one stencil gathered at x0.
-  nonlocal_comparisons checks many (z, w) rows at once, the same way.
+  with A_z(x0) <= 0, for many (z, w) rows at once; both sides are sums over
+  the one stencil gathered at x0.
 * nwave_distance: t^((1/q)(1-1/p)) || u(t) - w_M(t) ||_p, the quantity whose
   decay expresses convergence to the N-wave.
 
@@ -45,8 +45,6 @@ __all__ = [
     "nwave_distance",
     "EntropyTestCase",
     "entropy_residuals",
-    "ComparisonCase",
-    "check_nonlocal_comparison",
     "nonlocal_comparisons",
     "random_smooth_rows",
     "random_smooth_field",
@@ -410,33 +408,8 @@ def entropy_residuals(
 # Pointwise nonlocal comparison at a maximum
 
 
-@dataclass(frozen=True)
-class ComparisonCase:
-    """Inputs for the pointwise comparison inequality.
-
-    z >= 0 bounded, w bounded with its maximum at index x0 (the global
-    maximum of the zero-extended field, so w[x0] >= 0 is required), and
-    exponent beta >= 0.  Ties in the maximum resolve to the lowest index.
-    The rules are those of nonlocal_comparisons, for one row.
-    """
-
-    beta: float
-    z: GridFunction
-    w: GridFunction
-    x0: int
-
-    def __post_init__(self):
-        self.z.require_same_geometry(self.w, "z and w")
-        _check_comparison_rows(self.beta, self.z.values[None], self.w.values[None],
-                               np.array([self.x0]))
-
-    @classmethod
-    def at_argmax(cls, beta: float, z: GridFunction, w: GridFunction) -> "ComparisonCase":
-        return cls(beta=beta, z=z, w=w, x0=int(np.argmax(w.values)))
-
-
 def _check_comparison_rows(beta: float, z: np.ndarray, w: np.ndarray, x0: np.ndarray):
-    """ComparisonCase's rules, row by row: raise ValueError on the first broken one."""
+    """nonlocal_comparisons' rules, row by row: raise ValueError on the first broken one."""
     if not beta >= 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     if not np.all(np.isfinite(z)) or not np.all(np.isfinite(w)):
@@ -487,11 +460,24 @@ def _comparison_terms(kernel: Kernel, beta: float, z: np.ndarray, w: np.ndarray,
 
 def nonlocal_comparisons(kernel: Kernel, beta: float, z: np.ndarray, w: np.ndarray,
                          x0: np.ndarray, tol: float = 1e-10):
-    """check_nonlocal_comparison for rows of z and w on one grid, sharing beta.
+    """Check A_z(x0) <= tol and LHS <= A_z(x0) w(x0) + tol at w's maximum,
+    for rows of z and w on one grid, sharing beta.
 
-    z and w are (rows, n) arrays and x0 the rows' maximum indices, under
-    ComparisonCase's rules.  Returns the arrays a_z, lhs and rhs and the
-    boolean pass mask, which is False wherever a value is not finite.
+    LHS = z(x0) L(z^b w)(x0) - b/(b+1) w(x0) L(z^(b+1))(x0) and
+
+    A_z(x0) = sum_k J_k dx [ z(x0) z^b(x0 - k dx) - b/(b+1) z^(b+1)(x0 - k dx)
+                             - 1/(b+1) z^(b+1)(x0) ],
+
+    with z^b extended by 0^b off-grid (1 when b = 0, matching the continuum
+    convention z^0 == 1).  Both sides are sums over the one stencil
+    gathered at x0 (_comparison_terms).
+
+    z and w are (rows, n) arrays and x0 the rows' maximum indices: z and w
+    finite, z >= 0, beta >= 0, and x0 the lowest index at which a row of w
+    attains its maximum, which must be the maximum of the zero-extended
+    field too, so w[x0] >= 0.  A broken rule raises ValueError.  Returns
+    the arrays a_z, lhs and rhs and the boolean pass mask, which is False
+    wherever a value is not finite.
     """
     _check_comparison_rows(beta, z, w, x0)
     l_zbw, l_zb1, a_z = _comparison_terms(kernel, beta, z, w, x0)
@@ -501,29 +487,6 @@ def nonlocal_comparisons(kernel: Kernel, beta: float, z: np.ndarray, w: np.ndarr
     rhs = a_z * w0
     finite = np.isfinite(a_z) & np.isfinite(lhs) & np.isfinite(rhs)
     return a_z, lhs, rhs, finite & (a_z <= tol) & (lhs <= rhs + tol)
-
-
-def check_nonlocal_comparison(kernel: Kernel, case: ComparisonCase, tol: float = 1e-10) -> Report:
-    """Verify A_z(x0) <= tol and LHS <= A_z(x0) w(x0) + tol at w's maximum.
-
-    LHS = z(x0) L(z^b w)(x0) - b/(b+1) w(x0) L(z^(b+1))(x0) and
-
-    A_z(x0) = sum_k J_k dx [ z(x0) z^b(x0 - k dx) - b/(b+1) z^(b+1)(x0 - k dx)
-                             - 1/(b+1) z^(b+1)(x0) ],
-
-    with z^b extended by 0^b off-grid (1 when b = 0, matching the continuum
-    convention z^0 == 1).  Both sides are sums over the one stencil
-    gathered at x0 (_comparison_terms); this is nonlocal_comparisons for
-    one row.
-    """
-    a_z, lhs, rhs, ok = nonlocal_comparisons(
-        kernel, case.beta, case.z.values[None], case.w.values[None], np.array([case.x0]), tol)
-    return Report(
-        name=f"nonlocal comparison beta={case.beta:g}",
-        verdict="pass" if ok[0] else "fail",
-        values={"a_z": float(a_z[0]), "lhs": float(lhs[0]), "rhs": float(rhs[0])},
-        tolerance=tol,
-    )
 
 
 # ---------------------------------------------------------------------------

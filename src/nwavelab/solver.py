@@ -26,13 +26,14 @@ multiplies, no array division, and a few ulp per step off the formula above.
 J*u is computed by overlap-save: batched real FFTs (numpy.fft) over blocks
 of the smallest power of two >= max(1024, 3(2K + 1)) cells (K the stencil
 half-width), or one 5-smooth transform of the padded grid if that is
-shorter.  On a grid that takes more than two blocks, a step visits only a
-window of cells.  After each step, cells with |u_j| < ROUNDING_FLOOR * max|u|
-(1e-16, the rounding noise the transform of J*u leaves anyway) are set to
-exact zero, so the field is exactly zero outside its support, and one step
-moves a value at most K + 1 cells.  The window is the support widened by
-K + 1 each step, and every few steps it shrinks back to the nonzero cells;
-once it spans the grid, it stays there unfloored.
+shorter.  On a grid that takes more than two blocks, a lone field steps
+on a window of cells.  After each step, cells with |u_j| < ROUNDING_FLOOR *
+max|u| (1e-16, the rounding noise the transform of J*u leaves anyway) are
+set to exact zero, so the field is exactly zero outside its support, and
+one step moves a value at most K + 1 cells.  The window is the support
+widened by K + 1 each step, and every few steps it shrinks back to the
+nonzero cells; once it spans the grid, it stays there unfloored.  A batch
+of several fields steps the whole grid.
 
 run_lockstep() is the one time loop.  It runs groups of fields: the fields
 of a group share one dt schedule, and each group keeps its own clock, dt,
@@ -42,9 +43,7 @@ group's dt; rows of groups that have reached it are gathered out and
 scattered back, never stepped with dt = 0.  Each row rounds as it does
 alone: budgets are scalar per row, the Dirichlet rate is one einsum per
 row, and the batched transforms round every row as a transform of that
-row would.  On a windowed grid a batch steps on the union of its rows'
-windows and floors each row against its own max; one field alone steps
-on its own window.  run() is the one-group, one-field case.
+row would.  run() is the one-group, one-field case.
 
 run() also accumulates the nonlocal energy-dissipation integral
 
@@ -226,10 +225,11 @@ class _Stepper:
     A stepper serves one run, so one thread.  A step advances one field,
     or a batch of up to `rows` fields, the rows of a (rows, n) array, each
     by its own dt; every buffer here has room for `rows` fields, and the
-    loop owns the |u| rows.  A step may work on a window of cells outside
-    which every field of the batch vanishes.  `windowed` says whether
-    fields step on windows at all: only where the padded grid takes more
-    than two blocks, since a window saves little transform work on fewer.
+    loop owns the |u| rows.  A step of one field may work on a window of
+    cells outside which the field vanishes; a batch steps the whole grid.
+    `windowed` says whether a lone field steps on a window at all: only
+    where the padded grid takes more than two blocks, since a window saves
+    little transform work on fewer.
     """
 
     def __init__(self, params: SimParams, rows: int = 1):
@@ -386,73 +386,51 @@ class _Stepper:
         return p.cfl / denom
 
 
-class _Windows:
-    """The cells the steps of each row of a run work on.
+class _Window:
+    """The cells the steps of one field work on.
 
-    Row i is exactly zero outside its support.  A step moves values at
-    most `reach` cells, so the row's window is its support widened by
-    reach on both sides (clipped to the grid), cells lo[i]..hi[i]-1, and
-    every other cell stays zero.  A batch of rows steps on the union of
-    their windows, which becomes each stepped row's support.  Each row is
-    then floored against its own max, and every _TIGHTEN_EVERY of its
-    steps its support shrinks back to its nonzero cells, which the
-    rounding floor keeps few.  A row whose window spans the grid stays
-    there and is no longer floored: the transform's rounding noise then
-    reaches every cell, as in a step of the whole grid.  reach None, or a
-    zero row, means the whole grid from the start.  One row alone steps on
-    its own window.
+    The field is exactly zero outside its support.  A step moves values
+    at most `reach` cells, so it works on the support widened by reach on
+    both sides (clipped to the grid), and every other cell stays zero;
+    that window is the next step's support.  After each step the field is
+    floored against its max, and every _TIGHTEN_EVERY steps the support
+    shrinks back to the nonzero cells, which the floor keeps few.  A
+    window that spans the grid stays there and is no longer floored: the
+    transform's rounding noise then reaches every cell, as in a step of
+    the whole grid.  reach None, or a zero field, means the whole grid
+    from the start; a batch of fields steps there.
     """
 
     def __init__(self, u: np.ndarray, reach: int | None):
-        rows, self.n = u.shape
-        self.reach = reach
-        self._grid = slice(0, self.n)
-        self.lo, self.hi, self.whole = [0] * rows, [self.n] * rows, [True] * rows
-        self._narrow = 0  # rows whose window is narrower than the grid
-        self._age = [0] * rows
-        self._small = np.empty(self.n, dtype=bool)
-        if reach is None:
-            return
-        for i, row in enumerate(u):
-            nonzero = np.flatnonzero(row)
-            if len(nonzero):
-                self._fit(i, nonzero[0], nonzero[-1] + 1)
+        self.n, self.reach = u.size, reach
+        self.cells, self.whole = slice(0, self.n), True
+        nonzero = np.flatnonzero(u) if reach is not None else ()
+        if len(nonzero):
+            self._small = np.empty(self.n, dtype=bool)
+            self._age = 0
+            self._fit(nonzero[0], nonzero[-1] + 1)
 
-    def _fit(self, i: int, lo: int, hi: int):
+    def _fit(self, lo: int, hi: int):
         a, b = max(0, lo - self.reach), min(self.n, hi + self.reach)
-        self.lo[i], self.hi[i] = a, b
-        whole = bool(a == 0 and b == self.n)
-        if whole != self.whole[i]:
-            self._narrow += -1 if whole else 1
-            self.whole[i] = whole
+        self.cells = slice(a, b)
+        self.whole = a == 0 and b == self.n
 
-    def cells(self, rows) -> slice:
-        """The union of the windows of `rows`."""
-        if not self._narrow:
-            return self._grid
-        return slice(min(map(self.lo.__getitem__, rows)), max(map(self.hi.__getitem__, rows)))
-
-    def settle(self, rows, u, abs_u, max_abs, cells: slice):
-        """After a step of `rows` on cells, row rows[j] held by u[j] and
-        abs_u[j]: apply each row's rounding floor and move its window on."""
-        if not self._narrow:
+    def settle(self, u: np.ndarray, abs_u: np.ndarray, max_abs: float):
+        """After a step of the field u, with abs_u = |u|: apply the rounding
+        floor and move the window on."""
+        if self.whole:
             return
-        a, b = cells.start, cells.stop
-        for i, u_i, abs_i, max_i in zip(rows, u, abs_u, max_abs):
-            if self.whole[i]:
-                continue
-            small = np.less(abs_i[a:b], ROUNDING_FLOOR * max_i, out=self._small[:b - a])
-            # abs_u keeps the floored cells' old |u|: rate multiplies its
-            # power by u, which is 0 there, and the loop's np.abs then
-            # rewrites it
-            np.copyto(u_i[a:b], 0.0, where=small)
-            lo, hi = a, b
-            self._age[i] += 1
-            if self._age[i] % _TIGHTEN_EVERY == 0:
-                # the nonzero cells are the ones the floor left alone;
-                # argmin stops at the first of them
-                lo, hi = a + int(small.argmin()), b - int(small[::-1].argmin())
-            self._fit(i, lo, hi)
+        a, b = self.cells.start, self.cells.stop
+        small = np.less(abs_u[a:b], ROUNDING_FLOOR * max_abs, out=self._small[:b - a])
+        # abs_u keeps the floored cells' old |u|: rate multiplies its power
+        # by u, which is 0 there, and the loop's np.abs then rewrites it
+        np.copyto(u[a:b], 0.0, where=small)
+        self._age += 1
+        if self._age % _TIGHTEN_EVERY == 0:
+            # the nonzero cells are the ones the floor left alone; argmin
+            # stops at the first of them
+            a, b = a + int(small.argmin()), b - int(small[::-1].argmin())
+        self._fit(a, b)
 
 
 def run(phi: GridFunction, params: SimParams) -> Trajectory:
@@ -477,21 +455,18 @@ def run_lockstep(groups, params: SimParams) -> list:
     would only test the (true but weaker) statement that nearby
     trajectories stay close.  Groups are independent runs: each keeps its
     own t, dt, step count and snapshots.  `groups` is a sequence of
-    groups, each a sequence of fields; a plain sequence of fields is one
-    group.
+    groups, each a sequence of fields.
 
     A step advances the rows of every group still short of the next
     snapshot time as one (rows, n) batch, each row by its group's dt.  The
     rows of groups that have reached it are gathered out and scattered
-    back around the step, never stepped with dt = 0.  Off windowed grids,
-    and on them for one field, every group rounds as it does alone, bit
-    for bit; on a windowed grid a batch of several rows steps on the
-    union of their windows (see _Windows).  Every field gets run()'s
-    checks, and an abort names the field (when its group has several)
-    and the group (when there are several) and the cell.
+    back around the step, never stepped with dt = 0.  One field alone
+    steps on its window (see _Window); a batch steps the whole grid, and
+    each of its groups rounds as it does alone, bit for bit, wherever it
+    would step the whole grid alone too.  Every field gets run()'s
+    checks, and an abort names the field (when its group has several) and
+    the group (when there are several) and the cell.
     """
-    if isinstance(groups[0], GridFunction):
-        groups = [groups]
     data = [phi for group in groups for phi in group]
     n = params.grid_n()
     for phi in data:
@@ -515,7 +490,7 @@ def run_lockstep(groups, params: SimParams) -> list:
     # finite check (max propagates NaN and inf) and the next CFL speed
     abs_u = np.abs(u)
     max_abs = list(abs_u.max(axis=1))
-    windows = _Windows(u, stepper.reach if stepper.windowed else None)
+    window = _Window(u[0], stepper.reach if stepper.windowed and len(data) == 1 else None)
     t = [0.0] * len(groups)
     steps = [0] * len(groups)
     mass0 = [float(row.sum() * params.dx) for row in u]
@@ -525,7 +500,7 @@ def run_lockstep(groups, params: SimParams) -> list:
 
     for t_next in params.output_times:
         while True:
-            rows, dts, moving = [], [], 0
+            moving, dts = [], []
             for g, span in enumerate(spans):
                 if t[g] >= t_next:
                     continue
@@ -546,11 +521,11 @@ def run_lockstep(groups, params: SimParams) -> list:
                     dt = t_next - t[g]
                 t[g] = t_next if hit else t[g] + dt
                 steps[g] += 1
-                moving += 1
-                rows.extend(span)
-                dts.extend([dt] * len(span))
+                moving.append(g)
+                dts.append(dt)
             if not moving:
                 break
+            rows = [i for g in moving for i in spans[g]]
             # one row steps as a plain vector; rows of groups that wait at
             # t_next sit the step out
             gathered = 1 < len(rows) < len(data)
@@ -558,20 +533,26 @@ def run_lockstep(groups, params: SimParams) -> list:
                 u_b, abs_b = u[rows[0]], abs_u[rows[0]]
             else:
                 u_b, abs_b = (u[rows], abs_u[rows]) if gathered else (u, abs_u)
-            cells = windows.cells(rows)
-            dt = dts[0] if moving == 1 else np.array(dts)[:, None]
-            rates = stepper.rate(u_b, abs_b, dt, cells)
+            if len(moving) == 1:
+                dt = col = dts[0]
+            else:  # each row's dt, and as a column for the batch
+                dt = np.repeat(dts, [len(spans[g]) for g in moving])
+                col = dt[:, None]
+            cells = window.cells
+            spent = dt * stepper.rate(u_b, abs_b, col, cells)
             abs_w = abs_b[..., cells]
             np.abs(u_b[..., cells], out=abs_w)
             peaks = abs_w.max(axis=-1)
+            if gathered:
+                u[rows], abs_u[rows] = u_b, abs_b
             if u_b.ndim == 1:  # from here on, index the one row as row 0
-                u_b, abs_b, rates, peaks = (u_b,), (abs_b,), (rates,), (peaks,)
-            for j, i in enumerate(rows):
-                dissipated[i] += dts[j] * rates[j]
-                max_abs[i] = peaks[j]
-                if not math.isfinite(max_abs[i]):
-                    g = next(g for g, span in enumerate(spans) if i in span)
-                    cell = int(np.flatnonzero(~np.isfinite(u_b[j]))[0])
+                spent, peaks = (spent,), (peaks,)
+            for i, d, peak in zip(rows, spent, peaks):
+                dissipated[i] += d
+                max_abs[i] = peak
+                if not math.isfinite(peak):
+                    g = next(g for g in moving if i in spans[g])
+                    cell = int(np.flatnonzero(~np.isfinite(u[i]))[0])
                     x_bad = params.x_min + (cell + 0.5) * params.dx
                     raise NumericalAbort(
                         f"non-finite value in cell {cell}{which(g, i)} (x={x_bad:g}) "
@@ -579,9 +560,7 @@ def run_lockstep(groups, params: SimParams) -> list:
                         t=t[g],
                         cell=cell,
                     )
-            windows.settle(rows, u_b, abs_b, peaks, cells)
-            if gathered:
-                u[rows], abs_u[rows] = u_b, abs_b
+            window.settle(u_b, abs_b, max_abs[0])  # only a lone field has a window
         for g, span in enumerate(spans):
             for i, traj in zip(span, trajs[g]):
                 mass = float(u[i].sum() * params.dx)

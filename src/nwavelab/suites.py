@@ -496,7 +496,8 @@ def suite_nonlocal_comparison(cfg: Config, out_dir: str | None = None) -> list:
     {0, 1/2, 1, (2-q)/(q-1)}; both A_z(x0) <= tol and the two-sided
     inequality must hold in every case.  Cases are drawn and checked
     _COMPARISON_CHUNK at a time; the fields and values are those of one
-    random_smooth_field pair and one check_nonlocal_comparison per case.
+    random_smooth_field pair and one one-row nonlocal_comparisons call per
+    case.
     """
     q = cfg.params.q
     rng = np.random.default_rng(cfg.seed)

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from nwavelab.diagnostics import (
-    ComparisonCase,
     _comparison_terms,
     EntropyTestCase,
     Report,
-    check_nonlocal_comparison,
     decay_fit,
     entropy_residuals,
     l1_modulus,
@@ -220,15 +218,21 @@ def test_entropy_residuals_match_the_per_case_formula(alpha):
         assert rep.values["residual"] == float(np.trapezoid(integrand, times))
 
 
+def _one_comparison(kernel, beta, z, w):
+    # nonlocal_comparisons for one (z, w) pair at w's maximum
+    a_z, lhs, rhs, ok = nonlocal_comparisons(kernel, beta, z.values[None], w.values[None],
+                                             np.array([np.argmax(w.values)]))
+    return a_z[0], lhs[0], rhs[0], ok[0]
+
+
 def test_comparison_constant_z_saturates():
     # constant z deep inside the grid: A_z = 0 exactly by algebra
     k = make_kernel("uniform", 1.0, 1.0 / 16.0)
     z = grid_function(np.full(128, 0.7), -4.0, 1.0 / 16.0)
     w_vals = np.exp(-((np.arange(128) - 64.0) ** 2) / 50.0)
-    case = ComparisonCase.at_argmax(2.0, z, grid_function(w_vals, -4.0, 1.0 / 16.0))
-    rep = check_nonlocal_comparison(k, case)
-    assert rep.passed
-    assert rep.values["a_z"] == pytest.approx(0.0, abs=1e-13)
+    a_z, _, _, ok = _one_comparison(k, 2.0, z, grid_function(w_vals, -4.0, 1.0 / 16.0))
+    assert ok
+    assert a_z == pytest.approx(0.0, abs=1e-13)
 
 
 def test_comparison_random_cases_pass():
@@ -239,8 +243,7 @@ def test_comparison_random_cases_pass():
         w = random_smooth_field(rng, -4.0, 1.0 / 32.0, 256)
         if w.values.max() < 0.0:
             w = w.with_values(-w.values)
-        case = ComparisonCase.at_argmax(float(i % 4), z, w)
-        assert check_nonlocal_comparison(k, case).passed
+        assert _one_comparison(k, float(i % 4), z, w)[3]
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0, 3.0])
@@ -255,7 +258,7 @@ def test_comparison_gather_matches_apply_l(beta, x0):
     assert 5 < k.half_cells < 128
     z = random_smooth_field(rng, -4.0, dx, 256, amplitude=1.5, nonnegative=True)
     w = grid_function(np.exp(-((np.arange(256) - x0) ** 2) / 40.0), -4.0, dx)
-    ComparisonCase(beta=beta, z=z, w=w, x0=x0)  # a valid case
+    nonlocal_comparisons(k, beta, z.values[None], w.values[None], np.array([x0]))  # valid
     l_zbw, l_zb1, _ = (v[0] for v in _comparison_terms(
         k, beta, z.values[None], w.values[None], np.array([x0])))
     zb, zb1 = z.values ** beta, z.values ** (beta + 1.0)
@@ -265,14 +268,14 @@ def test_comparison_gather_matches_apply_l(beta, x0):
 
 
 def test_comparison_case_validation():
-    z = grid_function(np.ones(16), 0.0, 1.0)
-    w = grid_function(np.arange(16.0), 0.0, 1.0)
+    k = make_kernel("uniform", 1.0, 1.0 / 16.0)
+    z, w, x0 = np.ones((1, 16)), np.arange(16.0)[None], np.array([15])
     with pytest.raises(ValueError, match="nonnegative"):
-        ComparisonCase(beta=-1.0, z=z, w=w, x0=15)
+        nonlocal_comparisons(k, -1.0, z, w, x0)
     with pytest.raises(ValueError, match="maximum"):
-        ComparisonCase(beta=1.0, z=z, w=w, x0=3)
+        nonlocal_comparisons(k, 1.0, z, w, np.array([3]))
     with pytest.raises(ValueError, match="nonnegative"):
-        ComparisonCase(beta=1.0, z=z.with_values(-np.ones(16)), w=w, x0=15)
+        nonlocal_comparisons(k, 1.0, -z, w, x0)
 
 
 def test_random_smooth_field_properties():
@@ -331,19 +334,18 @@ def test_random_smooth_rows_match_sequential_calls():
 
 
 def test_nonlocal_comparisons_match_the_one_case_check():
+    # rows checked together give each row's values of a one-row call
     rng = np.random.default_rng(13)
     k = make_kernel("triangle", 1.0, 1.0 / 32.0)
     rows = random_smooth_rows(rng, -4.0, 1.0 / 32.0, 256, (1.5, 1.0) * 12, (True, False) * 12)
     z, w = rows[0::2], rows[1::2]
     w = np.where(w.max(axis=1, keepdims=True) < 0.0, -w, w)
     x0 = np.argmax(w, axis=1)
-    a_z, lhs, rhs, ok = nonlocal_comparisons(k, 0.5, z, w, x0)
+    together = nonlocal_comparisons(k, 0.5, z, w, x0)
     for i in range(len(x0)):
-        case = ComparisonCase.at_argmax(0.5, grid_function(z[i], -4.0, 1.0 / 32.0),
-                                        grid_function(w[i], -4.0, 1.0 / 32.0))
-        rep = check_nonlocal_comparison(k, case)
-        assert rep.values == {"a_z": a_z[i], "lhs": lhs[i], "rhs": rhs[i]}
-        assert rep.passed == ok[i]
+        alone = _one_comparison(k, 0.5, grid_function(z[i], -4.0, 1.0 / 32.0),
+                                grid_function(w[i], -4.0, 1.0 / 32.0))
+        assert alone == tuple(v[i] for v in together)
     with pytest.raises(ValueError, match="maximum"):
         nonlocal_comparisons(k, 0.5, z, w, (x0 + 1) % 256)
 

@@ -77,8 +77,9 @@ def _two_groups(p):
 def test_rate_runs_once_per_batched_step_on_the_moving_rows(monkeypatch):
     # perfbench counts cell updates by wrapping _Stepper.rate: one call per
     # batched step, whose first argument holds exactly the rows that move,
-    # as whole grids, also when the fields step on windows.  The lone
-    # field waits at each snapshot time while the pair catches up.
+    # as whole grids; a batch steps all their cells even on a grid where a
+    # lone field would step on a window.  The lone field waits at each
+    # snapshot time while the pair catches up.
     p = _params(x_min=-16.0, x_max=16.0, output_times=(0.1, 0.2))
     n = p.grid_n()
     assert _Stepper(p).windowed
@@ -152,9 +153,10 @@ def test_each_group_of_a_batch_runs_as_it_does_alone(mu):
 
 
 def test_windowed_batch_matches_lone_runs_to_rounding():
-    # On a windowed grid a batch steps on the union of its rows' windows,
-    # so a row there rounds as it does alone only to the transform's
-    # noise.  The far box's window lies apart from the pair's.
+    # On a windowed grid a lone field steps on its window but a batch
+    # steps the whole grid, so a one-field group in a batch rounds as it
+    # does alone only to the transform's noise.  The far box lies apart
+    # from the pair.
     p = _params(x_min=-16.0, x_max=16.0, output_times=(0.1, 0.2))
     n = p.grid_n()
     far = make_initial_datum("box", p.x_min, p.dx, n, left=8.0, right=9.0)
@@ -164,6 +166,27 @@ def test_windowed_batch_matches_lone_runs_to_rounding():
             assert a.steps == b.steps and a.times == b.times
             for x, y in zip(a.snapshots, b.snapshots, strict=True):
                 np.testing.assert_allclose(x.values, y.values, rtol=0.0, atol=1e-13)
+
+
+def test_a_lone_field_steps_on_a_window_and_a_batch_on_the_whole_grid(monkeypatch):
+    p = _params(x_min=-16.0, x_max=16.0, output_times=(0.1, 0.2))
+    n = p.grid_n()
+    assert _Stepper(p).windowed
+    seen = []
+    rate = _Stepper.rate
+
+    def recorded(self, u, abs_u, dt, cells=slice(None)):
+        seen.append(cells.indices(n))
+        return rate(self, u, abs_u, dt, cells)
+
+    monkeypatch.setattr(_Stepper, "rate", recorded)
+    lone = run(make_initial_datum("box", p.x_min, p.dx, n), p)
+    assert len(seen) == lone.steps > 2
+    assert all(b - a < n for a, b, _ in seen)
+    seen.clear()
+    (pair, _), (alone,) = run_lockstep(_two_groups(p), p)
+    assert len(seen) == pair.steps > alone.steps
+    assert set(seen) == {(0, n, 1)}
 
 
 def test_zero_group_with_infinite_budget_beside_a_moving_group():
@@ -292,7 +315,7 @@ def test_lockstep_pair_aborts_on_overflow():
     for k, pair in enumerate(((huge, zero), (zero, huge))):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalAbort, match=rf"non-finite value in cell \d+ of field {k}"):
-                run_lockstep(pair, p)
+                run_lockstep([pair], p)
 
 
 def test_abort_on_collapsed_timestep():
@@ -334,7 +357,7 @@ def test_run_rejects_mismatched_grid():
         run(datum, p)
     good = make_initial_datum("box", p.x_min, p.dx, p.grid_n())
     with pytest.raises(ValueError, match="does not match params grid"):
-        run_lockstep((good, datum), p)
+        run_lockstep([(good, datum)], p)
 
 
 def test_rescale_trajectory_lam1_identity():
@@ -404,6 +427,19 @@ def test_block_length_rule(n, k, block, windowed):
     stepper = _Stepper(p)
     assert (p.grid_n(), stepper.kernel.half_cells) == (n, k)
     assert (stepper._block, stepper.windowed) == (block, windowed)
+
+
+@pytest.mark.parametrize("k", [4, 170, 171, 340, 341, 682, 683, 1364, 1365, 2730, 2731, 4096])
+def test_the_pair_suites_grid_takes_no_window(k):
+    # A grid is windowed only when n + 2k + 1 > 2 * block with
+    # block >= max(1024, 3(2k + 1)); at n = 768 that needs 2k + 1 > 1280
+    # and 2k + 1 < 154 at once.  So the pair suites' batches, which step
+    # the whole grid, lose no window whatever the kernel.  The half-widths
+    # sit on both sides of each power-of-two step of the block length.
+    p = SimParams(x_min=-6.0, x_max=6.0, dx=1.0 / 64.0, kernel_width=k / 64.0)
+    stepper = _Stepper(p)
+    assert (p.grid_n(), stepper.kernel.half_cells) == (768, k)
+    assert not stepper.windowed
 
 
 @pytest.mark.parametrize("x_max, width, taps", [

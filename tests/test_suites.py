@@ -192,8 +192,7 @@ def test_nonlocal_comparison_suite_matches_the_per_case_loop(seed):
     from dataclasses import replace
 
     from nwavelab.config import build_kernel
-    from nwavelab.diagnostics import (ComparisonCase, check_nonlocal_comparison,
-                                      random_smooth_field, worst_max)
+    from nwavelab.diagnostics import nonlocal_comparisons, random_smooth_field, worst_max
 
     cfg = load_config(seed=seed)
     q = cfg.params.q
@@ -206,10 +205,12 @@ def test_nonlocal_comparison_suite_matches_the_per_case_loop(seed):
         w = random_smooth_field(rng, -4.0, 1.0 / 32.0, 256)
         if float(np.max(w.values)) < 0.0:
             w = w.with_values(-w.values)
-        rep = check_nonlocal_comparison(kernel, ComparisonCase.at_argmax(betas[i % 4], z, w))
-        violations += not rep.passed
-        worst_a = worst_max(worst_a, rep.values["a_z"])
-        worst_gap = worst_max(worst_gap, rep.values["lhs"] - rep.values["rhs"])
+        (a_z,), (lhs,), (rhs,), (ok,) = nonlocal_comparisons(
+            kernel, betas[i % 4], z.values[None], w.values[None],
+            np.array([np.argmax(w.values)]))
+        violations += not ok
+        worst_a = worst_max(worst_a, a_z)
+        worst_gap = worst_max(worst_gap, lhs - rhs)
     (report,) = run_suite("nonlocal_comparison", cfg)
     assert report.values == {"violations": violations, "worst_a_z": worst_a,
                              "worst_gap": worst_gap}
