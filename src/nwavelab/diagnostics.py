@@ -6,8 +6,9 @@ produces a Report with a pass/fail verdict at an explicit tolerance:
 * oleinik_margin: the one-sided slope bound (u^(q-1))_x <= 1/t.
 * decay_fit: L^p decay exponents -(1/q)(1 - 1/p), plus the explicit sup
   bound (q ||phi||_1 / ((q-1) t))^(1/q) snapshot by snapshot.
-* entropy_residuals: the Kruzkov-type inequality tested against smooth
-  bump test functions, midpoint in space and trapezoid in time.
+* entropy_residuals: the Kruzkov-type inequality for every constant k
+  against every smooth bump test function, one (k, bump) array of
+  residuals per snapshot series; midpoint in space, trapezoid in time.
 * nonlocal_comparisons: the pointwise inequality at a maximum of w,
       z L(z^b w)(x0) - b/(b+1) w L(z^(b+1))(x0) <= A_z(x0) w(x0),
   with A_z(x0) <= 0, for many (z, w) rows at once; both sides are sums over
@@ -43,7 +44,6 @@ __all__ = [
     "tail_mass",
     "l1_modulus",
     "nwave_distance",
-    "EntropyTestCase",
     "entropy_residuals",
     "nonlocal_comparisons",
     "random_smooth_rows",
@@ -266,73 +266,38 @@ def _bump_prime(s: np.ndarray) -> np.ndarray:
     return np.where(inside, _bump(s) * (-2.0 * safe) / (1.0 - safe ** 2) ** 2, 0.0)
 
 
-@dataclass(frozen=True)
-class EntropyTestCase:
-    """A Kruzkov constant k and a tensor-product bump test function.
-
-    phi(t, x) = bump((t - t_center)/t_halfwidth) * bump((x - x_center)/x_halfwidth),
-    smooth and compactly supported in (0, inf) x R (so t_center > t_halfwidth).
-    """
-
-    k: float
-    t_center: float
-    t_halfwidth: float
-    x_center: float
-    x_halfwidth: float
-
-    def __post_init__(self):
-        if not (self.t_halfwidth > 0 and self.x_halfwidth > 0):
-            raise ValueError("bump halfwidths must be positive")
-        if not self.t_center - self.t_halfwidth > 0:
-            raise ValueError("test function must be supported in positive times")
-
-    def phi(self, t: float, x: np.ndarray) -> np.ndarray:
-        return _bump((t - self.t_center) / self.t_halfwidth) * _bump(
-            (x - self.x_center) / self.x_halfwidth
-        )
-
-    def phi_t(self, t: float, x: np.ndarray) -> np.ndarray:
-        return (
-            _bump_prime((t - self.t_center) / self.t_halfwidth)
-            / self.t_halfwidth
-            * _bump((x - self.x_center) / self.x_halfwidth)
-        )
-
-    def phi_x(self, t: float, x: np.ndarray) -> np.ndarray:
-        return (
-            _bump((t - self.t_center) / self.t_halfwidth)
-            * _bump_prime((x - self.x_center) / self.x_halfwidth)
-            / self.x_halfwidth
-        )
-
-
 def entropy_residuals(
     times,
     snapshots,
     q: float,
-    cases,
-    tol_quad: float,
+    ks,
+    bumps,
     alpha: float = 0.0,
     lam: float = 1.0,
     kernel: Kernel | None = None,
-) -> list:
-    """Residuals of the Kruzkov-type inequality, one Report per (k, phi) case:
+) -> np.ndarray:
+    """Residuals of the Kruzkov-type inequality for every k in ks and every bump:
 
     R = intint |u-k| phi_t + sgn(u-k)(f(u)-f(k)) phi_x dx dt
         - alpha lam^q intint (|u-k| - sgn(u-k) (J_lam*(u-k))) phi dx dt,
 
-    midpoint in space, trapezoid over the snapshot times; a case passes iff
-    R >= -tol_quad.  alpha = 0 drops the nonlocal term (the pure
-    conservation-law form, e.g. for the closed-form N-wave).  sgn(0) = 0.
-    kernel is J_lam itself, already rescaled (SimParams.kernel()); lam
-    enters only through the lam^q factor.  J_lam*(u-k) is evaluated as
-    J_lam*u - k, exact for the zero-extended u because the kernel has
-    unit mass.
+    midpoint in space, trapezoid over the snapshot times; entry [j, b] of
+    the returned (len(ks), len(bumps)) array is R for ks[j] and bumps[b].
+    Each bump (t_center, t_halfwidth, x_center, x_halfwidth) is the test
+    function
 
-    Each snapshot's f(u) and J_lam*u, each (snapshot, k) pair's factors,
-    each (snapshot, bump) pair's phi_t, phi_x and phi, and each bump's
-    spatial factors are computed once and shared by every case that needs
-    them.
+        phi(t, x) = bump((t - t_center)/t_halfwidth) * bump((x - x_center)/x_halfwidth),
+
+    smooth and compactly supported in (0, inf) x R (so t_center > t_halfwidth).
+    alpha = 0 drops the nonlocal term (the pure conservation-law form, e.g.
+    for the closed-form N-wave).  sgn(0) = 0.  kernel is J_lam itself,
+    already rescaled (SimParams.kernel()); lam enters only through the lam^q
+    factor.  J_lam*(u-k) is evaluated as J_lam*u - k, exact for the
+    zero-extended u because the kernel has unit mass.
+
+    Every snapshot lives on one grid, so the x factors of the bumps are
+    computed once; each snapshot's f(u) and J_lam*u, and each (snapshot, k)
+    pair's factors, once per snapshot.
     """
     validate_q(q)
     times = np.asarray(times, dtype=float)
@@ -340,68 +305,49 @@ def entropy_residuals(
         raise ValueError("need matching times and snapshots, at least two")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    insides = []
-    for case in cases:
-        inside = (times > case.t_center - case.t_halfwidth) & (
-            times < case.t_center + case.t_halfwidth
-        )
-        if inside.sum() < 5:
-            raise ValueError(
-                "snapshot schedule too sparse across the test function's time support"
-            )
-        insides.append(inside)
+    tc, tw, xc, xw = np.array(bumps, dtype=float).reshape(-1, 4).T[:, :, None]
+    if not (np.all(tw > 0) and np.all(xw > 0)):
+        raise ValueError("bump halfwidths must be positive")
+    if not np.all(tc - tw > 0):
+        raise ValueError("test function must be supported in positive times")
+    inside = (times > tc - tw) & (times < tc + tw)
+    if np.any(inside.sum(axis=1) < 5):
+        raise ValueError("snapshot schedule too sparse across the test function's time support")
     if alpha > 0.0 and kernel is None:
         raise ValueError("nonlocal form needs the kernel")
+    for u in snapshots[1:]:
+        snapshots[0].require_same_geometry(u, "snapshots")
 
-    integrands = np.zeros((len(cases), len(times)))
-    bumps = {}  # (grid, x_center, x_halfwidth) -> (bump, bump') of the scaled x
-    for i, (t, u) in enumerate(zip(times, snapshots)):
-        todo = [c for c, inside in enumerate(insides) if inside[i]]
-        if not todo:
+    dx = snapshots[0].dx
+    s = (snapshots[0].centers - xc) / xw
+    # row by row, so _bump's temporaries stay one grid long and the peak memory low
+    bx = [_bump(row) for row in s]
+    bx_prime = [_bump_prime(row) for row in s]
+    st = (times - tc) / tw
+    bt, bt_prime = _bump(st), _bump_prime(st) / tw
+    integrands = np.zeros((len(ks), len(bumps), len(times)))
+    for i, u in enumerate(snapshots):
+        active = np.flatnonzero(inside[:, i])
+        if not len(active):
             continue
-        x = u.centers
         v = u.values
         fv = flux(v, q)
         ju = convolve(kernel, u).values if alpha > 0.0 else None
-        per_k, per_t, per_phi = {}, {}, {}
-        for c in todo:
-            case = cases[c]
-            k = case.k
-            if k not in per_k:
-                sgn = np.sign(v - k)
-                dist = np.abs(v - k)
-                nonlocal_part = dist - sgn * (ju - k) if ju is not None else None
-                per_k[k] = dist, sgn * (fv - flux(k, q)), nonlocal_part
-            dist, flux_part, nonlocal_part = per_k[k]
-            x_key = (u.x_min, u.dx, u.n, case.x_center, case.x_halfwidth)
-            t_key = (case.t_center, case.t_halfwidth)
-            if (x_key, t_key) not in per_phi:
-                if x_key not in bumps:
-                    s = (x - case.x_center) / case.x_halfwidth
-                    bumps[x_key] = _bump(s), _bump_prime(s)
-                bx, bx_prime = bumps[x_key]
-                if t_key not in per_t:
-                    st = (t - case.t_center) / case.t_halfwidth
-                    per_t[t_key] = _bump(st), _bump_prime(st) / case.t_halfwidth
-                bt, bt_prime = per_t[t_key]
-                # the operand order of EntropyTestCase.phi_t, phi_x and phi
-                per_phi[x_key, t_key] = (bt_prime * bx, bt * bx_prime / case.x_halfwidth,
-                                         bt * bx if ju is not None else None)
-            phi_t, phi_x, phi = per_phi[x_key, t_key]
-            a = (dist * phi_t + flux_part * phi_x).sum() * u.dx
-            b = 0.0
-            if nonlocal_part is not None:
-                b = alpha * lam ** q * (nonlocal_part * phi).sum() * u.dx
-            integrands[c, i] = a - b
-    return [
-        Report(
-            name=f"entropy residual k={case.k:g}",
-            verdict="pass" if residual >= -tol_quad else "fail",
-            values={"residual": residual},
-            tolerance=tol_quad,
-        )
-        for case, residual in zip(cases, (float(np.trapezoid(f, times)) for f in integrands))
-    ]
+        parts = []
+        for k in ks:
+            sgn = np.sign(v - k)
+            dist = np.abs(v - k)
+            parts.append((dist, sgn * (fv - flux(k, q)),
+                          dist - sgn * (ju - k) if ju is not None else None))
+        for b in active:
+            phi_t = bt_prime[b, i] * bx[b]
+            phi_x = bt[b, i] * bx_prime[b] / xw[b, 0]
+            phi = bt[b, i] * bx[b] if ju is not None else None
+            for j, (dist, flux_part, nonlocal_part) in enumerate(parts):
+                integrands[j, b, i] = (dist * phi_t + flux_part * phi_x).sum() * dx
+                if ju is not None:
+                    integrands[j, b, i] -= alpha * lam ** q * (nonlocal_part * phi).sum() * dx
+    return np.trapezoid(integrands, times, axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -97,13 +97,19 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _write_csv(path: str, header: str, rows):
+    """header, then one line per row of already formatted fields."""
+    lines = [header]
+    lines.extend(",".join(row) for row in rows)
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
 def write_snapshots_csv(times, snapshots, path: str):
-    lines = ["t,x,u"]
+    rows = []
     for t, u in zip(times, snapshots):
         ts = _fmt(t)
-        for x, v in zip(u.centers, u.values):
-            lines.append(f"{ts},{_fmt(x)},{_fmt(v)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        rows.extend((ts, _fmt(x), _fmt(v)) for x, v in zip(u.centers, u.values))
+    _write_csv(path, "t,x,u", rows)
 
 
 def read_snapshots_csv(path: str):
@@ -133,32 +139,24 @@ def read_snapshots_csv(path: str):
 
 
 def write_mass_csv(traj, path: str):
-    lines = ["t,mass,dirichlet_integral"]
-    for (t, mass), (_, diss) in zip(traj.mass_history, traj.dissipation_history):
-        lines.append(f"{_fmt(t)},{_fmt(mass)},{_fmt(diss)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "t,mass,dirichlet_integral",
+               ((_fmt(t), _fmt(mass), _fmt(diss))
+                for (t, mass), (_, diss) in zip(traj.mass_history, traj.dissipation_history)))
 
 
 def write_summary_csv(rows, path: str):
     """rows: iterable of (sweep_value, metric, value)."""
-    lines = ["sweep_value,metric,value"]
-    for sweep, metric, value in rows:
-        lines.append(f"{_fmt(sweep)},{metric},{_fmt(value)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "sweep_value,metric,value",
+               ((_fmt(sweep), metric, _fmt(value)) for sweep, metric, value in rows))
 
 
 def write_kernel_csv(kernel, path: str):
-    lines = ["x,J"]
-    for k, s in zip(kernel.offsets, kernel.samples):
-        lines.append(f"{_fmt(k * kernel.dx)},{_fmt(s)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "x,J", ((_fmt(k * kernel.dx), _fmt(s))
+                             for k, s in zip(kernel.offsets, kernel.samples)))
 
 
 def write_nwave_csv(u: GridFunction, path: str):
-    lines = ["x,w"]
-    for x, v in zip(u.centers, u.values):
-        lines.append(f"{_fmt(x)},{_fmt(v)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "x,w", ((_fmt(x), _fmt(v)) for x, v in zip(u.centers, u.values)))
 
 
 # the strings that stand for non-finite floats in a verdicts file

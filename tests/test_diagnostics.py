@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from nwavelab.diagnostics import (
+    _bump,
+    _bump_prime,
     _comparison_terms,
-    EntropyTestCase,
     Report,
     decay_fit,
     entropy_residuals,
@@ -137,22 +138,34 @@ def test_nwave_distance_vanishes_on_exact_profile():
     )
 
 
+# The test function of one bump (t_center, t_halfwidth, x_center, x_halfwidth),
+# and its t and x derivatives, case by case in entropy_residuals' operand order.
+def _phi(bump, t, x):
+    tc, tw, xc, xw = bump
+    return _bump((t - tc) / tw) * _bump((x - xc) / xw)
+
+
+def _phi_t(bump, t, x):
+    tc, tw, xc, xw = bump
+    return _bump_prime((t - tc) / tw) / tw * _bump((x - xc) / xw)
+
+
+def _phi_x(bump, t, x):
+    tc, tw, xc, xw = bump
+    return _bump((t - tc) / tw) * _bump_prime((x - xc) / xw) / xw
+
+
 def test_entropy_case_bump_derivative_consistent():
-    case = EntropyTestCase(k=0.0, t_center=1.0, t_halfwidth=0.5, x_center=0.0, x_halfwidth=1.0)
+    bump = (1.0, 0.5, 0.0, 1.0)
     x = np.linspace(-1.5, 1.5, 7)
     h = 1e-6
-    fd = (case.phi(1.2 + h, x) - case.phi(1.2 - h, x)) / (2.0 * h)
-    np.testing.assert_allclose(case.phi_t(1.2, x), fd, atol=1e-7)
-    fd_x = (case.phi(1.2, x + h) - case.phi(1.2, x - h)) / (2.0 * h)
-    np.testing.assert_allclose(case.phi_x(1.2, x), fd_x, atol=1e-7)
+    fd = (_phi(bump, 1.2 + h, x) - _phi(bump, 1.2 - h, x)) / (2.0 * h)
+    np.testing.assert_allclose(_phi_t(bump, 1.2, x), fd, atol=1e-7)
+    fd_x = (_phi(bump, 1.2, x + h) - _phi(bump, 1.2, x - h)) / (2.0 * h)
+    np.testing.assert_allclose(_phi_x(bump, 1.2, x), fd_x, atol=1e-7)
     # compact support
-    assert case.phi(2.9, x).max() == 0.0
-    assert case.phi(1.0, np.array([1.5, -2.0])).max() == 0.0
-
-
-def test_entropy_case_needs_positive_time_support():
-    with pytest.raises(ValueError, match="positive times"):
-        EntropyTestCase(k=0.0, t_center=0.3, t_halfwidth=0.5, x_center=0.0, x_halfwidth=1.0)
+    assert _phi(bump, 2.9, x).max() == 0.0
+    assert _phi(bump, 1.0, np.array([1.5, -2.0])).max() == 0.0
 
 
 def _nwave_entropy_inputs(dt=0.05, dx=1.0 / 128.0):
@@ -162,60 +175,77 @@ def _nwave_entropy_inputs(dt=0.05, dx=1.0 / 128.0):
     return times, snaps
 
 
+def test_entropy_case_needs_positive_time_support():
+    times, snaps = _nwave_entropy_inputs()
+    with pytest.raises(ValueError, match="positive times"):
+        entropy_residuals(times, snaps, 1.5, (0.0,), [(0.3, 0.5, 0.0, 1.0)])
+    for bump in [(1.75, 0.0, 2.0, 1.0), (1.75, 0.45, 2.0, -1.0)]:
+        with pytest.raises(ValueError, match="halfwidths must be positive"):
+            entropy_residuals(times, snaps, 1.5, (0.0,), [bump])
+
+
 def test_entropy_residual_zero_for_weak_solution_k0():
     # k=0 on a nonnegative solution reduces to the weak-form identity:
     # the residual is pure quadrature error
     times, snaps = _nwave_entropy_inputs()
-    case = EntropyTestCase(k=0.0, t_center=1.75, t_halfwidth=0.45, x_center=2.0, x_halfwidth=1.0)
-    rep = entropy_residuals(times, snaps, 1.5, (case,), tol_quad=2e-2)[0]
-    assert rep.passed
-    assert abs(rep.values["residual"]) < 5e-3
+    residual = entropy_residuals(times, snaps, 1.5, (0.0,), [(1.75, 0.45, 2.0, 1.0)])[0, 0]
+    assert residual >= -2e-2
+    assert abs(residual) < 5e-3
 
 
 def test_entropy_residual_production_at_shock():
     # k between 0 and max u: the shock produces entropy, residual >> 0
     times, snaps = _nwave_entropy_inputs()
-    case = EntropyTestCase(k=0.5, t_center=1.75, t_halfwidth=0.45, x_center=2.0, x_halfwidth=1.0)
-    rep = entropy_residuals(times, snaps, 1.5, (case,), tol_quad=2e-2)[0]
-    assert rep.values["residual"] > 0.05
+    residual = entropy_residuals(times, snaps, 1.5, (0.5,), [(1.75, 0.45, 2.0, 1.0)])[0, 0]
+    assert residual > 0.05
 
 
 def test_entropy_residual_error_paths():
     times, snaps = _nwave_entropy_inputs()
-    case = EntropyTestCase(k=0.0, t_center=1.75, t_halfwidth=0.45, x_center=2.0, x_halfwidth=1.0)
+    bumps = [(1.75, 0.45, 2.0, 1.0)]
     with pytest.raises(ValueError, match="too sparse"):
-        entropy_residuals(times[:3], snaps[:3], 1.5, (case,), tol_quad=2e-2)
+        entropy_residuals(times[:3], snaps[:3], 1.5, (0.0,), bumps)
     with pytest.raises(ValueError, match="needs the kernel"):
-        entropy_residuals(times, snaps, 1.5, (case,), tol_quad=2e-2, alpha=1.0)
+        entropy_residuals(times, snaps, 1.5, (0.0,), bumps, alpha=1.0)
+
+
+def test_entropy_residuals_need_one_grid():
+    times, snaps = _nwave_entropy_inputs()
+    snaps[5] = nwave_sample(NWave(1.0, 1.5), times[5], -4.0, 1.0 / 64.0, 768)
+    with pytest.raises(ValueError, match="different grids"):
+        entropy_residuals(times, snaps, 1.5, (0.0,), [(1.75, 0.45, 2.0, 1.0)])
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.7])
 def test_entropy_residuals_match_the_per_case_formula(alpha):
     # entropy_residuals computes f(u), J*u and the bump factors once for
-    # every case; each residual must equal, bit for bit, the formula taken
-    # case by case with EntropyTestCase's own phi, phi_t and phi_x.
+    # every (k, bump) entry; each residual must equal, bit for bit, the
+    # formula taken case by case with _phi, _phi_t and _phi_x.
     q, lam, dx = 1.5, 2.0, 1.0 / 64.0
     times, snaps = _nwave_entropy_inputs(dt=0.1, dx=dx)
     kernel = make_kernel("uniform", 0.5, dx)
-    cases = [EntropyTestCase(k, tc, 0.45, xc, xw) for k in (-1.0, 0.0, 0.5)
-             for tc in (1.0, 1.75) for xc, xw in ((-0.5, 1.0), (2.0, 0.75))]
-    got = entropy_residuals(times, snaps, q, cases, 2e-2, alpha=alpha, lam=lam, kernel=kernel)
-    for case, rep in zip(cases, got):
-        k = case.k
-        integrand = np.zeros(len(times))
-        for i, (t, u) in enumerate(zip(times, snaps)):
-            if not case.t_center - case.t_halfwidth < t < case.t_center + case.t_halfwidth:
-                continue
-            x, v = u.centers, u.values
-            sgn = np.sign(v - k)
-            a = np.sum(np.abs(v - k) * case.phi_t(t, x)
-                       + sgn * (flux(v, q) - flux(k, q)) * case.phi_x(t, x)) * u.dx
-            b = 0.0
-            if alpha > 0.0:
-                conv = convolve(kernel, u).values - k
-                b = alpha * lam ** q * np.sum((np.abs(v - k) - sgn * conv) * case.phi(t, x)) * u.dx
-            integrand[i] = a - b
-        assert rep.values["residual"] == float(np.trapezoid(integrand, times))
+    ks = (-1.0, 0.0, 0.5)
+    bumps = [(tc, 0.45, xc, xw) for tc in (1.0, 1.75) for xc, xw in ((-0.5, 1.0), (2.0, 0.75))]
+    got = entropy_residuals(times, snaps, q, ks, bumps, alpha=alpha, lam=lam, kernel=kernel)
+    assert got.shape == (len(ks), len(bumps))
+    for j, k in enumerate(ks):
+        for b, bump in enumerate(bumps):
+            tc, tw = bump[:2]
+            integrand = np.zeros(len(times))
+            for i, (t, u) in enumerate(zip(times, snaps)):
+                if not tc - tw < t < tc + tw:
+                    continue
+                x, v = u.centers, u.values
+                sgn = np.sign(v - k)
+                a = np.sum(np.abs(v - k) * _phi_t(bump, t, x)
+                           + sgn * (flux(v, q) - flux(k, q)) * _phi_x(bump, t, x)) * u.dx
+                c = 0.0
+                if alpha > 0.0:
+                    conv = convolve(kernel, u).values - k
+                    c = alpha * lam ** q * np.sum((np.abs(v - k) - sgn * conv)
+                                                  * _phi(bump, t, x)) * u.dx
+                integrand[i] = a - c
+            assert got[j, b] == float(np.trapezoid(integrand, times))
 
 
 def _one_comparison(kernel, beta, z, w):

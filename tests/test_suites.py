@@ -350,3 +350,65 @@ def test_entropy_suite_rescales_the_kernel_once(monkeypatch):
     assert seen == {2.0}
     simulated = [r for r in reports if r.name.startswith("simulated residual")]
     assert len(simulated) == 4 and all(r.passed for r in simulated)
+
+
+def _mirrored(u):
+    """u(-x) on u's grid, zero where -x leaves it; x = 0 must be a cell edge."""
+    j = int(round(-2.0 * u.x_min / u.dx)) - 1 - np.arange(u.n)
+    inside = (j >= 0) & (j < u.n)
+    return u.with_values(np.where(inside, u.values[np.clip(j, 0, u.n - 1)], 0.0))
+
+
+def _nan_cell(u):
+    values = u.values.copy()
+    values[u.n // 2] = np.nan
+    return u.with_values(values)
+
+
+def _failing_entropy_lines(monkeypatch, source, corrupt):
+    """Names of the entropy suite's FAIL lines when source's snapshots are corrupted.
+
+    source "closed-form" corrupts suites._closed_form_snapshots, "simulated"
+    the trajectory of suites.run; corrupt maps one snapshot list to another.
+    """
+    import nwavelab.suites as suites
+
+    if source == "closed-form":
+        real = suites._closed_form_snapshots
+        monkeypatch.setattr(suites, "_closed_form_snapshots", lambda *a: corrupt(real(*a)))
+    else:
+        real = suites.run
+
+        def corrupted_run(datum, params):
+            traj = real(datum, params)
+            traj.snapshots = corrupt(traj.snapshots)
+            return traj
+
+        monkeypatch.setattr(suites, "run", corrupted_run)
+    return {r.name for r in run_suite("entropy", load_config()) if not r.passed}
+
+
+def test_entropy_suite_fails_the_mirrored_nwave(monkeypatch):
+    # w(t, -x) carries an expansion shock: a weak solution, not an entropy one
+    failing = _failing_entropy_lines(
+        monkeypatch, "closed-form", lambda snaps: [_mirrored(u) for u in snaps])
+    assert failing == {"closed-form residual k=0.5", "closed-form residual k=1",
+                       "residual quadrature refinement"}
+
+
+def test_entropy_suite_fails_the_mirrored_run(monkeypatch):
+    failing = _failing_entropy_lines(
+        monkeypatch, "simulated", lambda snaps: [_mirrored(u) for u in snaps])
+    assert failing == {"simulated residual k=0.5", "simulated residual k=1"}
+
+
+@pytest.mark.parametrize("source", ["closed-form", "simulated"])
+def test_entropy_suite_fails_a_nan_cell(monkeypatch, source):
+    def one_nan(snaps):
+        return [_nan_cell(u) if i == 25 else u for i, u in enumerate(snaps)]
+
+    failing = _failing_entropy_lines(monkeypatch, source, one_nan)
+    lines = {f"{source} residual k={k:g}" for k in (-1.0, 0.0, 0.5, 1.0)}
+    if source == "closed-form":
+        lines.add("residual quadrature refinement")
+    assert failing == lines
