@@ -129,7 +129,13 @@ def oleinik_margin(u: GridFunction, q: float, t: float, tol_scheme: float) -> Re
     )
 
 
-def decay_fit(traj, p: float, tol: float = 0.1, sup_tol: float = 1e-10) -> Report:
+# decay_fit's slope allowance, and the rounding allowance of the bounds that
+# hold exactly in the scheme: amplitude, no L^1 growth, no L^2 energy gain
+SLOPE_TOL = 0.1
+ROUNDING_TOL = 1e-10
+
+
+def decay_fit(traj, p: float) -> Report:
     """Least-squares log-log slope of ||u(t)||_p over the last time decade.
 
     Needs at least 5 snapshots spanning a decade.  Target slope is
@@ -149,29 +155,29 @@ def decay_fit(traj, p: float, tol: float = 0.1, sup_tol: float = 1e-10) -> Repor
     slope = float(np.polyfit(np.log(times[sel]), np.log(norms[sel]), 1)[0])
     target = -(1.0 / q) if p == np.inf else -(1.0 / q) * (1.0 - 1.0 / p)
     values = {"slope": slope, "target": target}
-    ok = abs(slope - target) <= tol
+    ok = abs(slope - target) <= SLOPE_TOL
 
     phi_l1 = lp_norm(traj.initial, 1)
     if p == np.inf:
         bounds = (q * phi_l1 / ((q - 1.0) * times)) ** (1.0 / q)
         excess = float(np.max(norms - bounds))
         values["sup_excess"] = excess
-        ok = ok and excess <= sup_tol
+        ok = ok and excess <= ROUNDING_TOL
     if p == 1:
         values["l1_growth"] = float(np.max(norms) - phi_l1)
-        ok = ok and values["l1_growth"] <= sup_tol
+        ok = ok and values["l1_growth"] <= ROUNDING_TOL
     return Report(
         name=f"decay exponent p={p:g} q={q:g}",
         verdict="pass" if ok else "fail",
         values=values,
-        tolerance=tol,
+        tolerance=SLOPE_TOL,
     )
 
 
-def energy_report(traj, tol: float = 1e-10) -> Report:
+def energy_report(traj) -> Report:
     """Scheme never creates L^2 energy: for consecutive snapshots (t=0 in),
 
-        ||u(t2)||_2^2 + dissipation(t1, t2) <= ||u(t1)||_2^2 + tol,
+        ||u(t2)||_2^2 + dissipation(t1, t2) <= ||u(t1)||_2^2 + ROUNDING_TOL,
 
     where dissipation is the nonlocal Dirichlet integral the run
     accumulated.  Consecutive pairs imply all pairs by telescoping.
@@ -186,14 +192,14 @@ def energy_report(traj, tol: float = 1e-10) -> Report:
     worst = float(np.max(gains))
     return Report(
         name="energy dissipation",
-        verdict="pass" if worst <= tol else "fail",
+        verdict="pass" if worst <= ROUNDING_TOL else "fail",
         values={"worst_gain": worst, "dissipated": diss[-1]},
-        tolerance=tol,
+        tolerance=ROUNDING_TOL,
     )
 
 
-def sup_norm_bound_report(traj, tol: float = 1e-10) -> Report:
-    """||u(t)||_inf <= (q ||phi||_1 / ((q-1) t))^(1/q) at every snapshot.
+def sup_norm_bound_report(traj) -> Report:
+    """||u(t)||_inf <= (q ||phi||_1 / ((q-1) t))^(1/q) + ROUNDING_TOL at every snapshot.
 
     The amplitude bound for nonnegative data; the initial datum must be
     nonnegative (to UNDERSHOOT_FLOOR).
@@ -208,9 +214,9 @@ def sup_norm_bound_report(traj, tol: float = 1e-10) -> Report:
         worst = worst_max(worst, lp_norm(u, np.inf) - bound)
     return Report(
         name="amplitude bound",
-        verdict="pass" if worst <= tol else "fail",
+        verdict="pass" if worst <= ROUNDING_TOL else "fail",
         values={"worst_excess": float(worst)},
-        tolerance=tol,
+        tolerance=ROUNDING_TOL,
     )
 
 

@@ -30,10 +30,9 @@ shorter.  On a grid that takes more than two blocks, a lone field steps
 on a window of cells.  After each step, cells with |u_j| < ROUNDING_FLOOR *
 max|u| (1e-16, the rounding noise the transform of J*u leaves anyway) are
 set to exact zero, so the field is exactly zero outside its support, and
-one step moves a value at most K + 1 cells.  The window is the support
-widened by K + 1 each step, and every few steps it shrinks back to the
-nonzero cells; once it spans the grid, it stays there unfloored.  A batch
-of several fields steps the whole grid.
+one step moves a value at most K + 1 cells.  The next step's window is
+that support widened by K + 1; once it spans the grid, it stays there
+unfloored.  A batch of several fields steps the whole grid.
 
 run_lockstep() is the one time loop.  It runs groups of fields: the fields
 of a group share one dt schedule, and each group keeps its own clock, dt,
@@ -41,9 +40,10 @@ step count and snapshots.  A step advances the rows of every group still
 short of the next snapshot time as one (rows, n) array, each row by its
 group's dt; rows of groups that have reached it are gathered out and
 scattered back, never stepped with dt = 0.  Each row rounds as it does
-alone: budgets are scalar per row, the Dirichlet rate is one einsum per
-row, and the batched transforms round every row as a transform of that
-row would.  run() is the one-group, one-field case.
+alone: budgets are scalar per row, the Dirichlet rates' one einsum sums
+each row as a sum of that row would (up to 8192 cells a row), and the
+batched transforms round every row as a transform of that row would.
+run() is the one-group, one-field case.
 
 run() also accumulates the nonlocal energy-dissipation integral
 
@@ -207,7 +207,7 @@ class Trajectory:
 # |u| < ROUNDING_FLOOR * max|u| are set to exact zero after every step.
 # That is at or below the rounding noise the transform of J*u leaves on
 # every cell anyway.  It keeps the field exactly zero outside its support,
-# so the window can shrink back to it (see _Window), and it keeps every
+# so the window can follow it (see _Window), and it keeps every
 # value normal: left alone, the edges of the support decay into
 # subnormals, on which the transforms and the flux power run an order of
 # magnitude slower.
@@ -215,8 +215,6 @@ ROUNDING_FLOOR = 1e-16
 # The diagnostics read values down to -UNDERSHOOT_FLOOR (times the field's
 # amplitude where they scale it) as zero: FFT rounding leaves that much.
 UNDERSHOOT_FLOOR = 1e-12
-# A window shrinks back to its field's nonzero cells every this many steps.
-_TIGHTEN_EVERY = 8
 
 
 class _Stepper:
@@ -354,22 +352,19 @@ class _Stepper:
         else:
             # intint J (u(x)-u(y))^2 dx dy = -2 <u, Lu>.  einsum, not np.dot:
             # OpenBLAS hands dots over ~10k cells to a helper thread, which
-            # spins against any other run sharing the CPUs.  One "i,i->" per
-            # field: "ij,ij->i" sums in another order past 8192 cells.
-            if u.ndim == 1:
-                u_lu = float(np.einsum("i,i->", u, lu))
-            else:
-                u_lu = np.array([np.einsum("i,i->", a, b) for a, b in zip(u, lu)])
+            # spins against any other run sharing the CPUs.  A batch's rows
+            # sum as a lone row's "i,i->" does up to 8192 cells a row, past
+            # which numpy's einsum buffer splits them in another order.
+            u_lu = np.einsum("...i,...i->...", u, lu)
             dirichlet = -2.0 * p.alpha * self.lamq * u_lu * dx
             lu *= p.alpha * self.lamq * dt
             rhs += lu
         if p.mu > 0.0:
             lap = self._lap[at]
-            # (u_{j+1} - 2 u_j) + u_{j-1}, with the ghost zeros left out:
-            # -2 u + u_{m-2} at the right edge is u_{m-2} - 2 u exactly
-            np.multiply(u, 2.0, out=lap)
-            np.subtract(u[..., 1:], lap[..., :-1], out=lap[..., :-1])
-            np.negative(lap[..., -1:], out=lap[..., -1:])
+            # (u_{j+1} - 2 u_j) + u_{j-1}, with the ghost zeros left out;
+            # (-2 u_j) + u_{j+1} is u_{j+1} - 2 u_j exactly
+            np.multiply(u, -2.0, out=lap)
+            lap[..., :-1] += u[..., 1:]
             lap[..., 1:] += u[..., :-1]
             lap *= p.mu * dt / dx ** 2
             rhs += lap
@@ -391,11 +386,10 @@ class _Window:
 
     The field is exactly zero outside its support.  A step moves values
     at most `reach` cells, so it works on the support widened by reach on
-    both sides (clipped to the grid), and every other cell stays zero;
-    that window is the next step's support.  After each step the field is
-    floored against its max, and every _TIGHTEN_EVERY steps the support
-    shrinks back to the nonzero cells, which the floor keeps few.  A
-    window that spans the grid stays there and is no longer floored: the
+    both sides (clipped to the grid), and every other cell stays zero.
+    After each step the field is floored against its max, and the window
+    re-fits: the cells the floor left nonzero, widened by reach.  A window
+    that spans the grid stays there and is no longer floored: the
     transform's rounding noise then reaches every cell, as in a step of
     the whole grid.  reach None, or a zero field, means the whole grid
     from the start; a batch of fields steps there.
@@ -407,7 +401,6 @@ class _Window:
         nonzero = np.flatnonzero(u) if reach is not None else ()
         if len(nonzero):
             self._small = np.empty(self.n, dtype=bool)
-            self._age = 0
             self._fit(nonzero[0], nonzero[-1] + 1)
 
     def _fit(self, lo: int, hi: int):
@@ -417,7 +410,7 @@ class _Window:
 
     def settle(self, u: np.ndarray, abs_u: np.ndarray, max_abs: float):
         """After a step of the field u, with abs_u = |u|: apply the rounding
-        floor and move the window on."""
+        floor and fit the window to what it left."""
         if self.whole:
             return
         a, b = self.cells.start, self.cells.stop
@@ -425,12 +418,9 @@ class _Window:
         # abs_u keeps the floored cells' old |u|: rate multiplies its power
         # by u, which is 0 there, and the loop's np.abs then rewrites it
         np.copyto(u[a:b], 0.0, where=small)
-        self._age += 1
-        if self._age % _TIGHTEN_EVERY == 0:
-            # the nonzero cells are the ones the floor left alone; argmin
-            # stops at the first of them
-            a, b = a + int(small.argmin()), b - int(small[::-1].argmin())
-        self._fit(a, b)
+        # the nonzero cells are the ones the floor left alone; argmin stops
+        # at the first of them
+        self._fit(a + int(small.argmin()), b - int(small[::-1].argmin()))
 
 
 def run(phi: GridFunction, params: SimParams) -> Trajectory:
@@ -463,7 +453,8 @@ def run_lockstep(groups, params: SimParams) -> list:
     back around the step, never stepped with dt = 0.  One field alone
     steps on its window (see _Window); a batch steps the whole grid, and
     each of its groups rounds as it does alone, bit for bit, wherever it
-    would step the whole grid alone too.  Every field gets run()'s
+    would step the whole grid alone too and a row has at most 8192 cells
+    (see _Stepper.rate).  Every field gets run()'s
     checks, and an abort names the field (when its group has several) and
     the group (when there are several) and the cell.
     """

@@ -15,6 +15,7 @@ from nwavelab.solver import (
     ParamError,
     SimParams,
     _Stepper,
+    _Window,
     rescale_snapshot,
     run,
     run_lockstep,
@@ -187,6 +188,47 @@ def test_a_lone_field_steps_on_a_window_and_a_batch_on_the_whole_grid(monkeypatc
     (pair, _), (alone,) = run_lockstep(_two_groups(p), p)
     assert len(seen) == pair.steps > alone.steps
     assert set(seen) == {(0, n, 1)}
+
+
+def test_a_lone_window_fits_the_floored_support_after_every_step(monkeypatch):
+    # After each step the window is the floored field's nonzero cells
+    # widened by the stepper's reach, clipped to the grid: the next step
+    # can move no value farther, and a wider window only does dead work.
+    p = _params(x_min=-16.0, x_max=16.0, output_times=(0.1, 0.2))
+    n, reach = p.grid_n(), _Stepper(p).reach
+    fits = []
+    settle = _Window.settle
+
+    def checked(self, u, abs_u, max_abs):
+        settle(self, u, abs_u, max_abs)
+        nonzero = np.flatnonzero(u)
+        fits.append((self.cells.start, self.cells.stop)
+                    == (max(0, nonzero[0] - reach), min(n, nonzero[-1] + 1 + reach)))
+
+    monkeypatch.setattr(_Window, "settle", checked)
+    lone = run(make_initial_datum("box", p.x_min, p.dx, n), p)
+    assert len(fits) == lone.steps > 8
+    assert all(fits)
+
+
+@pytest.mark.parametrize("n", [768, 8192])
+def test_batch_rates_equal_the_lone_rates_bit_for_bit(n):
+    # One einsum gives every row's Dirichlet rate; up to 8192 cells a row
+    # it sums each row as the lone field's sum does.  The pair suites'
+    # rows have 768 cells.  A numpy whose einsum sums a batch in another
+    # order fails here, not as a drift in the pair suites' lines.
+    p = SimParams(q=1.5, mu=0.02, x_min=0.0, x_max=n / 64.0, dx=1.0 / 64.0,
+                  output_times=(1.0,))
+    rows = 40
+    stepper = _Stepper(p, rows)
+    u = np.random.default_rng(11).standard_normal((rows, n))
+    dt = 1e-3
+    batch = u.copy()
+    rates = stepper.rate(batch, np.abs(batch), dt)
+    for i in range(rows):
+        alone = u[i].copy()
+        assert stepper.rate(alone, np.abs(alone), dt) == rates[i]
+        np.testing.assert_array_equal(alone, batch[i])
 
 
 def test_zero_group_with_infinite_budget_beside_a_moving_group():

@@ -366,7 +366,7 @@ def _nan_cell(u):
 
 
 def _failing_entropy_lines(monkeypatch, source, corrupt):
-    """Names of the entropy suite's FAIL lines when source's snapshots are corrupted.
+    """The entropy suite's FAIL lines by name when source's snapshots are corrupted.
 
     source "closed-form" corrupts suites._closed_form_snapshots, "simulated"
     the trajectory of suites.run; corrupt maps one snapshot list to another.
@@ -385,21 +385,21 @@ def _failing_entropy_lines(monkeypatch, source, corrupt):
             return traj
 
         monkeypatch.setattr(suites, "run", corrupted_run)
-    return {r.name for r in run_suite("entropy", load_config()) if not r.passed}
+    return {r.name: r for r in run_suite("entropy", load_config()) if not r.passed}
 
 
 def test_entropy_suite_fails_the_mirrored_nwave(monkeypatch):
     # w(t, -x) carries an expansion shock: a weak solution, not an entropy one
     failing = _failing_entropy_lines(
         monkeypatch, "closed-form", lambda snaps: [_mirrored(u) for u in snaps])
-    assert failing == {"closed-form residual k=0.5", "closed-form residual k=1",
+    assert failing.keys() == {"closed-form residual k=0.5", "closed-form residual k=1",
                        "residual quadrature refinement"}
 
 
 def test_entropy_suite_fails_the_mirrored_run(monkeypatch):
     failing = _failing_entropy_lines(
         monkeypatch, "simulated", lambda snaps: [_mirrored(u) for u in snaps])
-    assert failing == {"simulated residual k=0.5", "simulated residual k=1"}
+    assert failing.keys() == {"simulated residual k=0.5", "simulated residual k=1"}
 
 
 @pytest.mark.parametrize("source", ["closed-form", "simulated"])
@@ -411,4 +411,78 @@ def test_entropy_suite_fails_a_nan_cell(monkeypatch, source):
     lines = {f"{source} residual k={k:g}" for k in (-1.0, 0.0, 0.5, 1.0)}
     if source == "closed-form":
         lines.add("residual quadrature refinement")
-    assert failing == lines
+        # every k's residual is NaN; the first is refined, not skipped
+        refinement = failing["residual quadrature refinement"]
+        assert refinement.detail == "k=-1"
+        assert np.isnan(refinement.values["worst_refined"])
+    assert failing.keys() == lines
+
+
+def _nudge_last_snapshot(monkeypatch, nudge):
+    """Patch suites.run so that nudge(call, values) edits each run's last snapshot."""
+    import nwavelab.suites as suites
+
+    real, calls = suites.run, []
+
+    def nudged(datum, params):
+        traj = real(datum, params)
+        calls.append(traj)
+        last = traj.snapshots[-1]
+        traj.snapshots[-1] = last.with_values(nudge(len(calls), last.values.copy()))
+        return traj
+
+    monkeypatch.setattr(suites, "run", nudged)
+
+
+def _one_cell(values, value):
+    values[int(np.argmax(np.abs(values)))] = value
+    return values
+
+
+def _leak_mass(monkeypatch):
+    """Patch experiments.run so that each run reports twice its tail cap of mass gone."""
+    import nwavelab.experiments as experiments
+
+    real = experiments.run
+
+    def leaking(datum, params):
+        traj = real(datum, params)
+        traj.mass_history = [(t, m - 2.0 * params.tail_cap) for t, m in traj.mass_history]
+        return traj
+
+    monkeypatch.setattr(experiments, "run", leaking)
+
+
+def _verdicts(kind):
+    from nwavelab.experiments import run_study, study_spec
+
+    if kind == "comparison":
+        reports = run_suite("comparison", load_config(seed=7))
+    else:  # a long-time study on a short clock and a coarse grid
+        cfg = load_config(overrides=["study.times=0.25,0.5", "grid.dx=0.03125"])
+        cfg.study_kind = kind
+        reports = run_study(study_spec(cfg))
+    return {r.name: r.verdict for r in reports}
+
+
+@pytest.mark.parametrize("gate, kind, defect", [
+    # one cell of the positive run goes negative, in both of its runs
+    pytest.param("sign preservation", "comparison",
+                 lambda mp: _nudge_last_snapshot(mp, lambda call, v: _one_cell(v, -1e-9)),
+                 id="sign"),
+    # the rerun's largest cell is one ulp higher
+    pytest.param("rerun determinism", "comparison",
+                 lambda mp: _nudge_last_snapshot(
+                     mp, lambda call, v: v if call == 1 else
+                     _one_cell(v, np.nextafter(v.max(), np.inf))),
+                 id="determinism"),
+    # mass the loop never saw leave, as a leaking boundary would lose it
+    pytest.param("mass conservation", "long_time_nonnegative", _leak_mass, id="mass"),
+])
+def test_a_gate_fails_on_its_defect_and_only_it_moves(monkeypatch, gate, kind, defect):
+    clean = _verdicts(kind)
+    defect(monkeypatch)
+    broken = _verdicts(kind)
+    assert clean[gate] == "pass" and broken[gate] == "fail"
+    assert {k: v for k, v in broken.items() if k != gate} == \
+        {k: v for k, v in clean.items() if k != gate}
