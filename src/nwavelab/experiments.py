@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import (DEFAULTS, STUDY_KINDS, Config, ConfigError, build_kernel, check_grid,
+from .config import (STUDY_KINDS, Config, ConfigError, build_kernel, check_grid,
                      rescale_kernel)
 from .diagnostics import (
     Report,
@@ -34,7 +34,7 @@ from .diagnostics import (
 from .grid import GridFunction, grid_function
 from .nonlocal_op import second_order_bound_ratios
 from .profiles import DATUM_PARAMS, NWave, check_datum, make_initial_datum
-from .solver import ParamError, SimParams, rescale_snapshot, run
+from .solver import ParamError, SimParams, rescale_snapshot, run, run_lockstep
 
 __all__ = [
     "StudySpec",
@@ -134,9 +134,7 @@ def study_spec(cfg: Config, out_dir: str | None = None) -> StudySpec:
         try:
             check_datum(datum_kind, **datum_params)
         except ValueError as exc:
-            changed = [f"datum.{n}" for n in names
-                       if datum_params[n] != DEFAULTS[f"datum.{n}"]]
-            raise ConfigError(str(exc), origin=(changed or ["datum.kind"])[0]) from None
+            raise ConfigError(str(exc), origin=_datum_origin(datum_kind, datum_params)) from None
     elif kind == "vanishing_viscosity":
         sweep = cfg.study_mus
         datum_kind, datum_params = cfg.datum_kind, dict(cfg.datum_params)
@@ -191,6 +189,13 @@ def _build_kernels(spec: StudySpec):
         if kind == "vanishing_viscosity":  # the one study on the configured extent
             check_grid(params, f"the {kind} study's grid")
         build_kernel(params, lam_key=lam_key)
+
+
+def _datum_origin(kind: str, params: dict) -> str:
+    """The config key to blame for a bad datum: the first of its
+    parameters set away from its default, else datum.kind."""
+    changed = [f"datum.{n}" for n, v in params.items() if v != DATUM_PARAMS[kind][n]]
+    return (changed or ["datum.kind"])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -333,31 +338,45 @@ _VISCOSITY_DX = 1.0 / 128.0
 def run_vanishing_viscosity(spec: StudySpec):
     """|| u^mu(1) - u^0(1) ||_1 strictly decreasing along the mu sweep.
 
+    The mu = 0 run steps alone; every mu of the sweep (all positive) steps
+    in one run_lockstep batch, one group per mu, largest mu first.  The
+    largest mu has the tightest budget and so the most steps: the groups
+    still moving stay a prefix of the batch, which steps them as a view.
     Also estimates the scheme's own viscosity floor (the mu = 0 distance
     between two grid resolutions); any mu at or below that floor is
-    reported informationally rather than gating the verdict.
+    reported informationally rather than gating the verdict.  A datum
+    that is zero on every cell raises ConfigError before anything runs:
+    every distance would be 0.
     """
     mus = tuple(sorted(spec.sweep, reverse=True))
     t_eval = 1.0
     params = replace(
         spec.base,
         lam=1.0,
+        mu=0.0,
         dx=_VISCOSITY_DX,
         output_times=(t_eval,),
     )
     datum = make_initial_datum(
         spec.datum_kind, params.x_min, params.dx, params.grid_n(), **spec.datum_params
     )
+    if not np.any(datum.values):
+        raise ConfigError(
+            f"the {spec.datum_kind} datum is zero on every cell of the vanishing-viscosity "
+            f"grid, so every distance to the inviscid run would be 0",
+            origin=_datum_origin(spec.datum_kind, spec.datum_params),
+        )
 
-    fields = [run(datum, replace(params, mu=mu)).snapshots[-1] for mu in (0.0,) + mus]
-    for mu, u in zip((0.0,) + mus, fields):
+    u0 = run(datum, params).snapshots[-1]
+    sweep = run_lockstep([(datum,)] * len(mus), [replace(params, mu=mu) for mu in mus])
+    viscous = {mu: group[0].snapshots[-1] for mu, group in zip(mus, sweep)}
+    for mu, u in [(0.0, u0), *viscous.items()]:
         _dump_snapshots(spec, f"viscosity_mu_{mu:g}.csv", (t_eval,), (u,))
-    u0, viscous = fields[0], dict(zip(mus, fields[1:]))
     dists = {
         mu: lp_norm(u0.with_values(viscous[mu].values - u0.values), 1) for mu in mus
     }
 
-    fine = replace(params, mu=0.0, dx=params.dx / 2.0)
+    fine = replace(params, dx=params.dx / 2.0)
     fine_datum = make_initial_datum(
         spec.datum_kind, fine.x_min, fine.dx, fine.grid_n(), **spec.datum_params
     )

@@ -36,14 +36,16 @@ unfloored.  A batch of several fields steps the whole grid.
 
 run_lockstep() is the one time loop.  It runs groups of fields: the fields
 of a group share one dt schedule, and each group keeps its own clock, dt,
-step count and snapshots.  A step advances the rows of every group still
-short of the next snapshot time as one (rows, n) array, each row by its
-group's dt; rows of groups that have reached it are gathered out and
-scattered back, never stepped with dt = 0.  Each row rounds as it does
-alone: budgets are scalar per row, the Dirichlet rates' one einsum sums
-each row as a sum of that row would (up to 8192 cells a row), and the
-batched transforms round every row as a transform of that row would.
-run() is the one-group, one-field case.
+step count and snapshots, and may have its own mu.  A step advances the
+rows of every group still short of the next snapshot time as one (rows, n)
+array, each row by its group's dt and mu; rows of groups that have reached
+it sit the step out, never stepped with dt = 0.  Moving rows that form one
+contiguous range step in place as a view; any other set is gathered out
+and scattered back.  Each row rounds as it does alone: budgets are scalar
+per row, the step's a, b and c are columns of the lone step's scalars,
+the Dirichlet rates' one einsum sums each row as a sum of that row would
+(up to 8192 cells a row), and the batched transforms round every row as a
+transform of that row would.  run() is the one-group, one-field case.
 
 run() also accumulates the nonlocal energy-dissipation integral
 
@@ -222,12 +224,13 @@ class _Stepper:
 
     A stepper serves one run, so one thread.  A step advances one field,
     or a batch of up to `rows` fields, the rows of a (rows, n) array, each
-    by its own dt; every buffer here has room for `rows` fields, and the
-    loop owns the |u| rows.  A step of one field may work on a window of
-    cells outside which the field vanishes; a batch steps the whole grid.
-    `windowed` says whether a lone field steps on a window at all: only
-    where the padded grid takes more than two blocks, since a window saves
-    little transform work on fewer.
+    by its own dt and mu; every buffer here has room for `rows` fields, and
+    the loop owns the |u| rows.  params carry the run's largest mu: the
+    Laplacian has a buffer only if some field is viscous.  A step of one
+    field may work on a window of cells outside which the field vanishes;
+    a batch steps the whole grid.  `windowed` says whether a lone field
+    steps on a window at all: only where the padded grid takes more than
+    two blocks, since a window saves little transform work on fewer.
     """
 
     def __init__(self, params: SimParams, rows: int = 1):
@@ -321,20 +324,21 @@ class _Stepper:
         np.subtract(conv[..., k:k + self._step], u_blocks, out=lu_blocks)
         return self._lu_out[at, :m]
 
-    def rate(self, u_values: np.ndarray, abs_u: np.ndarray, dt,
+    def rate(self, u_values: np.ndarray, abs_u: np.ndarray, dt, mu,
              cells: slice = slice(None)) -> np.ndarray:
-        """Step the fields of u_values by dt in place; their nonlocal
-        Dirichlet rates.
+        """Step the fields of u_values by dt in place, with viscosity mu;
+        their nonlocal Dirichlet rates.
 
         u_values is one field or a (rows, n) batch of fields, and abs_u is
-        |u_values|; dt is one scalar for every field, or a (rows, 1) column.
-        numpy steps one field faster as a plain vector than as a batch of
-        one row.  The rates, one float for one field and one per row for a
-        batch, are the states' before the step.  The step works on
-        `cells`, a slice of the grid outside which every field vanishes and
-        stays zero.  Every operation keeps the operand order of
-        u + (a (g_{j-1} - g_j) + b Lu + c lap), with the module docstring's
-        scalars, so each field is bit-identical to that plain expression.
+        |u_values|; dt and mu are each one scalar for every field or a
+        (rows, 1) column.  numpy steps one field faster as a plain vector
+        than as a batch of one row.  The rates, one float for one field and
+        one per row for a batch, are the states' before the step.  The step
+        works on `cells`, a slice of the grid outside which every field
+        vanishes and stays zero.  Every operation keeps the operand order
+        of u + (a (g_{j-1} - g_j) + b Lu + c lap), with the module
+        docstring's scalars, so each field is bit-identical to that plain
+        expression.
         """
         p, dx = self.p, self.dx
         u, abs_u = u_values[..., cells], abs_u[..., cells]
@@ -359,23 +363,24 @@ class _Stepper:
             dirichlet = -2.0 * p.alpha * self.lamq * u_lu * dx
             lu *= p.alpha * self.lamq * dt
             rhs += lu
-        if p.mu > 0.0:
+        if self._lap is not None:  # a row with mu = 0 adds c lap = 0
             lap = self._lap[at]
             # (u_{j+1} - 2 u_j) + u_{j-1}, with the ghost zeros left out;
             # (-2 u_j) + u_{j+1} is u_{j+1} - 2 u_j exactly
             np.multiply(u, -2.0, out=lap)
             lap[..., :-1] += u[..., 1:]
             lap[..., 1:] += u[..., :-1]
-            lap *= p.mu * dt / dx ** 2
+            lap *= mu * dt / dx ** 2
             rhs += lap
         u += rhs
         return dirichlet
 
-    def dt_budget(self, max_abs_u: float) -> float:
-        """Largest order-preserving dt for a field with max_j |u_j| = max_abs_u."""
+    def dt_budget(self, max_abs_u: float, mu: float) -> float:
+        """Largest order-preserving dt for a field with max_j |u_j| = max_abs_u
+        and viscosity mu."""
         p = self.p
         speed = float(max_abs_u ** (p.q - 1.0))
-        denom = speed / self.dx + p.alpha * self.lamq + 2.0 * p.mu / self.dx ** 2
+        denom = speed / self.dx + p.alpha * self.lamq + 2.0 * mu / self.dx ** 2
         if denom == 0.0:
             return np.inf
         return p.cfl / denom
@@ -435,7 +440,7 @@ def run(phi: GridFunction, params: SimParams) -> Trajectory:
     return run_lockstep([[phi]], params)[0][0]
 
 
-def run_lockstep(groups, params: SimParams) -> list:
+def run_lockstep(groups, params) -> list:
     """run() for groups of fields at once: one list of Trajectories per group.
 
     Contraction and order preservation are statements about a single
@@ -445,19 +450,26 @@ def run_lockstep(groups, params: SimParams) -> list:
     would only test the (true but weaker) statement that nearby
     trajectories stay close.  Groups are independent runs: each keeps its
     own t, dt, step count and snapshots.  `groups` is a sequence of
-    groups, each a sequence of fields.
+    groups, each a sequence of fields.  `params` is one SimParams for
+    every group, or one per group; these may differ only in mu, each
+    group's budget and Laplacian use its own, and each Trajectory carries
+    its group's params.
 
     A step advances the rows of every group still short of the next
-    snapshot time as one (rows, n) batch, each row by its group's dt.  The
-    rows of groups that have reached it are gathered out and scattered
-    back around the step, never stepped with dt = 0.  One field alone
-    steps on its window (see _Window); a batch steps the whole grid, and
-    each of its groups rounds as it does alone, bit for bit, wherever it
-    would step the whole grid alone too and a row has at most 8192 cells
-    (see _Stepper.rate).  Every field gets run()'s
-    checks, and an abort names the field (when its group has several) and
-    the group (when there are several) and the cell.
+    snapshot time as one (rows, n) batch, each row by its group's dt and
+    mu.  Moving rows that form one contiguous range step in place as a
+    view; other sets are gathered out and scattered back around the step.
+    Rows of groups that have reached the snapshot time sit the step out,
+    never stepped with dt = 0.  One field alone steps on its window (see
+    _Window); a batch steps the whole grid, and each of its groups rounds
+    as it does alone, bit for bit, wherever it would step the whole grid
+    alone too and a row has at most 8192 cells (see _Stepper.rate).
+    Every field gets run()'s checks, and an abort names the field (when
+    its group has several) and the group (when there are several) and the
+    cell.
     """
+    per_group = _group_params(params, len(groups))
+    params = max(per_group, key=lambda p: p.mu)  # the stepper's: the largest mu
     data = [phi for group in groups for phi in group]
     n = params.grid_n()
     for phi in data:
@@ -469,6 +481,9 @@ def run_lockstep(groups, params: SimParams) -> list:
     for group in groups:
         spans.append(range(start, start + len(group)))
         start += len(group)
+    mus = [p.mu for p in per_group]
+    # each row's mu as a column; indexed like u, it gives a batch its mu
+    mu_rows = np.repeat(mus, [len(group) for group in groups])[:, None]
 
     def which(g, i):
         field = f" of field {i - spans[g].start}"
@@ -486,8 +501,8 @@ def run_lockstep(groups, params: SimParams) -> list:
     steps = [0] * len(groups)
     mass0 = [float(row.sum() * params.dx) for row in u]
     dissipated = [0.0] * len(data)
-    trajs = [[Trajectory(params=params, initial=phi.copy()) for phi in group]
-             for group in groups]
+    trajs = [[Trajectory(params=p, initial=phi.copy()) for phi in group]
+             for group, p in zip(groups, per_group)]
 
     for t_next in params.output_times:
         while True:
@@ -495,7 +510,7 @@ def run_lockstep(groups, params: SimParams) -> list:
             for g, span in enumerate(spans):
                 if t[g] >= t_next:
                     continue
-                budgets = [stepper.dt_budget(max_abs[i]) for i in span]
+                budgets = [stepper.dt_budget(max_abs[i], mus[g]) for i in span]
                 for i, dt in zip(span, budgets):
                     if not dt >= dt_min:
                         cell = int(np.argmax(abs_u[i]))
@@ -517,24 +532,28 @@ def run_lockstep(groups, params: SimParams) -> list:
             if not moving:
                 break
             rows = [i for g in moving for i in spans[g]]
-            # one row steps as a plain vector; rows of groups that wait at
-            # t_next sit the step out
-            gathered = 1 < len(rows) < len(data)
+            # one row steps as a plain vector, a contiguous range as a view
+            # of its rows; any other set is gathered (rows ascend).  Rows of
+            # groups that wait at t_next sit the step out
             if len(rows) == 1:
-                u_b, abs_b = u[rows[0]], abs_u[rows[0]]
+                at = rows[0]
+            elif rows[-1] - rows[0] == len(rows) - 1:
+                at = slice(rows[0], rows[-1] + 1)
             else:
-                u_b, abs_b = (u[rows], abs_u[rows]) if gathered else (u, abs_u)
+                at = rows
+            u_b, abs_b = u[at], abs_u[at]
             if len(moving) == 1:
                 dt = col = dts[0]
-            else:  # each row's dt, and as a column for the batch
+                mu = mus[moving[0]]
+            else:  # each row's dt, and as columns for the batch its dt and mu
                 dt = np.repeat(dts, [len(spans[g]) for g in moving])
-                col = dt[:, None]
+                col, mu = dt[:, None], mu_rows[at]
             cells = window.cells
-            spent = dt * stepper.rate(u_b, abs_b, col, cells)
+            spent = dt * stepper.rate(u_b, abs_b, col, mu, cells)
             abs_w = abs_b[..., cells]
             np.abs(u_b[..., cells], out=abs_w)
             peaks = abs_w.max(axis=-1)
-            if gathered:
+            if at is rows:  # scatter the gathered rows back
                 u[rows], abs_u[rows] = u_b, abs_b
             if u_b.ndim == 1:  # from here on, index the one row as row 0
                 spent, peaks = (spent,), (peaks,)
@@ -571,6 +590,24 @@ def run_lockstep(groups, params: SimParams) -> list:
         for traj in group_trajs:
             traj.steps = count
     return trajs
+
+
+def _group_params(params, count: int) -> list:
+    """One SimParams per group: params itself for every group, or its
+    entries, which must be `count` and may differ only in mu."""
+    if isinstance(params, SimParams):
+        return [params] * count
+    per_group = list(params)
+    if len(per_group) != count:
+        raise ValueError(f"{len(per_group)} SimParams for {count} groups; "
+                         f"give one per group, or one for all")
+    first = vars(per_group[0])
+    for p in per_group[1:]:
+        for name, value in vars(p).items():
+            if name != "mu" and value != first[name]:
+                raise ValueError(f"the groups' SimParams may differ only in mu, "
+                                 f"but they differ in {name}")
+    return per_group
 
 
 def rescale_snapshot(

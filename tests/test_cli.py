@@ -120,6 +120,28 @@ def test_bad_datum_exits_2(args, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("settings, origin", [
+    pytest.param(["datum.height=0"], "datum.height", id="box"),
+    pytest.param(["datum.kind=gaussian", "datum.mass=0"], "datum.mass", id="gaussian"),
+])
+def test_zero_datum_in_the_viscosity_study_exits_2(settings, origin, tmp_path, capsys):
+    # every distance to the inviscid run would be 0, and the strict
+    # decrease would print FAIL with exit 1, which means "check failed"
+    args = ["study", "vanishing_viscosity", *(a for s in settings for a in ("--set", s))]
+    assert main([*args, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {origin}: the ")
+    assert "datum is zero on every cell" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_signed_datum_of_zero_mass_runs_the_viscosity_study(tmp_path, capsys):
+    args = ["study", "vanishing_viscosity", "--set", "datum.kind=dipole_zero_mass",
+            "--set", "grid.x_min=-3", "--set", "grid.x_max=5", "--set", "study.mus=0.05,0.025"]
+    assert main([*args, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.startswith("PASS   vanishing-viscosity distances")
+
+
 @pytest.mark.parametrize("command", [["simulate"], ["study", "vanishing_viscosity"]])
 def test_datum_off_the_grid_exits_2(command, tmp_path, capsys):
     # the gaussian's support [96, 104] misses the default grid [-8, 12]

@@ -3,18 +3,22 @@ import threading
 import numpy as np
 import pytest
 
+import nwavelab.experiments as experiments
 from nwavelab.config import ConfigError, load_config
 from nwavelab.experiments import (
+    _RESCALING_DX,
     StudySpec,
     _coarsen,
     _datum_mass,
     _restrict,
     kernel_bound_sweep,
     run_long_time,
+    run_rescaling_family,
     run_study,
     study_spec,
 )
 from nwavelab.grid import grid_function
+from nwavelab.solver import SimParams
 
 
 def test_study_spec_kinds_and_sweeps():
@@ -123,3 +127,68 @@ def test_small_grid_studies_start_no_thread(monkeypatch):
         assert run_study(study_spec(cfg))
     assert run_study(StudySpec(kind="kernel_bound_sweep", base=cfg.params, datum_kind="box",
                                sweep=(1.0, 2.0)))
+
+
+def test_the_viscosity_sweep_is_one_lockstep_batch(monkeypatch):
+    # every mu of the sweep is a group of one batch, largest mu first, so
+    # the groups still moving stay a prefix; the mu = 0 runs step alone
+    calls = []
+    real = experiments.run_lockstep
+
+    def spied(groups, params):
+        calls.append([p.mu for p in params])
+        return real(groups, params)
+
+    monkeypatch.setattr(experiments, "run_lockstep", spied)
+    cfg = load_config(overrides=[
+        "grid.x_min=-3", "grid.x_max=5", "study.mus=0.025,0.05,0.1",
+    ])
+    cfg.study_kind = "vanishing_viscosity"
+    (report,) = run_study(study_spec(cfg))
+    assert report.passed
+    assert calls == [[0.1, 0.05, 0.025]]
+
+
+# Crafted routes for the rescaling study's gates: every field is a multiple
+# of one box on [4, 5), outside the N-wave's support at t = 1, so each
+# profile distance is the N-wave's norm plus the multiple, and each route
+# gap is the difference of the two multiples.  On the fine grid the direct
+# route sits `fine` of the coarse gap away from the rescaled route.
+_ROUTES = {"rescaled": {2.0: 1.0, 4.0: 0.5}, "direct": {2.0: 1.2, 4.0: 0.6}}
+
+
+def _crafted_routes(routes, fine):
+    def routes_at(spec, dx):
+        x_min, n = -4.0, int(round(10.0 / dx))
+        centers = x_min + (np.arange(n) + 0.5) * dx
+        box = np.where((centers >= 4.0) & (centers < 5.0), 1.0, 0.0)
+        a, b = routes["rescaled"], routes["direct"]
+        if dx != _RESCALING_DX:
+            b = {lam: a[lam] + fine * (b[lam] - a[lam]) for lam in b}
+
+        def fields(scale):
+            return {lam: grid_function(c * box, x_min, dx) for lam, c in scale.items()}
+
+        return tuple(sorted(spec.sweep)), fields(a), fields(b)
+
+    return routes_at
+
+
+@pytest.mark.parametrize("gate, routes, fine", [
+    pytest.param(None, _ROUTES, 0.5, id="clean"),
+    # the fine grid's gap is as wide as the coarse one's
+    pytest.param("route agreement under refinement", _ROUTES, 1.0, id="refinement"),
+    # one route's distance grows from lam = 2 to lam = 4
+    pytest.param("profile distance decreasing in lam (rescaled)",
+                 _ROUTES | {"rescaled": {2.0: 1.0, 4.0: 1.1}}, 0.5, id="rescaled"),
+    pytest.param("profile distance decreasing in lam (direct)",
+                 _ROUTES | {"direct": {2.0: 1.2, 4.0: 1.3}}, 0.5, id="direct"),
+])
+def test_a_rescaling_gate_fails_on_its_defect_and_only_it(monkeypatch, gate, routes, fine):
+    monkeypatch.setattr(experiments, "_rescaling_routes", _crafted_routes(routes, fine))
+    spec = StudySpec(kind="rescaling_family", base=SimParams(), datum_kind="box",
+                     sweep=(2.0, 4.0))
+    reports, _rows = run_rescaling_family(spec)
+    verdicts = {r.name: r.verdict for r in reports}
+    assert len(verdicts) == 3
+    assert verdicts == {name: "fail" if name == gate else "pass" for name in verdicts}

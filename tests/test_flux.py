@@ -15,7 +15,7 @@ def interface_flux(u_left, u_right, q):
     p = SimParams(q=q, alpha=0.0, mu=0.0, x_min=0.0, x_max=2.0, dx=1.0, output_times=(1.0,))
     u = np.array([u_left, u_right], dtype=float)
     stepped = u.copy()
-    _Stepper(p).rate(stepped, np.abs(u), 1.0)
+    _Stepper(p).rate(stepped, np.abs(u), 1.0, p.mu)
     return u[0] - stepped[0]
 
 

@@ -36,7 +36,7 @@ def test_single_step_riemann_hand_value():
     u = grid_function([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], 0.0, 0.5)
     p = SimParams(q=1.5, alpha=0.0, x_min=0.0, x_max=3.0, dx=0.5, output_times=(1.0,))
     v = u.values.copy()
-    _Stepper(p).rate(v, np.abs(v), 0.25)
+    _Stepper(p).rate(v, np.abs(v), 0.25, p.mu)
     np.testing.assert_allclose(v, [2.0 / 3.0, 1.0, 1.0, 1.0 / 3.0, 0.0, 0.0],
                                atol=1e-15)
 
@@ -63,7 +63,7 @@ def test_rate_is_bit_identical_to_the_plain_expression(q, width, mu):
             rhs = rhs + mu * dt / p.dx ** 2 * lap
         dirichlet = -2.0 * p.alpha * stepper.lamq * float(np.einsum("i,i->", u0, lu)) * p.dx
         u = u0.copy()
-        got = stepper.rate(u, np.abs(u), dt)
+        got = stepper.rate(u, np.abs(u), dt, mu)
         np.testing.assert_array_equal(u, u0 + rhs)
         assert got == dirichlet
 
@@ -129,28 +129,82 @@ def _assert_same_run(got, want):
     assert got.dissipation_history == want.dissipation_history
 
 
-@pytest.mark.parametrize("mu", [0.0, 0.02])
-def test_each_group_of_a_batch_runs_as_it_does_alone(mu):
+@pytest.mark.parametrize("mus", [
+    pytest.param((0.0, 0.0, 0.0), id="0.0"),
+    pytest.param((0.02, 0.02, 0.02), id="0.02"),
+    pytest.param((0.0, 0.05, 0.02), id="per-group-mu"),
+])
+def test_each_group_of_a_batch_runs_as_it_does_alone(mus):
     # Groups share the batched steps, never a clock: each must come out bit
-    # for bit as its own one-group run.  The tall box pair takes several
-    # times the steps of the others to every snapshot, so they wait at
-    # each snapshot time while it steps on alone.
+    # for bit as its own one-group run, with its own mu where they differ.
+    # The tall box pair takes several times the steps of the others to
+    # every snapshot, so they wait at each snapshot time while it steps on
+    # alone.
     rng = np.random.default_rng(3)
     times = (0.1, 0.2, 0.3)
-    p = _params(mu=mu, lam=2.0, alpha=0.7, output_times=times, tail_cap=1e9)
+    p = _params(lam=2.0, alpha=0.7, output_times=times, tail_cap=1e9)
+    per_group = [replace(p, mu=mu) for mu in mus]
     n = p.grid_n()
     assert not _Stepper(p).windowed
     box = make_initial_datum("box", p.x_min, p.dx, n)
     smooth = [random_smooth_field(rng, p.x_min, p.dx, n) for _ in range(3)]
     groups = [(smooth[0],), (box.with_values(4.0 * box.values), box), (smooth[1], smooth[2])]
-    together = run_lockstep(groups, p)
-    for group, got in zip(groups, together, strict=True):
-        for a, b in zip(got, run_lockstep([group], p)[0], strict=True):
+    together = run_lockstep(groups, per_group)
+    for group, got, pg in zip(groups, together, per_group, strict=True):
+        for a, b in zip(got, run_lockstep([group], pg)[0], strict=True):
+            assert a.params == pg
             _assert_same_run(a, b)
     for k in range(1, len(times) + 1):
-        early = replace(p, output_times=times[:k])
-        lone, tall, pair = (run_lockstep([g], early)[0][0].steps for g in groups)
+        lone, tall, pair = (run_lockstep([g], replace(pg, output_times=times[:k]))[0][0].steps
+                            for g, pg in zip(groups, per_group))
         assert tall >= max(lone, pair) + 5
+
+
+@pytest.mark.parametrize("name, value", [
+    ("q", 1.75), ("cfl", 0.5), ("kernel_width", 0.5), ("output_times", (0.25,)),
+    ("tail_cap", 1.0),
+])
+def test_per_group_params_may_differ_only_in_mu(name, value):
+    p = _params()
+    box = make_initial_datum("box", p.x_min, p.dx, p.grid_n())
+    with pytest.raises(ValueError, match=f"differ only in mu, but they differ in {name}$"):
+        run_lockstep([(box,), (box,)], [replace(p, mu=0.1), replace(p, **{name: value})])
+
+
+def test_per_group_params_come_one_per_group():
+    p = _params()
+    box = make_initial_datum("box", p.x_min, p.dx, p.grid_n())
+    for count in (1, 3):
+        with pytest.raises(ValueError, match=f"^{count} SimParams for 2 groups"):
+            run_lockstep([(box,), (box,)], [p] * count)
+
+
+def test_contiguous_moving_rows_step_in_place_as_the_gathered_rows_do(monkeypatch):
+    # Two viscous boxes outlast an inviscid one.  Ordered slow, slow, fast,
+    # the moving rows stay a prefix and every batch is a view of the loop's
+    # rows; ordered slow, fast, slow, the two slow rows are gathered.  Each
+    # group comes out bit for bit the same either way.
+    p = _params(output_times=(0.1, 0.2))
+    box = make_initial_datum("box", p.x_min, p.dx, p.grid_n())
+    slow, fast = replace(p, mu=0.05), replace(p, mu=0.0)
+    owns = []
+    rate = _Stepper.rate
+
+    def recorded(self, u, *args, **kwargs):
+        if u.ndim == 2:  # a fancy-index gather owns its data; a view does not
+            owns.append((len(u), u.flags.owndata))
+        return rate(self, u, *args, **kwargs)
+
+    monkeypatch.setattr(_Stepper, "rate", recorded)
+    groups = [(box,), (box.with_values(0.5 * box.values),), (box,)]
+    in_place = run_lockstep(groups, [slow, slow, fast])
+    assert {own for _, own in owns} == {False} and {2, 3} <= {rows for rows, _ in owns}
+    owns.clear()
+    gathered = run_lockstep([groups[0], groups[2], groups[1]], [slow, fast, slow])
+    assert (2, True) in owns
+    assert in_place[2][0].steps < in_place[0][0].steps
+    for a, b in zip(in_place, [gathered[0], gathered[2], gathered[1]], strict=True):
+        _assert_same_run(a[0], b[0])
 
 
 def test_windowed_batch_matches_lone_runs_to_rounding():
@@ -176,9 +230,9 @@ def test_a_lone_field_steps_on_a_window_and_a_batch_on_the_whole_grid(monkeypatc
     seen = []
     rate = _Stepper.rate
 
-    def recorded(self, u, abs_u, dt, cells=slice(None)):
+    def recorded(self, u, abs_u, dt, mu, cells=slice(None)):
         seen.append(cells.indices(n))
-        return rate(self, u, abs_u, dt, cells)
+        return rate(self, u, abs_u, dt, mu, cells)
 
     monkeypatch.setattr(_Stepper, "rate", recorded)
     lone = run(make_initial_datum("box", p.x_min, p.dx, n), p)
@@ -216,18 +270,20 @@ def test_batch_rates_equal_the_lone_rates_bit_for_bit(n):
     # One einsum gives every row's Dirichlet rate; up to 8192 cells a row
     # it sums each row as the lone field's sum does.  The pair suites'
     # rows have 768 cells.  A numpy whose einsum sums a batch in another
-    # order fails here, not as a drift in the pair suites' lines.
+    # order fails here, not as a drift in the pair suites' lines.  Each
+    # row has its own mu, as the rows of a viscosity sweep do.
     p = SimParams(q=1.5, mu=0.02, x_min=0.0, x_max=n / 64.0, dx=1.0 / 64.0,
                   output_times=(1.0,))
     rows = 40
     stepper = _Stepper(p, rows)
     u = np.random.default_rng(11).standard_normal((rows, n))
     dt = 1e-3
+    mus = np.linspace(0.0, p.mu, rows)
     batch = u.copy()
-    rates = stepper.rate(batch, np.abs(batch), dt)
+    rates = stepper.rate(batch, np.abs(batch), dt, mus[:, None])
     for i in range(rows):
         alone = u[i].copy()
-        assert stepper.rate(alone, np.abs(alone), dt) == rates[i]
+        assert stepper.rate(alone, np.abs(alone), dt, float(mus[i])) == rates[i]
         np.testing.assert_array_equal(alone, batch[i])
 
 
