@@ -272,6 +272,13 @@ def _bump_prime(s: np.ndarray) -> np.ndarray:
     return np.where(inside, _bump(s) * (-2.0 * safe) / (1.0 - safe ** 2) ** 2, 0.0)
 
 
+def _bump_second(s: np.ndarray) -> np.ndarray:
+    s = np.asarray(s, dtype=float)
+    inside = np.abs(s) < 1.0 - 1e-12
+    safe = np.where(inside, s, 0.0)
+    return np.where(inside, _bump(s) * (6.0 * safe ** 4 - 2.0) / (1.0 - safe ** 2) ** 4, 0.0)
+
+
 def entropy_residuals(
     times,
     snapshots,
@@ -281,11 +288,13 @@ def entropy_residuals(
     alpha: float = 0.0,
     lam: float = 1.0,
     kernel: Kernel | None = None,
+    mu: float = 0.0,
 ) -> np.ndarray:
     """Residuals of the Kruzkov-type inequality for every k in ks and every bump:
 
     R = intint |u-k| phi_t + sgn(u-k)(f(u)-f(k)) phi_x dx dt
-        - alpha lam^q intint (|u-k| - sgn(u-k) (J_lam*(u-k))) phi dx dt,
+        - alpha lam^q intint (|u-k| - sgn(u-k) (J_lam*(u-k))) phi dx dt
+        + mu intint |u-k| phi_xx dx dt,
 
     midpoint in space, trapezoid over the snapshot times; entry [j, b] of
     the returned (len(ks), len(bumps)) array is R for ks[j] and bumps[b].
@@ -299,7 +308,8 @@ def entropy_residuals(
     for the closed-form N-wave).  sgn(0) = 0.  kernel is J_lam itself,
     already rescaled (SimParams.kernel()); lam enters only through the lam^q
     factor.  J_lam*(u-k) is evaluated as J_lam*u - k, exact for the
-    zero-extended u because the kernel has unit mass.
+    zero-extended u because the kernel has unit mass.  mu is the viscosity
+    of a run with mu u_xx; mu = 0 drops its term and adds nothing.
 
     Every snapshot lives on one grid, so the x factors of the bumps are
     computed once; each snapshot's f(u) and J_lam*u, and each (snapshot, k)
@@ -329,6 +339,7 @@ def entropy_residuals(
     # row by row, so _bump's temporaries stay one grid long and the peak memory low
     bx = [_bump(row) for row in s]
     bx_prime = [_bump_prime(row) for row in s]
+    bx_second = [_bump_second(row) for row in s] if mu > 0.0 else None
     st = (times - tc) / tw
     bt, bt_prime = _bump(st), _bump_prime(st) / tw
     integrands = np.zeros((len(ks), len(bumps), len(times)))
@@ -349,10 +360,13 @@ def entropy_residuals(
             phi_t = bt_prime[b, i] * bx[b]
             phi_x = bt[b, i] * bx_prime[b] / xw[b, 0]
             phi = bt[b, i] * bx[b] if ju is not None else None
+            phi_xx = bt[b, i] * bx_second[b] / xw[b, 0] ** 2 if bx_second is not None else None
             for j, (dist, flux_part, nonlocal_part) in enumerate(parts):
                 integrands[j, b, i] = (dist * phi_t + flux_part * phi_x).sum() * dx
                 if ju is not None:
                     integrands[j, b, i] -= alpha * lam ** q * (nonlocal_part * phi).sum() * dx
+                if bx_second is not None:
+                    integrands[j, b, i] += mu * (dist * phi_xx).sum() * dx
     return np.trapezoid(integrands, times, axis=-1)
 
 

@@ -1,10 +1,11 @@
 """End-to-end studies: long-time profile convergence, vanishing viscosity,
 the two-route rescaling consistency check, and the kernel bound sweep.
 
-Each study is deterministic given its config and runs its simulations one
-after another in the calling thread.  A study writes a run manifest, a
-summary CSV and a verdicts JSON into its output directory and returns the
-Reports.
+A StudySpec runs every check of its study as it is built, so a study that
+cannot run is a ConfigError before anything runs or is written; the
+runners only run, one simulation after another in the calling thread.
+run_study returns the Reports and writes the results through
+io.write_results.
 
 Long-time studies run in the unrescaled frame and evaluate at large times;
 by the scaling identity u_lam(t, x) = lam u(lam^q t, lam x) this probes the
@@ -79,7 +80,12 @@ _SWEEP_KEYS = {
 
 @dataclass
 class StudySpec:
-    """One study: a kind, base parameters, a datum, and the sweep values."""
+    """One study: a kind, base parameters, a datum, and the sweep values.
+
+    Building one checks, in order, the sweep, the datum's rules, every
+    kernel and grid of the study and what its runs need (_check_runs); the
+    first broken rule raises ConfigError.
+    """
 
     kind: str
     base: SimParams
@@ -88,7 +94,7 @@ class StudySpec:
     sweep: tuple = ()
     out_dir: str | None = None
     # the kernel_bound sweep's kernels by rescale factor (1.0 the base),
-    # as _build_kernels built and checked them; replace() starts empty
+    # built and checked with the spec
     kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -107,14 +113,22 @@ class StudySpec:
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ConfigError("sweep values must be strictly monotone", origin=key)
         self.sweep = sweep
+        try:
+            check_datum(self.datum_kind, **self.datum_params)
+        except ValueError as exc:
+            raise ConfigError(str(exc), origin=self._datum_origin()) from None
+        _check_runs(self)
+
+    def _datum_origin(self) -> str:
+        """The config key to blame for a bad datum: the first of its
+        parameters set away from its default, else datum.kind."""
+        defaults = DATUM_PARAMS.get(self.datum_kind, self.datum_params)
+        changed = [f"datum.{n}" for n, v in self.datum_params.items() if v != defaults.get(n)]
+        return (changed or ["datum.kind"])[0]
 
 
 def study_spec(cfg: Config, out_dir: str | None = None) -> StudySpec:
-    """Build the StudySpec for cfg.study_kind from a parsed config.
-
-    It also builds every kernel the study will use, so a kernel that does
-    not fit the study's own grids raises ConfigError before anything runs.
-    """
+    """The checked StudySpec for cfg.study_kind from a parsed config."""
     kind = cfg.study_kind
     if kind == "long_time_nonnegative":
         sweep = cfg.study_times
@@ -127,14 +141,9 @@ def study_spec(cfg: Config, out_dir: str | None = None) -> StudySpec:
     elif kind == "long_time_sign_changing":
         sweep = cfg.study_times
         datum_kind = "two_boxes_signed"
-        # load_config checks only the keys of the configured datum.kind,
-        # so these are checked here, blamed on the first that was changed
-        names = DATUM_PARAMS[datum_kind]
-        datum_params = {name: cfg.raw[f"datum.{name}"] for name in names}
-        try:
-            check_datum(datum_kind, **datum_params)
-        except ValueError as exc:
-            raise ConfigError(str(exc), origin=_datum_origin(datum_kind, datum_params)) from None
+        # load_config checks only the keys of the configured datum.kind;
+        # StudySpec checks these
+        datum_params = {name: cfg.raw[f"datum.{name}"] for name in DATUM_PARAMS[datum_kind]}
     elif kind == "vanishing_viscosity":
         sweep = cfg.study_mus
         datum_kind, datum_params = cfg.datum_kind, dict(cfg.datum_params)
@@ -144,7 +153,7 @@ def study_spec(cfg: Config, out_dir: str | None = None) -> StudySpec:
     else:  # kernel_bound_sweep
         sweep = tuple(float(k) for k in range(1, 65))
         datum_kind, datum_params = cfg.datum_kind, dict(cfg.datum_params)
-    spec = StudySpec(
+    return StudySpec(
         kind=kind,
         base=cfg.params,
         datum_kind=datum_kind,
@@ -152,29 +161,35 @@ def study_spec(cfg: Config, out_dir: str | None = None) -> StudySpec:
         sweep=sweep,
         out_dir=out_dir,
     )
-    _build_kernels(spec)
-    return spec
 
 
-def _build_kernels(spec: StudySpec):
-    """Build the kernel of every grid and rescale factor the study will use."""
-    kind, sweep, lam_key = spec.kind, spec.sweep, "lambda"
-    if kind == "vanishing_viscosity":
-        grids = [(dx, 1.0) for dx in (_VISCOSITY_DX, _VISCOSITY_DX / 2.0)]
-    elif kind == "rescaling_family":
-        if min(sweep) < 1.0:
-            raise ConfigError("rescale factors must be >= 1", origin="study.lambdas")
-        grids = [(dx, lam) for dx in (_RESCALING_DX, _RESCALING_DX / 2.0)
-                 for lam in (1.0,) + sweep]
-        lam_key = "study.lambdas"
-    elif kind == "kernel_bound_sweep":
+def _check_runs(spec: StudySpec):
+    """Build the kernel of every grid and rescale factor the study will use,
+    then check what its runs need of q and of the datum on their grid."""
+    kind, sweep = spec.kind, spec.sweep
+    if kind == "kernel_bound_sweep":
         # the sweep's factors are fixed, so only the width can make room;
         # one base kernel, rescaled by each factor
         base = build_kernel(replace(spec.base, dx=_SWEEP_GRID[2], lam=1.0))
-        spec.kernels = {1.0: base}
-        for lam in sweep:
-            spec.kernels[lam] = rescale_kernel(base, lam, lam_key="kernel.width")
-        return
+        spec.kernels = {1.0: base} | {
+            lam: rescale_kernel(base, lam, lam_key="kernel.width") for lam in sweep}
+    elif kind == "rescaling_family":
+        if min(sweep) < 1.0:
+            raise ConfigError("rescale factors must be >= 1", origin="study.lambdas")
+        for dx in (_RESCALING_DX, _RESCALING_DX / 2.0):
+            for lam in (1.0,) + sweep:
+                build_kernel(replace(spec.base, dx=dx, lam=lam), lam_key="study.lambdas")
+    elif kind == "vanishing_viscosity":  # the one study on the configured extent
+        grids = [replace(spec.base, dx=dx, lam=1.0) for dx in (_VISCOSITY_DX, _VISCOSITY_DX / 2.0)]
+        for params in grids:
+            check_grid(params, f"the {kind} study's grid")
+            build_kernel(params)
+        if not np.any(_datum_on(spec, grids[0]).values):
+            raise ConfigError(
+                f"the {spec.datum_kind} datum is zero on every cell of the vanishing-viscosity "
+                f"grid, so every distance to the inviscid run would be 0",
+                origin=spec._datum_origin(),
+            )
     else:
         params = _long_time_params(spec, sorted(sweep))
         try:
@@ -183,19 +198,21 @@ def _build_kernels(spec: StudySpec):
             raise ConfigError(str(exc), origin="study.times") from None
         # the nonnegative study fixes its width, so only dx can misfit
         build_kernel(params, width_key="grid.dx")
-        return
-    for dx, lam in grids:
-        params = replace(spec.base, dx=dx, lam=lam)
-        if kind == "vanishing_viscosity":  # the one study on the configured extent
-            check_grid(params, f"the {kind} study's grid")
-        build_kernel(params, lam_key=lam_key)
+        if not spec.base.q < 2.0:
+            raise ConfigError("the long-time profile limit needs q strictly below 2", origin="q")
+        if abs(_datum_on(spec, params).mass()) < 1e-12:
+            raise ConfigError(
+                "zero-mass datum in a profile-convergence study; the limit "
+                "profile needs nontrivial mass",
+                origin=spec._datum_origin(),
+            )
 
 
-def _datum_origin(kind: str, params: dict) -> str:
-    """The config key to blame for a bad datum: the first of its
-    parameters set away from its default, else datum.kind."""
-    changed = [f"datum.{n}" for n, v in params.items() if v != DATUM_PARAMS[kind][n]]
-    return (changed or ["datum.kind"])[0]
+def _datum_on(spec: StudySpec, params: SimParams) -> GridFunction:
+    """The study's datum on params' grid."""
+    return make_initial_datum(
+        spec.datum_kind, params.x_min, params.dx, params.grid_n(), **spec.datum_params
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -250,23 +267,10 @@ def run_long_time(spec: StudySpec):
     at the front re-equilibrates on a slower clock in L^2 and can wobble
     a few percent inside a decade while the decade trend is firmly down.
     """
-    if not spec.base.q < 2.0:
-        raise ConfigError(
-            "the long-time profile limit needs q strictly below 2",
-            origin="q",
-        )
     times = tuple(sorted(spec.sweep))
     params = _long_time_params(spec, times)
-    datum = make_initial_datum(
-        spec.datum_kind, params.x_min, params.dx, params.grid_n(), **spec.datum_params
-    )
+    datum = _datum_on(spec, params)
     mass = datum.mass()
-    if abs(mass) < 1e-12:
-        raise ConfigError(
-            "zero-mass datum in a profile-convergence study; the limit "
-            "profile needs nontrivial mass",
-            origin="datum.kind",
-        )
     traj = run(datum, params)
     _dump_snapshots(spec, f"{spec.kind}_snapshots.csv", traj.times, traj.snapshots)
     nw = NWave(m=mass, q=params.q)
@@ -344,9 +348,7 @@ def run_vanishing_viscosity(spec: StudySpec):
     still moving stay a prefix of the batch, which steps them as a view.
     Also estimates the scheme's own viscosity floor (the mu = 0 distance
     between two grid resolutions); any mu at or below that floor is
-    reported informationally rather than gating the verdict.  A datum
-    that is zero on every cell raises ConfigError before anything runs:
-    every distance would be 0.
+    reported informationally rather than gating the verdict.
     """
     mus = tuple(sorted(spec.sweep, reverse=True))
     t_eval = 1.0
@@ -357,16 +359,7 @@ def run_vanishing_viscosity(spec: StudySpec):
         dx=_VISCOSITY_DX,
         output_times=(t_eval,),
     )
-    datum = make_initial_datum(
-        spec.datum_kind, params.x_min, params.dx, params.grid_n(), **spec.datum_params
-    )
-    if not np.any(datum.values):
-        raise ConfigError(
-            f"the {spec.datum_kind} datum is zero on every cell of the vanishing-viscosity "
-            f"grid, so every distance to the inviscid run would be 0",
-            origin=_datum_origin(spec.datum_kind, spec.datum_params),
-        )
-
+    datum = _datum_on(spec, params)
     u0 = run(datum, params).snapshots[-1]
     sweep = run_lockstep([(datum,)] * len(mus), [replace(params, mu=mu) for mu in mus])
     viscous = {mu: group[0].snapshots[-1] for mu, group in zip(mus, sweep)}
@@ -377,10 +370,7 @@ def run_vanishing_viscosity(spec: StudySpec):
     }
 
     fine = replace(params, dx=params.dx / 2.0)
-    fine_datum = make_initial_datum(
-        spec.datum_kind, fine.x_min, fine.dx, fine.grid_n(), **spec.datum_params
-    )
-    u0_fine = _coarsen(run(fine_datum, fine).snapshots[-1])
+    u0_fine = _coarsen(run(_datum_on(spec, fine), fine).snapshots[-1])
     floor = lp_norm(u0.with_values(u0_fine.values - u0.values), 1)
 
     rows = [(mu, "l1_distance_to_inviscid", dists[mu]) for mu in mus]
@@ -389,14 +379,13 @@ def run_vanishing_viscosity(spec: StudySpec):
     above = [mu for mu in mus if mu > floor]
     d_above = [dists[mu] for mu in above]
     monotone = all(b < a for a, b in zip(d_above, d_above[1:]))
-    reports = [Report(
+    return [Report(
         name="vanishing-viscosity distances",
         verdict="pass" if monotone and len(above) >= 2 else "fail",
         values={f"mu={mu:g}": dists[mu] for mu in mus} | {"floor": floor},
         detail=(f"{len(mus) - len(above)} sweep value(s) at or below the "
                 f"viscosity floor (informational)" if len(above) < len(mus) else ""),
-    )]
-    return reports, rows
+    )], rows
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +418,7 @@ def _rescaling_routes(spec: StudySpec, dx: float):
         spec.base, lam=1.0, mu=0.0,
         x_min=-8.0, x_max=16.0, dx=dx, output_times=src_times,
     )
-    base_datum = make_initial_datum(
-        spec.datum_kind, base_params.x_min, dx, base_params.grid_n(), **spec.datum_params
-    )
-    base_traj = run(base_datum, base_params)
+    base_traj = run(_datum_on(spec, base_params), base_params)
 
     def route_b(lam):
         p = replace(base_params, lam=lam, output_times=(1.0,))
@@ -540,8 +526,6 @@ def kernel_bound_sweep(spec: StudySpec):
     lams = spec.sweep
     x_min, x_max, dx = _SWEEP_GRID
     n = int(round((x_max - x_min) / dx))
-    if not spec.kernels:  # a spec made without study_spec
-        _build_kernels(spec)
     half = spec.kernels[1.0].m2 / 2.0
     psis = {name: _psi_field(name, x_min, dx, n) for name in _PSI_NAMES}
     ps = (1.0, 2.0, np.inf)
@@ -570,7 +554,7 @@ def kernel_bound_sweep(spec: StudySpec):
         for name in ("gaussian", "wave_packet")
         for p in ps
     ]))
-    reports = [
+    return [
         Report(
             name="quadratic ratio pinned at m2/2",
             verdict="pass" if quad_dev <= 1e-10 else "fail",
@@ -582,8 +566,7 @@ def kernel_bound_sweep(spec: StudySpec):
             verdict="pass" if smooth_max <= 2.0 * half * (1.0 + 1e-12) else "fail",
             values={"max_ratio": smooth_max, "bound": 2.0 * half},
         ),
-    ]
-    return reports, rows
+    ], rows
 
 
 # ---------------------------------------------------------------------------
@@ -599,11 +582,11 @@ _STUDIES = {
 
 
 def run_study(spec: StudySpec) -> list:
-    """Run the study, write its outputs if an out_dir is set, return Reports."""
+    """Run the study and return its Reports; given spec.out_dir, write its
+    snapshot CSVs and, through io.write_results, its results there."""
     reports, rows = _STUDIES[spec.kind](spec)
     if spec.out_dir is not None:
-        from .io import write_summary_csv, write_verdicts_json
+        from .io import write_results
 
-        write_summary_csv(rows, os.path.join(spec.out_dir, f"{spec.kind}_summary.csv"))
-        write_verdicts_json(reports, os.path.join(spec.out_dir, f"{spec.kind}_verdicts.json"))
+        write_results(spec.out_dir, spec.kind, reports, rows)
     return reports

@@ -1,7 +1,11 @@
 """On-disk formats: CSV series, a small binary field dump, atomic writes.
 
 Every writer goes through a temp-file-plus-rename so a crashed run never
-leaves a half-written artifact behind.
+leaves a half-written artifact behind.  write_results is the one writer
+of a suite's or a study's results (run_suite and run_study call it); the
+readers load back the documented formats of what the commands write
+(`simulate`'s snapshots and final field, `verify`'s and `study`'s
+verdicts).
 
 Formats
 -------
@@ -45,6 +49,7 @@ __all__ = [
     "write_nwave_csv",
     "write_verdicts_json",
     "read_verdicts_json",
+    "write_results",
 ]
 
 _MAGIC = b"NWGF"
@@ -201,3 +206,11 @@ def read_verdicts_json(path: str):
         )
         for item in payload
     ]
+
+
+def write_results(out_dir: str, name: str, reports, rows):
+    """A suite's or a study's results in out_dir: {name}_verdicts.json,
+    and {name}_summary.csv when rows is not empty."""
+    write_verdicts_json(reports, os.path.join(out_dir, f"{name}_verdicts.json"))
+    if rows:
+        write_summary_csv(rows, os.path.join(out_dir, f"{name}_summary.csv"))

@@ -1,8 +1,11 @@
 """Named verification suites behind the `verify` command.
 
-Each suite runs a fixed battery of checks and returns a list of Reports;
-the CLI prints one line per report and maps any failure to exit code 1.
-Suites are deterministic given the config (and its seed, for the
+Each suite takes a Config alone, runs a fixed battery of checks and
+returns (reports, rows): its Reports and its summary rows, empty for every
+suite but kernel_bound.  run_suite is the one caller; given an out_dir it
+writes the results through io.write_results, as run_study does for the
+studies.  The CLI prints one line per report and maps any failure to exit
+code 1.  Suites are deterministic given the config (and its seed, for the
 randomized ones).  A suite that picks its own grid or rescale factor
 builds its kernel first, through config.build_kernel, so a configured
 kernel that does not fit it is a ConfigError before anything runs.
@@ -106,7 +109,7 @@ def _require_nonnegative_datum(cfg: Config, datum: GridFunction, suite: str):
 # oleinik
 
 
-def suite_oleinik(cfg: Config, out_dir: str | None = None) -> list:
+def suite_oleinik(cfg: Config):
     """Slope bound t * max (u^(q-1))_x <= 1 + tol on the configured run.
 
     Any positive excess must at least halve when dx is halved, pinning the
@@ -149,8 +152,7 @@ def suite_oleinik(cfg: Config, out_dir: str | None = None) -> list:
     )
     reports.append(sup_norm_bound_report(traj))
     reports.append(energy_report(traj))
-    _write_reports(reports, out_dir, "oleinik")
-    return reports
+    return reports, []
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +173,7 @@ _DECAY_GRIDS = {
 _DECAY_TIMES = tuple(10.0 ** (i / 4.0) for i in range(11))
 
 
-def suite_decay(cfg: Config, out_dir: str | None = None) -> list:
+def suite_decay(cfg: Config):
     """Fitted log-log decay slopes against -(1/q)(1 - 1/p) over a decade.
 
     Box datum of mass 1, q in {1.25, 1.5, 1.75}, p in {1, 2, inf}; the
@@ -195,9 +197,7 @@ def suite_decay(cfg: Config, out_dir: str | None = None) -> list:
         traj = run(datum, params)
         return [decay_fit(traj, p) for p in (1.0, 2.0, np.inf)] + [energy_report(traj)]
 
-    reports = [r for rs in _pmap(at_q, runs) for r in rs]
-    _write_reports(reports, out_dir, "decay")
-    return reports
+    return [r for rs in _pmap(at_q, runs) for r in rs], []
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,7 @@ def _lockstep_runs(pairs, params: SimParams):
     return _run_lockstep(pairs, params)
 
 
-def suite_contraction(cfg: Config, out_dir: str | None = None) -> list:
+def suite_contraction(cfg: Config):
     """L^1 and positive-part contraction on random datum pairs.
 
     || u~(t) - u(t) ||_1 <= || phi~ - phi ||_1 and the same with positive
@@ -256,7 +256,7 @@ def suite_contraction(cfg: Config, out_dir: str | None = None) -> list:
             d = ub.values - ua.values
             worst_l1 = worst_max(worst_l1, float(np.sum(np.abs(d)) * ua.dx) - l1_0)
             worst_pos = worst_max(worst_pos, float(np.sum(np.maximum(d, 0.0)) * ua.dx) - pos_0)
-    reports = [
+    return [
         Report(
             name=f"l1 contraction ({_PAIR_COUNT} pairs)",
             verdict="pass" if worst_l1 <= _ROUNDING else "fail",
@@ -269,12 +269,10 @@ def suite_contraction(cfg: Config, out_dir: str | None = None) -> list:
             values={"worst_growth": worst_pos},
             tolerance=_ROUNDING,
         ),
-    ]
-    _write_reports(reports, out_dir, "contraction")
-    return reports
+    ], []
 
 
-def suite_comparison(cfg: Config, out_dir: str | None = None) -> list:
+def suite_comparison(cfg: Config):
     """Order preservation of the scheme on random ordered pairs.
 
     phi <= phi~ cellwise implies u(t) <= u~(t) cellwise to rounding;
@@ -301,7 +299,7 @@ def suite_comparison(cfg: Config, out_dir: str | None = None) -> list:
         np.max(np.abs(u.values - v.values))
         for u, v in zip(traj_pos.snapshots, rerun.snapshots)
     ]))
-    reports = [
+    return [
         Report(
             name=f"order preservation ({_PAIR_COUNT} pairs)",
             verdict="pass" if worst_order <= _ROUNDING else "fail",
@@ -320,9 +318,7 @@ def suite_comparison(cfg: Config, out_dir: str | None = None) -> list:
             values={"max_diff": determinism},
             tolerance=0.0,
         ),
-    ]
-    _write_reports(reports, out_dir, "comparison")
-    return reports
+    ], []
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +338,17 @@ def _closed_form_snapshots(q: float, times, x_min: float, dx: float, n: int):
     return [nwave_sample(nw, t, x_min, dx, n) for t in times]
 
 
-def suite_entropy(cfg: Config, out_dir: str | None = None) -> list:
+def suite_entropy(cfg: Config):
     """Kruzkov residuals >= -tol_quad for each k, worst over _ENTROPY_BUMPS.
 
     One entropy_residuals call gives a run's whole k x bump array, and a
     k's line reads its row's minimum; the minimum keeps a NaN, so a
     non-finite residual fails its line.  Checked on (a) the closed-form
     self-similar profile with the nonlocal term disabled, and (b) a
-    simulated run with the full operator.  The k of the most negative
-    closed-form residual, or of the first non-finite one, is recomputed
-    at half the mesh and half the snapshot spacing: quadrature error must
-    shrink with it.
+    simulated run with the full operator, viscous term included.  The k of
+    the most negative closed-form residual, or of the first non-finite
+    one, is recomputed at half the mesh and half the snapshot spacing:
+    quadrature error must shrink with it.
     """
     q = cfg.params.q
     tol = cfg.tol_quad
@@ -397,7 +393,8 @@ def suite_entropy(cfg: Config, out_dir: str | None = None) -> list:
     datum = make_initial_datum("box", x_min, dx, n, height=1.0, left=0.0, right=1.0)
     traj = run(datum, params)
     simulated = entropy_residuals(traj.times, traj.snapshots, q, _ENTROPY_KS, _ENTROPY_BUMPS,
-                                  alpha=params.alpha, lam=params.lam, kernel=kernel).min(axis=1)
+                                  alpha=params.alpha, lam=params.lam, kernel=kernel,
+                                  mu=params.mu).min(axis=1)
     for k, worst in zip(_ENTROPY_KS, simulated.tolist()):
         reports.append(Report(
             name=f"simulated residual k={k:g}",
@@ -405,8 +402,7 @@ def suite_entropy(cfg: Config, out_dir: str | None = None) -> list:
             values={"worst_residual": worst},
             tolerance=tol,
         ))
-    _write_reports(reports, out_dir, "entropy")
-    return reports
+    return reports, []
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +413,7 @@ _TAIL_CAL = (8.0, 3.0)  # (t, R) used to fit the constant
 _TAIL_MARGIN = 1.5
 
 
-def suite_tails(cfg: Config, out_dir: str | None = None) -> list:
+def suite_tails(cfg: Config):
     """Tail growth against C (t/R^2 + t^(1/q)/R), and shift moduli.
 
     The radii are chosen so 2R sits outside the bulk of the solution at
@@ -425,8 +421,13 @@ def suite_tails(cfg: Config, out_dir: str | None = None) -> list:
     at the single point where the tail is a priori largest relative to
     the envelope (final time, smallest radius) and the bound, widened by
     1.5x, is tested at every other (t, R).  Shift moduli must not expand
-    in time.
+    in time.  output.times must include the fit time, checked before the
+    configured run by Trajectory.snapshot_at's rule.
     """
+    t_cal, r_cal = _TAIL_CAL
+    if not any(abs(t - t_cal) <= 1e-9 * max(1.0, t_cal) for t in cfg.params.output_times):
+        raise ConfigError(f"the tails suite fits its constant at t = {t_cal:g}, "
+                          f"so the output times must include it", origin="output.times")
     datum, traj = _configured_run(cfg)
     q = cfg.params.q
 
@@ -437,7 +438,6 @@ def suite_tails(cfg: Config, out_dir: str | None = None) -> list:
     def envelope(t, r):
         return t / r ** 2 + t ** (1.0 / q) / r
 
-    t_cal, r_cal = _TAIL_CAL
     u_cal = traj.snapshot_at(t_cal)
     c_fit = worst_max(0.0, (tail_mass(u_cal, r_cal) - phi_tail(r_cal)) / envelope(t_cal, r_cal))
     worst = -np.inf
@@ -468,8 +468,7 @@ def suite_tails(cfg: Config, out_dir: str | None = None) -> list:
         tolerance=1e-9,
         detail="h in {dx, 4dx, 16dx}",
     ))
-    _write_reports(reports, out_dir, "tails")
-    return reports
+    return reports, []
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +481,7 @@ _COMPARISON_CASES = 1000
 _COMPARISON_CHUNK = 50
 
 
-def suite_nonlocal_comparison(cfg: Config, out_dir: str | None = None) -> list:
+def suite_nonlocal_comparison(cfg: Config):
     """Randomized check of the pointwise inequality at a maximum of w.
 
     1000 seeded cases of smooth z >= 0 and smooth w, cycling beta through
@@ -517,43 +516,23 @@ def suite_nonlocal_comparison(cfg: Config, out_dir: str | None = None) -> list:
             violations += int(np.count_nonzero(~ok))
             worst_a = worst_max(worst_a, np.max(a_z))
             worst_gap = worst_max(worst_gap, np.max(lhs - rhs))
-    reports = [Report(
+    return [Report(
         name=f"nonlocal comparison ({_COMPARISON_CASES} cases)",
         verdict="pass" if violations == 0 else "fail",
         values={"violations": violations, "worst_a_z": worst_a, "worst_gap": worst_gap},
         tolerance=tol,
         detail=f"betas {betas}",
-    )]
-    _write_reports(reports, out_dir, "nonlocal_comparison")
-    return reports
+    )], []
 
 
 # ---------------------------------------------------------------------------
-# kernel bound (delegates to the sweep in experiments)
+# kernel bound: the kernel_bound_sweep study on the configured kernel
 
 
-def suite_kernel_bound(cfg: Config, out_dir: str | None = None) -> list:
+def _kernel_bound(cfg: Config):
     from .experiments import kernel_bound_sweep, study_spec
 
-    spec = study_spec(replace(cfg, study_kind="kernel_bound_sweep"))
-    reports, rows = kernel_bound_sweep(spec)
-    _write_reports(reports, out_dir, "kernel_bound", rows=rows)
-    return reports
-
-
-# ---------------------------------------------------------------------------
-
-
-def _write_reports(reports, out_dir, suite, rows=None):
-    if out_dir is None:
-        return
-    import os
-
-    from .io import write_summary_csv, write_verdicts_json
-
-    write_verdicts_json(reports, os.path.join(out_dir, f"{suite}_verdicts.json"))
-    if rows is not None:
-        write_summary_csv(rows, os.path.join(out_dir, f"{suite}_summary.csv"))
+    return kernel_bound_sweep(study_spec(replace(cfg, study_kind="kernel_bound_sweep")))
 
 
 _SUITES = {
@@ -564,14 +543,21 @@ _SUITES = {
     "entropy": suite_entropy,
     "tails": suite_tails,
     "nonlocal_comparison": suite_nonlocal_comparison,
-    "kernel_bound": suite_kernel_bound,
+    "kernel_bound": _kernel_bound,
 }
 
 
 def run_suite(name: str, cfg: Config, out_dir: str | None = None) -> list:
+    """Run the named suite and return its Reports; given out_dir, write
+    its results there through io.write_results."""
     if name not in _SUITES:
         raise ConfigError(
             f"unknown suite {name!r}; choose one of {', '.join(SUITE_NAMES)}",
             origin="verify",
         )
-    return _SUITES[name](cfg, out_dir)
+    reports, rows = _SUITES[name](cfg)
+    if out_dir is not None:
+        from .io import write_results
+
+        write_results(out_dir, name, reports, rows)
+    return reports

@@ -209,6 +209,50 @@ def test_bad_sign_changing_datum_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("args, origin, message", [
+    (["study", "long_time_nonnegative", "--set", "q=2"], "q", "strictly below 2"),
+    (["study", "vanishing_viscosity", "--set", "datum.height=0"], "datum.height",
+     "zero on every cell"),
+    # a zero-mass signed datum blames the key that was changed
+    (["study", "long_time_sign_changing", "--set", "datum.neg_height=2",
+      "--set", "study.times=1,3"], "datum.neg_height", "zero-mass datum"),
+])
+def test_a_study_that_cannot_run_exits_2_before_writing(args, origin, message, tmp_path,
+                                                        capsys):
+    # every check of a study runs as its spec is built, before the manifest
+    assert main([*args, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {origin}: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_tails_without_the_fit_time_exits_2(monkeypatch, tmp_path, capsys):
+    # the tails suite fits its constant at t = 8: a schedule without it
+    # is a config error, raised before the configured run is stepped
+    import nwavelab.suites as suites
+
+    def no_run(*args):
+        raise AssertionError("the configured run was stepped")
+
+    monkeypatch.setattr(suites, "run", no_run)
+    args = ["verify", "tails", "--set", "output.times=1,2,4", "--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: output.times: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_entropy_passes_on_the_viscous_sample_config(tmp_path, capsys):
+    # the simulated residuals carry the run's viscous term
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "viscous_gaussian.cfg")
+    assert main(["verify", "entropy", "--config", config, "--out", str(tmp_path / "o")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9 and all(line.startswith("PASS") for line in lines)
+
+
 def test_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nope"])

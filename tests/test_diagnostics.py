@@ -4,6 +4,7 @@ import pytest
 from nwavelab.diagnostics import (
     _bump,
     _bump_prime,
+    _bump_second,
     _comparison_terms,
     Report,
     decay_fit,
@@ -155,6 +156,11 @@ def _phi_x(bump, t, x):
     return _bump((t - tc) / tw) * _bump_prime((x - xc) / xw) / xw
 
 
+def _phi_xx(bump, t, x):
+    tc, tw, xc, xw = bump
+    return _bump((t - tc) / tw) * _bump_second((x - xc) / xw) / xw ** 2
+
+
 def test_entropy_case_bump_derivative_consistent():
     bump = (1.0, 0.5, 0.0, 1.0)
     x = np.linspace(-1.5, 1.5, 7)
@@ -246,6 +252,52 @@ def test_entropy_residuals_match_the_per_case_formula(alpha):
                                                   * _phi(bump, t, x)) * u.dx
                 integrand[i] = a - c
             assert got[j, b] == float(np.trapezoid(integrand, times))
+
+
+def test_entropy_case_bump_second_derivative_consistent():
+    bump = (1.0, 0.5, 0.3, 0.8)
+    x = np.linspace(-0.6, 1.2, 9)
+    h = 1e-6
+    fd = (_phi_x(bump, 1.2, x + h) - _phi_x(bump, 1.2, x - h)) / (2.0 * h)
+    np.testing.assert_allclose(_phi_xx(bump, 1.2, x), fd, atol=1e-6)
+    assert _phi_xx(bump, 1.2, np.array([-0.6, 1.2])).max() == 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7])
+def test_entropy_residuals_viscous_term_matches_the_per_case_formula(alpha):
+    # a run with mu u_xx adds mu intint |u-k| phi_xx to each residual; each
+    # entry must equal, bit for bit, the formula taken case by case
+    q, lam, dx, mu = 1.5, 2.0, 1.0 / 64.0, 0.05
+    times, snaps = _nwave_entropy_inputs(dt=0.1, dx=dx)
+    kernel = make_kernel("uniform", 0.5, dx)
+    ks = (-1.0, 0.0, 0.5)
+    bumps = [(tc, 0.45, xc, xw) for tc in (1.0, 1.75) for xc, xw in ((-0.5, 1.0), (2.0, 0.75))]
+    got = entropy_residuals(times, snaps, q, ks, bumps, alpha=alpha, lam=lam, kernel=kernel,
+                            mu=mu)
+    for j, k in enumerate(ks):
+        for b, bump in enumerate(bumps):
+            tc, tw = bump[:2]
+            integrand = np.zeros(len(times))
+            for i, (t, u) in enumerate(zip(times, snaps)):
+                if not tc - tw < t < tc + tw:
+                    continue
+                x, v = u.centers, u.values
+                sgn = np.sign(v - k)
+                a = np.sum(np.abs(v - k) * _phi_t(bump, t, x)
+                           + sgn * (flux(v, q) - flux(k, q)) * _phi_x(bump, t, x)) * u.dx
+                c = 0.0
+                if alpha > 0.0:
+                    conv = convolve(kernel, u).values - k
+                    c = alpha * lam ** q * np.sum((np.abs(v - k) - sgn * conv)
+                                                  * _phi(bump, t, x)) * u.dx
+                m = mu * np.sum(np.abs(v - k) * _phi_xx(bump, t, x)) * u.dx
+                integrand[i] = a - c + m
+            assert got[j, b] == float(np.trapezoid(integrand, times))
+    # mu = 0 adds nothing: the inviscid residuals, bit for bit
+    inviscid = entropy_residuals(times, snaps, q, ks, bumps, alpha=alpha, lam=lam, kernel=kernel)
+    assert np.array_equal(entropy_residuals(times, snaps, q, ks, bumps, alpha=alpha, lam=lam,
+                                            kernel=kernel, mu=0.0), inviscid)
+    assert not np.array_equal(got, inviscid)
 
 
 def _one_comparison(kernel, beta, z, w):

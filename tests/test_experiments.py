@@ -1,4 +1,5 @@
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from nwavelab.experiments import (
     _datum_mass,
     _restrict,
     kernel_bound_sweep,
-    run_long_time,
     run_rescaling_family,
     run_study,
     study_spec,
@@ -59,6 +59,24 @@ def test_sweep_validation():
                   datum_params={}, sweep=(-1.0, 2.0))
 
 
+def test_a_hand_built_spec_is_checked_at_construction():
+    # StudySpec runs every check of its study, as it does for study_spec
+    base = load_config().params
+    # a 0.4-wide kernel rescaled by 64 spans too few cells of the sweep's grid
+    with pytest.raises(ConfigError) as exc:
+        StudySpec(kind="kernel_bound_sweep", base=replace(base, kernel_width=0.4),
+                  datum_kind="box", sweep=(1.0, 64.0))
+    assert exc.value.origin == "kernel.width"
+    with pytest.raises(ConfigError, match="zero on every cell") as exc:
+        StudySpec(kind="vanishing_viscosity", base=base, datum_kind="box",
+                  datum_params={"height": 0.0}, sweep=(0.1, 0.05))
+    assert exc.value.origin == "datum.height"
+    with pytest.raises(ConfigError, match="right > left") as exc:
+        StudySpec(kind="vanishing_viscosity", base=base, datum_kind="box",
+                  datum_params={"right": -1.0}, sweep=(0.1, 0.05))
+    assert exc.value.origin == "datum.right"
+
+
 def test_datum_mass_formulas():
     assert _datum_mass("box", {"height": 2.0, "left": -1.0, "right": 3.0}) == 8.0
     assert _datum_mass("gaussian", {"mass": 1.5, "center": 0.0, "sigma": 1.0}) == 1.5
@@ -67,16 +85,14 @@ def test_datum_mass_formulas():
 
 def test_long_time_rejects_q2_and_zero_mass():
     cfg = load_config(overrides=["q=2.0"])
-    spec = study_spec(cfg)
     with pytest.raises(ConfigError, match="below 2"):
-        run_long_time(spec)
+        study_spec(cfg)
     cfg2 = load_config(overrides=["datum.kind=dipole_zero_mass"])
     spec2 = study_spec(cfg2)
-    spec2 = StudySpec(kind=spec2.kind, base=spec2.base, datum_kind="dipole_zero_mass",
-                      datum_params={"height": 1.0, "width": 1.0, "center": 0.0},
-                      sweep=(1.0, 2.0))
     with pytest.raises(ConfigError, match="mass"):
-        run_long_time(spec2)
+        StudySpec(kind=spec2.kind, base=spec2.base, datum_kind="dipole_zero_mass",
+                  datum_params={"height": 1.0, "width": 1.0, "center": 0.0},
+                  sweep=(1.0, 2.0))
 
 
 def test_coarsen_2_to_1():

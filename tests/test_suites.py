@@ -314,6 +314,22 @@ def test_tails_fails_closed_on_a_nan_calibration(monkeypatch):
     assert np.isnan(tail.values["c_fit"])
 
 
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_run_suite_writes_the_suites_file_set(monkeypatch, tmp_path, suite):
+    # run_suite writes every suite's verdicts, and a summary only for
+    # kernel_bound, the one suite with summary rows
+    import nwavelab.suites as suites
+
+    monkeypatch.setattr(suites, "_DECAY_GRIDS", {1.75: suites._DECAY_GRIDS[1.75]})
+    monkeypatch.setattr(suites, "_DECAY_TIMES", suites._DECAY_TIMES[:5])
+    out = tmp_path / "o"
+    reports = run_suite(suite, load_config(overrides=_SMALL_SHARED), out_dir=str(out))
+    summary = {"kernel_bound_summary.csv"} if suite == "kernel_bound" else set()
+    assert set(os.listdir(out)) == {f"{suite}_verdicts.json"} | summary
+    back = read_verdicts_json(str(out / f"{suite}_verdicts.json"))
+    assert [(r.name, r.verdict) for r in back] == [(r.name, r.verdict) for r in reports]
+
+
 def test_kernel_bound_builds_its_base_kernel_once(monkeypatch):
     # one base kernel and its 63 rescalings (lam = 1 is the base itself),
     # built while checking the sweep; running it reuses them
