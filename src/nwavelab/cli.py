@@ -132,10 +132,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_study(args) -> int:
+    if args.name is not None:  # the named study wins over the configured study.kind
+        args.overrides = [*args.overrides, f"study.kind={args.name}"]
     cfg = _load(args)
-    if args.name is not None:
-        cfg.study_kind = args.name
-        cfg.raw["study.kind"] = args.name
     spec = study_spec(cfg, out_dir=args.out)
     atomic_write_text(os.path.join(args.out, f"{spec.kind}_manifest.txt"),
                       _manifest_text(cfg))

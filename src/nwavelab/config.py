@@ -6,14 +6,14 @@ sweep drivers can generate configs and the CLI can override any single key
 with --set key=value.
 
 The model's input rules live with the objects they guard: SimParams
-checks every parameter field, kernels the stencil and its rescaling, and
-profiles the datum, its support against the grid's extent included.
-load_config parses, builds those objects once and assigns blame: a broken
-rule becomes a ConfigError carrying the file and line (or the literal
-"--set") of the key at fault.
+checks every parameter field, its grid and its kernel, each break a
+ParamError naming the field at fault; profiles checks the datum, its
+support against the grid's extent included.  load_config parses, builds
+those objects once and assigns blame: a broken rule becomes a ConfigError
+carrying the file and line (or the literal "--set") of the key at fault.
 It owns only the rules nothing else does: seed, study.kind, tol.* and nwave.*.
-build_kernel is that blame for the kernel, shared with the suites and
-studies that build one on a grid of their own.
+check_run is the same blame for a run a suite or study derives from the
+configured case, on a grid or rescale factor of its own.
 
 Unknown keys, duplicate keys, malformed values and violated model
 constraints are all ConfigError; the CLI maps that to exit code 2.
@@ -24,12 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .kernels import Kernel, make_kernel, rescale
+from .kernels import Kernel
 from .profiles import DATUM_PARAMS, check_datum, make_initial_datum
 from .solver import ParamError, SimParams
 
-__all__ = ["ConfigError", "Config", "load_config", "build_kernel", "rescale_kernel",
-           "check_grid", "DEFAULTS", "STUDY_KINDS"]
+__all__ = ["ConfigError", "Config", "load_config", "check_run", "DEFAULTS", "STUDY_KINDS"]
 
 STUDY_KINDS = (
     "long_time_nonnegative",
@@ -115,55 +114,28 @@ class Config:
     # suites._configured_run's one entry; replace() hands a copy a fresh one
     run_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def make_datum(self):
-        n = self.params.grid_n()
-        return make_initial_datum(
-            self.datum_kind, self.params.x_min, self.params.dx, n, **self.datum_params
-        )
+    def make_datum(self, params: SimParams | None = None):
+        """The configured datum on params' grid (default: the configured one)."""
+        p = params or self.params
+        return make_initial_datum(self.datum_kind, p.x_min, p.dx, p.grid_n(), **self.datum_params)
 
 
-def _blame_key(key: str, message: str):
-    raise ConfigError(message, origin=key)
+def check_run(params: SimParams, what: str = "", base: Kernel | None = None, **keys) -> Kernel:
+    """params.grid_n(), then params.kernel(base), for a run that a suite or
+    study derives from the configured case; returns the kernel.
 
-
-def build_kernel(params: SimParams, width_key: str = "kernel.width",
-                 lam_key: str = "lambda", fail=_blame_key) -> Kernel:
-    """params.kernel() in its two steps, each error blamed on its own key.
-
-    make_kernel's errors (the width against dx, or a stencil over
-    MAX_CELLS) go to width_key, rescale's to lam_key, through
-    fail(key, message), which raises.  By default the key is the error's
-    origin: the form for suites and studies that pick their own dx or
-    rescale factor, so a kernel that does not fit exits 2 before they run.
+    A ParamError is a ConfigError on keys[field] where the caller derived
+    the field, else on the field's own key.
     """
     try:
-        j = make_kernel(params.kernel_family, params.kernel_width, params.dx)
-    except ValueError as exc:
-        fail(width_key, str(exc))
-    return rescale_kernel(j, params.lam, lam_key, fail)
-
-
-def rescale_kernel(j: Kernel, lam: float, lam_key: str = "lambda",
-                   fail=_blame_key) -> Kernel:
-    """rescale(j, lam), its error blamed on lam_key through fail(key, message)."""
-    try:
-        return rescale(j, lam)
-    except ValueError as exc:
-        fail(lam_key, f"lambda = {lam:g} rescales the kernel too far: {exc}")
-
-
-def check_grid(params: SimParams, what: str) -> int:
-    """params.grid_n() for `what`, a grid that a suite or study derives
-    from the configured [x_min, x_max] at a dx of its own.
-
-    A grid that does not fit is blamed on the extent: ConfigError.
-    """
-    try:
-        return params.grid_n()
+        params.grid_n()
+        return params.kernel(base)
     except ParamError as exc:
-        raise ConfigError(f"{what} (dx = {params.dx:g}) does not fit "
-                          f"[{params.x_min:g}, {params.x_max:g}]: {exc}",
-                          origin="grid.x_min/grid.x_max") from None
+        if what and exc.field == "dx":  # a named derived grid: the extent's fault
+            raise ConfigError(f"{what} (dx = {params.dx:g}) does not fit "
+                              f"[{params.x_min:g}, {params.x_max:g}]: {exc}",
+                              origin="grid.x_min/grid.x_max") from None
+        raise ConfigError(str(exc), origin=keys.get(exc.field, _PARAM_KEYS[exc.field])) from None
 
 
 def _parse_scalar(key: str, text: str, default, origin: str):
@@ -243,13 +215,14 @@ def load_config(path: str | None = None, overrides: list | None = None,
         fail(_PARAM_KEYS[exc.field], str(exc))
     try:
         params.grid_n()
-    except ParamError as exc:  # the three grid keys size the grid together
-        key = first_set(["grid.dx", "grid.x_max", "grid.x_min"], "grid.dx")
-        fail(key, f"{key} = {values[key]:g}: {exc}")
-    # built also when alpha = 0 leaves the kernel unused by runs: dump-kernel
-    # needs it.  A stencil the grid cannot resolve is grid.dx's fault if it
-    # was set.
-    build_kernel(params, first_set(["grid.dx"], "kernel.width"), fail=fail)
+        params.kernel()  # dump-kernel needs it even where alpha = 0 leaves runs without it
+    except ParamError as exc:
+        if exc.field == "dx":  # the three grid keys size the grid together
+            key = first_set(["grid.dx", "grid.x_max", "grid.x_min"], "grid.dx")
+            fail(key, f"{key} = {values[key]:g}: {exc}")
+        # a stencil the grid cannot resolve is grid.dx's fault if it was set
+        fail(first_set(["grid.dx"], "kernel.width") if exc.field == "kernel_width"
+             else "lambda", str(exc))
 
     # the datum's own rules, its support against the grid's extent too,
     # blamed on the first of its keys that was set

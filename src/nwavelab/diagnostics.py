@@ -466,7 +466,6 @@ def random_smooth_rows(
     n: int,
     amplitudes,
     nonnegative,
-    margin_cells: int = 0,
 ) -> np.ndarray:
     """A (rows, n) array of random_smooth_field values, one row per amplitude.
 
@@ -487,7 +486,7 @@ def random_smooth_rows(
         values += a * np.exp(-(((x - c) / width) ** 2))
     nonnegative = np.asarray(nonnegative, dtype=bool)
     values[nonnegative] = np.abs(values[nonnegative])
-    margin = max(margin_cells, n // 16, 2)
+    margin = max(n // 16, 2)
     taper = np.ones(n)
     ramp = 0.5 - 0.5 * np.cos(np.pi * (np.arange(margin) + 0.5) / margin)
     taper[:margin] = ramp
@@ -502,7 +501,6 @@ def random_smooth_field(
     n: int,
     amplitude: float = 1.0,
     nonnegative: bool = False,
-    margin_cells: int = 0,
 ) -> GridFunction:
     """Three random Gaussian bumps, tapered to zero near the boundary.
 
@@ -511,5 +509,5 @@ def random_smooth_field(
     comparison checks rely on.  This is random_smooth_rows' one-row case,
     so a run of calls draws the same fields as one call for all the rows.
     """
-    values = random_smooth_rows(rng, x_min, dx, n, (amplitude,), (nonnegative,), margin_cells)
+    values = random_smooth_rows(rng, x_min, dx, n, (amplitude,), (nonnegative,))
     return grid_function(values[0], x_min, dx)

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import (STUDY_KINDS, Config, ConfigError, build_kernel, check_grid,
-                     rescale_kernel)
+from .config import STUDY_KINDS, Config, ConfigError, check_run
 from .diagnostics import (
     Report,
     energy_report,
@@ -35,7 +34,7 @@ from .diagnostics import (
 from .grid import GridFunction, grid_function
 from .nonlocal_op import second_order_bound_ratios
 from .profiles import DATUM_PARAMS, NWave, check_datum, make_initial_datum
-from .solver import ParamError, SimParams, rescale_snapshot, run, run_lockstep
+from .solver import SimParams, rescale_snapshot, run, run_lockstep
 
 __all__ = [
     "StudySpec",
@@ -168,22 +167,25 @@ def _check_runs(spec: StudySpec):
     then check what its runs need of q and of the datum on their grid."""
     kind, sweep = spec.kind, spec.sweep
     if kind == "kernel_bound_sweep":
-        # the sweep's factors are fixed, so only the width can make room;
-        # one base kernel, rescaled by each factor
-        base = build_kernel(replace(spec.base, dx=_SWEEP_GRID[2], lam=1.0))
+        # one base kernel, rescaled by each factor; the factors are fixed,
+        # so only the width can make room
+        x_min, x_max, dx = _SWEEP_GRID
+        params = replace(spec.base, x_min=x_min, x_max=x_max, dx=dx, lam=1.0)
+        base = check_run(params)
         spec.kernels = {1.0: base} | {
-            lam: rescale_kernel(base, lam, lam_key="kernel.width") for lam in sweep}
+            lam: check_run(replace(params, lam=lam), base=base, lam="kernel.width") for lam in sweep}
     elif kind == "rescaling_family":
         if min(sweep) < 1.0:
             raise ConfigError("rescale factors must be >= 1", origin="study.lambdas")
+        x_min, x_max = _RESCALING_EXTENT
         for dx in (_RESCALING_DX, _RESCALING_DX / 2.0):
             for lam in (1.0,) + sweep:
-                build_kernel(replace(spec.base, dx=dx, lam=lam), lam_key="study.lambdas")
+                check_run(replace(spec.base, x_min=x_min, x_max=x_max, dx=dx, lam=lam),
+                          lam="study.lambdas")
     elif kind == "vanishing_viscosity":  # the one study on the configured extent
         grids = [replace(spec.base, dx=dx, lam=1.0) for dx in (_VISCOSITY_DX, _VISCOSITY_DX / 2.0)]
         for params in grids:
-            check_grid(params, f"the {kind} study's grid")
-            build_kernel(params)
+            check_run(params, f"the {kind} study's grid")
         if not np.any(_datum_on(spec, grids[0]).values):
             raise ConfigError(
                 f"the {spec.datum_kind} datum is zero on every cell of the vanishing-viscosity "
@@ -192,12 +194,8 @@ def _check_runs(spec: StudySpec):
             )
     else:
         params = _long_time_params(spec, sorted(sweep))
-        try:
-            params.grid_n()
-        except ParamError as exc:
-            raise ConfigError(str(exc), origin="study.times") from None
         # the nonnegative study fixes its width, so only dx can misfit
-        build_kernel(params, width_key="grid.dx")
+        check_run(params, dx="study.times", kernel_width="grid.dx")
         if not spec.base.q < 2.0:
             raise ConfigError("the long-time profile limit needs q strictly below 2", origin="q")
         if abs(_datum_on(spec, params).mass()) < 1e-12:
@@ -416,7 +414,7 @@ def _rescaling_routes(spec: StudySpec, dx: float):
     src_times = tuple(sorted(lam ** q for lam in lams))
     base_params = replace(
         spec.base, lam=1.0, mu=0.0,
-        x_min=-8.0, x_max=16.0, dx=dx, output_times=src_times,
+        x_min=_RESCALING_EXTENT[0], x_max=_RESCALING_EXTENT[1], dx=dx, output_times=src_times,
     )
     base_traj = run(_datum_on(spec, base_params), base_params)
 
@@ -437,6 +435,8 @@ def _rescaling_routes(spec: StudySpec, dx: float):
 
 # The routes' grid spacing; the refinement check runs at half of it.
 _RESCALING_DX = 1.0 / 128.0
+# Both routes simulate on this extent and restrict to the target grid.
+_RESCALING_EXTENT = (-8.0, 16.0)
 
 
 def run_rescaling_family(spec: StudySpec):

@@ -164,9 +164,20 @@ class SimParams:
              "output_times", "output times must be finite, positive and strictly increasing")
         need(self.tail_cap > 0.0, "tail_cap", f"tail cap must be positive, got {self.tail_cap}")
 
-    def kernel(self) -> Kernel:
-        j = make_kernel(self.kernel_family, self.kernel_width, self.dx)
-        return rescale(j, self.lam) if self.lam != 1.0 else j
+    def kernel(self, base: Kernel | None = None) -> Kernel:
+        """J_lam on this grid: J, or base when J is already built, rescaled by
+        lam.  ParamError on kernel_width if dx cannot hold J, on lam if lam
+        shrinks it past the stencil."""
+        if base is None:
+            try:
+                base = make_kernel(self.kernel_family, self.kernel_width, self.dx)
+            except ValueError as exc:
+                raise ParamError("kernel_width", str(exc)) from None
+        try:
+            return rescale(base, self.lam)
+        except ValueError as exc:
+            raise ParamError(
+                "lam", f"lambda = {self.lam:g} rescales the kernel too far: {exc}") from None
 
     def grid_n(self) -> int:
         cells = (self.x_max - self.x_min) / self.dx

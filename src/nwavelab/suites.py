@@ -7,8 +7,8 @@ writes the results through io.write_results, as run_study does for the
 studies.  The CLI prints one line per report and maps any failure to exit
 code 1.  Suites are deterministic given the config (and its seed, for the
 randomized ones).  A suite that picks its own grid or rescale factor
-builds its kernel first, through config.build_kernel, so a configured
-kernel that does not fit it is a ConfigError before anything runs.
+checks that run first, through config.check_run, so a configured kernel
+or extent that does not fit it is a ConfigError before anything runs.
 oleinik and tails read one run of the configured case, made once per
 Config (see _configured_run), so a caller that runs both on one Config
 steps it once.
@@ -30,7 +30,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import Config, ConfigError, build_kernel, check_grid
+from .config import Config, ConfigError, check_run
 from .diagnostics import (
     Report,
     decay_fit,
@@ -39,7 +39,6 @@ from .diagnostics import (
     l1_modulus,
     lp_norm,
     nonlocal_comparisons,
-    nwave_distance,
     oleinik_margin,
     random_smooth_field,
     random_smooth_rows,
@@ -68,12 +67,6 @@ SUITE_NAMES = (
 # Rounding allowance for the checks that hold exactly in the scheme
 # (contraction, ordering, sign preservation): absolute, on order-one data.
 _ROUNDING = 1e-11
-
-
-def _datum_on(cfg: Config, params: SimParams) -> GridFunction:
-    return make_initial_datum(
-        cfg.datum_kind, params.x_min, params.dx, params.grid_n(), **cfg.datum_params
-    )
 
 
 def _configured_run(cfg: Config):
@@ -119,8 +112,7 @@ def suite_oleinik(cfg: Config):
     """
     _require_nonnegative_datum(cfg, cfg.make_datum(), "oleinik")
     fine_params = replace(cfg.params, dx=cfg.params.dx / 2.0)
-    check_grid(fine_params, "the oleinik suite's refined grid")
-    build_kernel(fine_params, width_key="grid.dx")
+    check_run(fine_params, "the oleinik suite's refined grid", kernel_width="grid.dx")
     _, traj = _configured_run(cfg)
 
     reports = []
@@ -134,7 +126,7 @@ def suite_oleinik(cfg: Config):
     checked = 0
     # `excess <= 0.0` is the loop's own skip test, so a NaN excess is refined
     if not all(excess <= 0.0 for excess in excesses):
-        fine_traj = run(_datum_on(cfg, fine_params), fine_params)
+        fine_traj = run(cfg.make_datum(fine_params), fine_params)
         for t, u, excess in zip(fine_traj.times, fine_traj.snapshots, excesses):
             if excess <= 0.0:
                 continue
@@ -189,7 +181,7 @@ def suite_decay(cfg: Config):
                 dx=1.0 / 128.0, output_times=_DECAY_TIMES)
         for q, (x_min, x_max) in sorted(_DECAY_GRIDS.items())
     ]
-    build_kernel(runs[0])  # the three runs share it
+    check_run(runs[0])  # the three runs share its kernel
 
     def at_q(params):
         datum = make_initial_datum("box", params.x_min, params.dx, params.grid_n(),
@@ -244,7 +236,7 @@ def suite_contraction(cfg: Config):
     """
     rng = np.random.default_rng(cfg.seed)
     params = _random_pair_params(cfg)
-    build_kernel(params)
+    check_run(params)
     pairs = _random_pairs(rng, params)
     worst_l1 = -np.inf
     worst_pos = -np.inf
@@ -280,7 +272,7 @@ def suite_comparison(cfg: Config):
     """
     rng = np.random.default_rng(cfg.seed)
     params = _random_pair_params(cfg)
-    build_kernel(params)
+    check_run(params)
     ordered = [(a.with_values(np.minimum(a.values, b.values)),
                 a.with_values(np.maximum(a.values, b.values)))
                for a, b in _random_pairs(rng, params)]
@@ -357,7 +349,7 @@ def suite_entropy(cfg: Config):
     times = np.asarray(_ENTROPY_TIMES)
     params = replace(cfg.params, x_min=x_min, x_max=x_max, dx=dx,
                      output_times=tuple(times))
-    kernel = build_kernel(params)  # J_lam, the operator's own kernel
+    kernel = check_run(params)  # J_lam, the operator's own kernel
 
     reports = []
     snaps = _closed_form_snapshots(q, times, x_min, dx, n)
@@ -421,13 +413,13 @@ def suite_tails(cfg: Config):
     at the single point where the tail is a priori largest relative to
     the envelope (final time, smallest radius) and the bound, widened by
     1.5x, is tested at every other (t, R).  Shift moduli must not expand
-    in time.  output.times must include the fit time, checked before the
-    configured run by Trajectory.snapshot_at's rule.
+    in time.  output.times must end at the fit time (snapshot_at's rule),
+    checked before the configured run.
     """
     t_cal, r_cal = _TAIL_CAL
-    if not any(abs(t - t_cal) <= 1e-9 * max(1.0, t_cal) for t in cfg.params.output_times):
+    if not abs(cfg.params.t_final - t_cal) <= 1e-9 * max(1.0, t_cal):
         raise ConfigError(f"the tails suite fits its constant at t = {t_cal:g}, "
-                          f"so the output times must include it", origin="output.times")
+                          f"so the output times must end there", origin="output.times")
     datum, traj = _configured_run(cfg)
     q = cfg.params.q
 
@@ -494,7 +486,7 @@ def suite_nonlocal_comparison(cfg: Config):
     q = cfg.params.q
     rng = np.random.default_rng(cfg.seed)
     x_min, dx, n = -4.0, 1.0 / 32.0, 256
-    kernel = build_kernel(replace(cfg.params, lam=1.0, dx=dx))
+    kernel = check_run(replace(cfg.params, lam=1.0, x_min=x_min, x_max=x_min + n * dx, dx=dx))
     betas = (0.0, 0.5, 1.0, (2.0 - q) / (q - 1.0))
     tol = 1e-10
 

@@ -229,20 +229,29 @@ def test_a_study_that_cannot_run_exits_2_before_writing(args, origin, message, t
 
 
 def test_tails_without_the_fit_time_exits_2(monkeypatch, tmp_path, capsys):
-    # the tails suite fits its constant at t = 8: a schedule without it
-    # is a config error, raised before the configured run is stepped
+    # the tails suite fits its constant at t = 8, the final time its radii
+    # assume: a schedule that does not end there is a config error, raised
+    # before the configured run is stepped
     import nwavelab.suites as suites
 
     def no_run(*args):
         raise AssertionError("the configured run was stepped")
 
     monkeypatch.setattr(suites, "run", no_run)
-    args = ["verify", "tails", "--set", "output.times=1,2,4", "--out", str(tmp_path / "o")]
+    for times in ("1,2,4", "1,2,4,8,16", "8.000000001,9"):
+        args = ["verify", "tails", "--set", f"output.times={times}", "--out", str(tmp_path / "o")]
+        assert main(args) == 2, times
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: output.times: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "o").exists()
+
+
+def test_kernel_bound_blames_the_width_for_the_first_factor_too_far(tmp_path, capsys):
+    args = ["verify", "kernel_bound", "--set", "kernel.width=0.4", "--out", str(tmp_path / "o")]
     assert main(args) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: output.times: ")
-    assert "Traceback" not in captured.err and captured.out == ""
-    assert not (tmp_path / "o").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: kernel.width: lambda = 59 rescales the kernel too far")
 
 
 def test_entropy_passes_on_the_viscous_sample_config(tmp_path, capsys):

@@ -365,7 +365,7 @@ def test_random_smooth_field_properties():
     a = random_smooth_field(rng1, -2.0, 1.0 / 32.0, 128)
     b = random_smooth_field(rng2, -2.0, 1.0 / 32.0, 128)
     np.testing.assert_array_equal(a.values, b.values)
-    c = random_smooth_field(rng1, -2.0, 1.0 / 32.0, 128, nonnegative=True, margin_cells=16)
+    c = random_smooth_field(rng1, -2.0, 1.0 / 32.0, 128, nonnegative=True)
     assert c.values.min() >= 0.0
     assert abs(c.values[0]) < 0.05 * max(c.values.max(), 1e-30)
 

@@ -36,6 +36,14 @@ def test_study_spec_kinds_and_sweeps():
         assert len(spec.sweep) == sweep_len
 
 
+def test_studies_on_an_extent_of_their_own_ignore_the_configured_one():
+    # the configured [-8, 12.05] is not tiled by these studies' dx, but
+    # their runs use extents of their own, so their specs check those
+    cfg = load_config(overrides=["grid.x_max=12.05", "grid.dx=0.05"])
+    for kind in ("rescaling_family", "kernel_bound_sweep"):
+        assert study_spec(replace(cfg, study_kind=kind)).kind == kind
+
+
 def test_long_time_sign_changing_uses_two_boxes():
     cfg = load_config()
     cfg.study_kind = "long_time_sign_changing"

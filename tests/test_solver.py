@@ -329,8 +329,8 @@ def test_l1_contraction_and_order_preservation():
     rng = np.random.default_rng(17)
     p = _params(output_times=(0.3,), tail_cap=1e9)
     n = p.grid_n()
-    a = random_smooth_field(rng, p.x_min, p.dx, n, margin_cells=40)
-    b = random_smooth_field(rng, p.x_min, p.dx, n, margin_cells=40)
+    a = random_smooth_field(rng, p.x_min, p.dx, n)
+    b = random_smooth_field(rng, p.x_min, p.dx, n)
     lo = a.with_values(np.minimum(a.values, b.values))
     hi = a.with_values(np.maximum(a.values, b.values))
     ua, ub, ulo, uhi = (traj.snapshots[-1] for traj in run_lockstep([(a, b, lo, hi)], p)[0])
@@ -578,6 +578,23 @@ def test_every_float_field_must_be_finite(name, value):
     with pytest.raises(ParamError, match="finite") as exc:
         _params(**{name: value})
     assert exc.value.field == name
+
+
+@pytest.mark.parametrize("kw, name, message", [
+    ({"dx": 0.5}, "kernel_width", "too coarse"),  # dx > width/4
+    ({"dx": 0.25, "lam": 200.0}, "lam", "lambda = 200 rescales the kernel too far"),
+])
+def test_a_kernel_that_cannot_be_built_names_its_field(kw, name, message):
+    with pytest.raises(ParamError, match=message) as exc:
+        _params(**kw).kernel()
+    assert exc.value.field == name
+
+
+def test_a_kernel_rescaled_from_its_base_is_the_kernel_built_whole():
+    whole = _params(lam=4.0).kernel()
+    from_base = _params(lam=4.0).kernel(_params().kernel())
+    np.testing.assert_array_equal(from_base.samples, whole.samples)
+    assert from_base.lam == whole.lam == 4.0
 
 
 def test_time_loop_makes_no_blas_call(monkeypatch):

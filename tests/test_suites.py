@@ -36,6 +36,12 @@ def test_nonlocal_comparison_suite_passes_and_writes(tmp_path):
     assert any("1000 cases" in r.name for r in back)
 
 
+def test_nonlocal_comparison_ignores_a_configured_extent_its_grid_does_not_tile():
+    # its cases live on [-4, 4] at dx = 1/32, not on the configured [-8, 12.05]
+    cfg = load_config(overrides=["grid.x_max=12.05", "grid.dx=0.05"])
+    assert all(r.passed for r in run_suite("nonlocal_comparison", cfg))
+
+
 def test_oleinik_suite_rejects_sign_changing_datum():
     cfg = load_config(overrides=["datum.kind=two_boxes_signed"])
     with pytest.raises(ConfigError) as exc:
@@ -191,12 +197,12 @@ def test_tails_on_the_shared_run_equals_tails_alone():
 def test_nonlocal_comparison_suite_matches_the_per_case_loop(seed):
     from dataclasses import replace
 
-    from nwavelab.config import build_kernel
+    from nwavelab.config import check_run
     from nwavelab.diagnostics import nonlocal_comparisons, random_smooth_field, worst_max
 
     cfg = load_config(seed=seed)
     q = cfg.params.q
-    kernel = build_kernel(replace(cfg.params, lam=1.0, dx=1.0 / 32.0))
+    kernel = check_run(replace(cfg.params, lam=1.0, x_min=-4.0, x_max=4.0, dx=1.0 / 32.0))
     betas = (0.0, 0.5, 1.0, (2.0 - q) / (q - 1.0))
     rng = np.random.default_rng(seed)
     violations, worst_a, worst_gap = 0, -np.inf, -np.inf
