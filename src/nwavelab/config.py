@@ -22,7 +22,7 @@ constraints are all ConfigError; the CLI maps that to exit code 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .kernels import Kernel
 from .profiles import DATUM_PARAMS, check_datum, make_initial_datum
@@ -38,34 +38,21 @@ STUDY_KINDS = (
     "kernel_bound_sweep",
 )
 
+# The config key of each SimParams field.
+_PARAM_KEYS = {
+    "q": "q", "lam": "lambda", "mu": "mu", "alpha": "alpha", "cfl": "cfl",
+    "kernel_family": "kernel.family", "kernel_width": "kernel.width",
+    "x_min": "grid.x_min", "x_max": "grid.x_max", "dx": "grid.dx",
+    "output_times": "output.times", "tail_cap": "tail.cap",
+}
+
 # Every legal key with its default; the default's type decides parsing.
+# The run keys take SimParams' field defaults and the datum.* keys the
+# datum kinds' own (a name several kinds share has one default there).
 DEFAULTS = {
-    "q": 1.5,
-    "lambda": 1.0,
-    "mu": 0.0,
-    "alpha": 1.0,
-    "cfl": 0.9,
-    "tail.cap": 1e-3,
-    "grid.x_min": -8.0,
-    "grid.x_max": 12.0,
-    "grid.dx": 1.0 / 256.0,
-    "kernel.family": "uniform",
-    "kernel.width": 1.0,
+    **{_PARAM_KEYS[f.name]: f.default for f in fields(SimParams)},
     "datum.kind": "box",
-    "datum.height": 1.0,
-    "datum.left": 0.0,
-    "datum.right": 1.0,
-    "datum.mass": 1.0,
-    "datum.center": 0.0,
-    "datum.sigma": 1.0,
-    "datum.width": 1.0,
-    "datum.pos_height": 2.0,
-    "datum.pos_left": 0.0,
-    "datum.pos_right": 1.0,
-    "datum.neg_height": 1.0,
-    "datum.neg_left": -2.0,
-    "datum.neg_right": -1.0,
-    "output.times": (1.0, 2.0, 4.0, 8.0),
+    **{f"datum.{name}": value for kind in DATUM_PARAMS.values() for name, value in kind.items()},
     "seed": 0,
     "tol.scheme": 0.05,
     "tol.quad": 2e-2,
@@ -75,14 +62,6 @@ DEFAULTS = {
     "study.times": (1.0, 3.0, 10.0, 30.0, 100.0),
     "nwave.mass": 1.0,
     "nwave.time": 1.0,
-}
-
-# The config key of each SimParams field.
-_PARAM_KEYS = {
-    "q": "q", "lam": "lambda", "mu": "mu", "alpha": "alpha", "cfl": "cfl",
-    "kernel_family": "kernel.family", "kernel_width": "kernel.width",
-    "x_min": "grid.x_min", "x_max": "grid.x_max", "dx": "grid.dx",
-    "output_times": "output.times", "tail_cap": "tail.cap",
 }
 
 

@@ -53,8 +53,8 @@ def _pmap(fn, items):
     The decay suite maps its three q runs through here.  A thread pool
     used to run them, but a step that works on the field's support alone
     holds the GIL for most of its time, so two threads mostly queue on
-    it: on 2 CPUs the suite took 11.3-13.0 s on two threads against
-    12.0-12.5 s in the calling thread.  The name stays because the
+    it: on 2 CPUs the suite took 14.3-17.4 s on two threads against
+    8.7-11.8 s in the calling thread.  The name stays because the
     benchmark's tracer times each item under it.
     """
     return [fn(x) for x in items]
@@ -359,7 +359,7 @@ def run_vanishing_viscosity(spec: StudySpec):
     )
     datum = _datum_on(spec, params)
     u0 = run(datum, params).snapshots[-1]
-    sweep = run_lockstep([(datum,)] * len(mus), [replace(params, mu=mu) for mu in mus])
+    sweep = run_lockstep([(datum,)] * len(mus), params, mus)
     viscous = {mu: group[0].snapshots[-1] for mu, group in zip(mus, sweep)}
     for mu, u in [(0.0, u0), *viscous.items()]:
         _dump_snapshots(spec, f"viscosity_mu_{mu:g}.csv", (t_eval,), (u,))

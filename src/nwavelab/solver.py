@@ -36,12 +36,13 @@ unfloored.  A batch of several fields steps the whole grid.
 
 run_lockstep() is the one time loop.  It runs groups of fields: the fields
 of a group share one dt schedule, and each group keeps its own clock, dt,
-step count and snapshots, and may have its own mu.  A step advances the
-rows of every group still short of the next snapshot time as one (rows, n)
-array, each row by its group's dt and mu; rows of groups that have reached
-it sit the step out, never stepped with dt = 0.  Moving rows that form one
-contiguous range step in place as a view; any other set is gathered out
-and scattered back.  Each row rounds as it does alone: budgets are scalar
+step count and snapshots; all share one SimParams, and `mus` may give
+each group its own mu.  A step advances the rows of every group still
+short of the next snapshot time as one (rows, n) array, each row by its
+group's dt and mu; rows of groups that have reached it sit the step out,
+never stepped with dt = 0.  Moving rows that form one contiguous range
+step in place as a view; any other set is gathered out and scattered
+back.  Each row rounds as it does alone: budgets are scalar
 per row, the step's a, b and c are columns of the lone step's scalars,
 the Dirichlet rates' one einsum sums each row as a sum of that row would
 (up to 8192 cells a row), and the batched transforms round every row as a
@@ -61,7 +62,7 @@ energy-inequality check, so it is done here, exactly where the scheme is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -90,6 +91,9 @@ class NumericalAbort(RuntimeError):
         self.t = t
         self.cell = cell
 
+    def __reduce__(self):  # so an abort in a worker process re-raises as itself
+        return type(self), (self.args[0], self.t, self.cell)
+
 
 class DomainTooSmall(NumericalAbort):
     """Mass leaking past the boundary exceeded the configured tail cap."""
@@ -101,6 +105,9 @@ class ParamError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(message)
         self.field = field
+
+    def __reduce__(self):
+        return type(self), (self.field, self.args[0])
 
 
 @dataclass(frozen=True)
@@ -135,34 +142,39 @@ class SimParams:
         return float(self.output_times[-1])
 
     def validate(self):
-        """Check every field against its rule; the first break raises ParamError."""
+        """Check every field against its rule; the first break raises ParamError.
+
+        Plain Python on purpose, with each message formatted only on a
+        break: every dataclasses.replace of a SimParams runs this.
+        """
 
         def need(ok, name, message):
             if not ok:
-                raise ParamError(name, message)
+                raise ParamError(name, message.format(p=self, families=KERNEL_FAMILIES))
 
         for name, value in vars(self).items():
-            if isinstance(value, float):
-                need(math.isfinite(value), name, f"{name} must be finite, got {value}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ParamError(name, f"{name} must be finite, got {value}")
         try:
             validate_q(self.q)
         except ValueError as exc:
             raise ParamError("q", str(exc)) from None
-        need(self.lam >= 1.0, "lam", f"lambda must be >= 1, got {self.lam}")
-        need(self.mu >= 0.0, "mu", f"mu must be nonnegative, got {self.mu}")
-        need(self.alpha >= 0.0, "alpha", f"alpha must be nonnegative, got {self.alpha}")
-        need(0.0 < self.cfl < 1.0, "cfl", f"cfl must lie in (0, 1), got {self.cfl}")
+        need(self.lam >= 1.0, "lam", "lambda must be >= 1, got {p.lam}")
+        need(self.mu >= 0.0, "mu", "mu must be nonnegative, got {p.mu}")
+        need(self.alpha >= 0.0, "alpha", "alpha must be nonnegative, got {p.alpha}")
+        need(0.0 < self.cfl < 1.0, "cfl", "cfl must lie in (0, 1), got {p.cfl}")
         need(self.kernel_family in KERNEL_FAMILIES, "kernel_family",
-             f"unknown kernel family {self.kernel_family!r}; choose one of {KERNEL_FAMILIES}")
+             "unknown kernel family {p.kernel_family!r}; choose one of {families}")
         need(self.kernel_width > 0.0, "kernel_width",
-             f"kernel width must be positive, got {self.kernel_width}")
-        need(self.dx > 0.0, "dx", f"dx must be positive, got {self.dx}")
+             "kernel width must be positive, got {p.kernel_width}")
+        need(self.dx > 0.0, "dx", "dx must be positive, got {p.dx}")
         need(self.x_max > self.x_min, "x_max", "x_max must exceed x_min")
-        need(len(self.output_times) > 0, "output_times", "output schedule is empty")
-        times = np.asarray(self.output_times, dtype=float)
-        need(np.all(np.isfinite(times)) and np.all(times > 0.0) and np.all(np.diff(times) > 0.0),
+        times = self.output_times
+        need(len(times) > 0, "output_times", "output schedule is empty")
+        need(all(math.isfinite(t) and t > 0.0 for t in times)
+             and all(a < b for a, b in zip(times, times[1:])),
              "output_times", "output times must be finite, positive and strictly increasing")
-        need(self.tail_cap > 0.0, "tail_cap", f"tail cap must be positive, got {self.tail_cap}")
+        need(self.tail_cap > 0.0, "tail_cap", "tail cap must be positive, got {p.tail_cap}")
 
     def kernel(self, base: Kernel | None = None) -> Kernel:
         """J_lam on this grid: J, or base when J is already built, rescaled by
@@ -451,7 +463,7 @@ def run(phi: GridFunction, params: SimParams) -> Trajectory:
     return run_lockstep([[phi]], params)[0][0]
 
 
-def run_lockstep(groups, params) -> list:
+def run_lockstep(groups, params: SimParams, mus=None) -> list:
     """run() for groups of fields at once: one list of Trajectories per group.
 
     Contraction and order preservation are statements about a single
@@ -461,10 +473,10 @@ def run_lockstep(groups, params) -> list:
     would only test the (true but weaker) statement that nearby
     trajectories stay close.  Groups are independent runs: each keeps its
     own t, dt, step count and snapshots.  `groups` is a sequence of
-    groups, each a sequence of fields.  `params` is one SimParams for
-    every group, or one per group; these may differ only in mu, each
-    group's budget and Laplacian use its own, and each Trajectory carries
-    its group's params.
+    groups, each a sequence of fields, and `params` serves every group.
+    `mus`, if given, holds one viscosity per group: group g runs with
+    replace(params, mu=mus[g]), whose mu its budget and Laplacian use, and
+    each Trajectory carries its group's params.
 
     A step advances the rows of every group still short of the next
     snapshot time as one (rows, n) batch, each row by its group's dt and
@@ -479,7 +491,9 @@ def run_lockstep(groups, params) -> list:
     its group has several) and the group (when there are several) and the
     cell.
     """
-    per_group = _group_params(params, len(groups))
+    if mus is not None and len(mus) != len(groups):
+        raise ValueError(f"{len(mus)} viscosities for {len(groups)} groups; give one per group")
+    per_group = [params] * len(groups) if mus is None else [replace(params, mu=mu) for mu in mus]
     params = max(per_group, key=lambda p: p.mu)  # the stepper's: the largest mu
     data = [phi for group in groups for phi in group]
     n = params.grid_n()
@@ -601,24 +615,6 @@ def run_lockstep(groups, params) -> list:
         for traj in group_trajs:
             traj.steps = count
     return trajs
-
-
-def _group_params(params, count: int) -> list:
-    """One SimParams per group: params itself for every group, or its
-    entries, which must be `count` and may differ only in mu."""
-    if isinstance(params, SimParams):
-        return [params] * count
-    per_group = list(params)
-    if len(per_group) != count:
-        raise ValueError(f"{len(per_group)} SimParams for {count} groups; "
-                         f"give one per group, or one for all")
-    first = vars(per_group[0])
-    for p in per_group[1:]:
-        for name, value in vars(p).items():
-            if name != "mu" and value != first[name]:
-                raise ValueError(f"the groups' SimParams may differ only in mu, "
-                                 f"but they differ in {name}")
-    return per_group
 
 
 def rescale_snapshot(

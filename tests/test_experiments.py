@@ -159,9 +159,9 @@ def test_the_viscosity_sweep_is_one_lockstep_batch(monkeypatch):
     calls = []
     real = experiments.run_lockstep
 
-    def spied(groups, params):
-        calls.append([p.mu for p in params])
-        return real(groups, params)
+    def spied(groups, params, mus):
+        calls.append(list(mus))
+        return real(groups, params, mus)
 
     monkeypatch.setattr(experiments, "run_lockstep", spied)
     cfg = load_config(overrides=[

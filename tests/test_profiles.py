@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from nwavelab.profiles import NWave, check_datum, make_initial_datum, nwave_eval, nwave_sample
+from nwavelab.profiles import (
+    DATUM_PARAMS,
+    NWave,
+    check_datum,
+    make_initial_datum,
+    nwave_eval,
+    nwave_sample,
+)
 
 
 def test_front_position_closed_form():
@@ -128,3 +135,12 @@ def test_gaussian_support_must_meet_the_grid():
     # a support that only clips the grid still carries the full mass
     u = make_initial_datum("gaussian", -8.0, 0.5, 40, center=15.0)
     assert u.mass() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_a_name_several_datum_kinds_share_has_one_default():
+    # config.DEFAULTS holds one datum.NAME key per parameter name
+    defaults = {}
+    for kind, params in DATUM_PARAMS.items():
+        for name, value in params.items():
+            assert defaults.setdefault(name, (kind, value))[1] == value, (name, kind)
+    assert any(sum(name in params for params in DATUM_PARAMS.values()) > 1 for name in defaults)

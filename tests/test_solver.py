@@ -1,4 +1,6 @@
 import importlib.util
+import multiprocessing
+import pickle
 from dataclasses import replace
 from pathlib import Path
 
@@ -149,7 +151,7 @@ def test_each_group_of_a_batch_runs_as_it_does_alone(mus):
     box = make_initial_datum("box", p.x_min, p.dx, n)
     smooth = [random_smooth_field(rng, p.x_min, p.dx, n) for _ in range(3)]
     groups = [(smooth[0],), (box.with_values(4.0 * box.values), box), (smooth[1], smooth[2])]
-    together = run_lockstep(groups, per_group)
+    together = run_lockstep(groups, p, mus)
     for group, got, pg in zip(groups, together, per_group, strict=True):
         for a, b in zip(got, run_lockstep([group], pg)[0], strict=True):
             assert a.params == pg
@@ -160,23 +162,21 @@ def test_each_group_of_a_batch_runs_as_it_does_alone(mus):
         assert tall >= max(lone, pair) + 5
 
 
-@pytest.mark.parametrize("name, value", [
-    ("q", 1.75), ("cfl", 0.5), ("kernel_width", 0.5), ("output_times", (0.25,)),
-    ("tail_cap", 1.0),
-])
-def test_per_group_params_may_differ_only_in_mu(name, value):
-    p = _params()
-    box = make_initial_datum("box", p.x_min, p.dx, p.grid_n())
-    with pytest.raises(ValueError, match=f"differ only in mu, but they differ in {name}$"):
-        run_lockstep([(box,), (box,)], [replace(p, mu=0.1), replace(p, **{name: value})])
-
-
 def test_per_group_params_come_one_per_group():
     p = _params()
     box = make_initial_datum("box", p.x_min, p.dx, p.grid_n())
     for count in (1, 3):
-        with pytest.raises(ValueError, match=f"^{count} SimParams for 2 groups"):
-            run_lockstep([(box,), (box,)], [p] * count)
+        with pytest.raises(ValueError, match=f"^{count} viscosities for 2 groups"):
+            run_lockstep([(box,), (box,)], p, [0.1] * count)
+
+
+def test_a_group_s_mu_keeps_simparams_rules():
+    p = _params()
+    box = make_initial_datum("box", p.x_min, p.dx, p.grid_n())
+    for mu in (-0.1, float("nan")):
+        with pytest.raises(ParamError) as info:
+            run_lockstep([(box,), (box,)], p, [0.1, mu])
+        assert info.value.field == "mu"
 
 
 def test_contiguous_moving_rows_step_in_place_as_the_gathered_rows_do(monkeypatch):
@@ -186,7 +186,7 @@ def test_contiguous_moving_rows_step_in_place_as_the_gathered_rows_do(monkeypatc
     # group comes out bit for bit the same either way.
     p = _params(output_times=(0.1, 0.2))
     box = make_initial_datum("box", p.x_min, p.dx, p.grid_n())
-    slow, fast = replace(p, mu=0.05), replace(p, mu=0.0)
+    slow, fast = 0.05, 0.0
     owns = []
     rate = _Stepper.rate
 
@@ -197,10 +197,10 @@ def test_contiguous_moving_rows_step_in_place_as_the_gathered_rows_do(monkeypatc
 
     monkeypatch.setattr(_Stepper, "rate", recorded)
     groups = [(box,), (box.with_values(0.5 * box.values),), (box,)]
-    in_place = run_lockstep(groups, [slow, slow, fast])
+    in_place = run_lockstep(groups, p, [slow, slow, fast])
     assert {own for _, own in owns} == {False} and {2, 3} <= {rows for rows, _ in owns}
     owns.clear()
-    gathered = run_lockstep([groups[0], groups[2], groups[1]], [slow, fast, slow])
+    gathered = run_lockstep([groups[0], groups[2], groups[1]], p, [slow, fast, slow])
     assert (2, True) in owns
     assert in_place[2][0].steps < in_place[0][0].steps
     for a, b in zip(in_place, [gathered[0], gathered[2], gathered[1]], strict=True):
@@ -578,6 +578,63 @@ def test_every_float_field_must_be_finite(name, value):
     with pytest.raises(ParamError, match="finite") as exc:
         _params(**{name: value})
     assert exc.value.field == name
+
+
+_BAD_SCHEDULE = "output times must be finite, positive and strictly increasing"
+
+
+@pytest.mark.parametrize("times, message", [
+    pytest.param((), "output schedule is empty", id="empty"),
+    pytest.param((0.5, np.nan), _BAD_SCHEDULE, id="nan"),
+    pytest.param((0.5, np.inf), _BAD_SCHEDULE, id="inf"),
+    pytest.param((0.0, 0.5), _BAD_SCHEDULE, id="zero"),
+    pytest.param((-0.5, 0.5), _BAD_SCHEDULE, id="negative"),
+    pytest.param((0.25, 0.5, 0.5), _BAD_SCHEDULE, id="repeated"),
+    pytest.param((0.5, 0.25), _BAD_SCHEDULE, id="decreasing"),
+])
+def test_a_bad_output_schedule_is_a_param_error_on_output_times(times, message):
+    with pytest.raises(ParamError) as exc:
+        _params(output_times=times)
+    assert exc.value.field == "output_times"
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("error", [
+    NumericalAbort("non-finite value in cell 7 (x=0.1) at t=0.25", t=0.25, cell=7),
+    DomainTooSmall("mass drift 0.5 exceeds tail cap 0.001 at t=2", t=2.0),
+    ParamError("mu", "mu must be nonnegative, got -1.0"),
+], ids=["NumericalAbort", "DomainTooSmall", "ParamError"])
+def test_aborts_survive_a_pickle_round_trip(error):
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    for name in ("t", "cell", "field"):
+        assert getattr(back, name, None) == getattr(error, name, None)
+
+
+def _run_a_nan_datum(_):
+    p = _params(output_times=(0.1,))
+    box = make_initial_datum("box", p.x_min, p.dx, p.grid_n())
+    values = box.values.copy()
+    values[300] = np.nan
+    return run(box.with_values(values), p)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_an_abort_in_a_worker_process_re_raises_unchanged():
+    with pytest.raises(NumericalAbort) as here:
+        _run_a_nan_datum(0)
+    # an exception the parent cannot unpickle kills the pool's result
+    # thread, and the map would wait forever: the timeout fails it instead
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        with pytest.raises(NumericalAbort) as there:
+            pool.map_async(_run_a_nan_datum, [0]).get(timeout=30)
+    pool.join()
+    assert type(there.value) is type(here.value)
+    assert str(there.value) == str(here.value)
+    assert (there.value.t, there.value.cell) == (here.value.t, here.value.cell) == (0.0, 300)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("kw, name, message", [
