@@ -135,6 +135,13 @@ SLOPE_TOL = 0.1
 ROUNDING_TOL = 1e-10
 
 
+def _amplitude_bound(q: float, phi_l1: float, t):
+    """(q ||phi||_1 / ((q-1) t))^(1/q), the sup of the N-wave of mass
+    ||phi||_1 at t and the amplitude bound of nonnegative data; t a scalar
+    or an array."""
+    return (q * phi_l1 / ((q - 1.0) * t)) ** (1.0 / q)
+
+
 def decay_fit(traj, p: float) -> Report:
     """Least-squares log-log slope of ||u(t)||_p over the last time decade.
 
@@ -159,8 +166,7 @@ def decay_fit(traj, p: float) -> Report:
 
     phi_l1 = lp_norm(traj.initial, 1)
     if p == np.inf:
-        bounds = (q * phi_l1 / ((q - 1.0) * times)) ** (1.0 / q)
-        excess = float(np.max(norms - bounds))
+        excess = float(np.max(norms - _amplitude_bound(q, phi_l1, times)))
         values["sup_excess"] = excess
         ok = ok and excess <= ROUNDING_TOL
     if p == 1:
@@ -210,8 +216,7 @@ def sup_norm_bound_report(traj) -> Report:
     phi_l1 = lp_norm(traj.initial, 1)
     worst = -np.inf
     for t, u in zip(traj.times, traj.snapshots):
-        bound = (q * phi_l1 / ((q - 1.0) * t)) ** (1.0 / q)
-        worst = worst_max(worst, lp_norm(u, np.inf) - bound)
+        worst = worst_max(worst, lp_norm(u, np.inf) - _amplitude_bound(q, phi_l1, t))
     return Report(
         name="amplitude bound",
         verdict="pass" if worst <= ROUNDING_TOL else "fail",

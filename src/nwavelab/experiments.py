@@ -1,10 +1,11 @@
 """End-to-end studies: long-time profile convergence, vanishing viscosity,
 the two-route rescaling consistency check, and the kernel bound sweep.
 
-A StudySpec runs every check of its study as it is built, so a study that
-cannot run is a ConfigError before anything runs or is written; the
-runners only run, one simulation after another in the calling thread.
-run_study returns the Reports and writes the results through
+A StudySpec builds every run of its study as it is built, each with its
+parameters and datum, and checks each one, so a study that cannot run is a
+ConfigError before anything runs or is written.  The runners step
+spec.runs and nothing else, one simulation after another in the calling
+thread.  run_study returns the Reports and writes the results through
 io.write_results.
 
 Long-time studies run in the unrescaled frame and evaluate at large times;
@@ -81,9 +82,11 @@ _SWEEP_KEYS = {
 class StudySpec:
     """One study: a kind, base parameters, a datum, and the sweep values.
 
-    Building one checks, in order, the sweep, the datum's rules, every
-    kernel and grid of the study and what its runs need (_check_runs); the
-    first broken rule raises ConfigError.
+    Building one checks, in order, the sweep and the datum's rules, then
+    builds and checks every run of the study and what its runs need
+    (_check_runs); the first broken rule raises ConfigError.  The runners
+    step spec.runs: the runs as built here, with their final parameters
+    and data.
     """
 
     kind: str
@@ -92,9 +95,11 @@ class StudySpec:
     datum_params: dict = field(default_factory=dict)
     sweep: tuple = ()
     out_dir: str | None = None
-    # the kernel_bound sweep's kernels by rescale factor (1.0 the base),
-    # built and checked with the spec
-    kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Every run of the study as _check_runs built and checked it, each as
+    # run's arguments (datum, params), by grid spacing (rescaling_family: the
+    # base run and each lam's direct run); kernel_bound_sweep's kernels by
+    # rescale factor (1.0 the base).
+    runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in STUDY_KINDS:
@@ -113,7 +118,7 @@ class StudySpec:
             raise ConfigError("sweep values must be strictly monotone", origin=key)
         self.sweep = sweep
         try:
-            check_datum(self.datum_kind, **self.datum_params)
+            self.datum_params = check_datum(self.datum_kind, **self.datum_params)
         except ValueError as exc:
             raise ConfigError(str(exc), origin=self._datum_origin()) from None
         _check_runs(self)
@@ -163,8 +168,8 @@ def study_spec(cfg: Config, out_dir: str | None = None) -> StudySpec:
 
 
 def _check_runs(spec: StudySpec):
-    """Build the kernel of every grid and rescale factor the study will use,
-    then check what its runs need of q and of the datum on their grid."""
+    """Build spec.runs, checking the grid and kernel of each run as it is
+    built, then check what the runs need of q and of their data."""
     kind, sweep = spec.kind, spec.sweep
     if kind == "kernel_bound_sweep":
         # one base kernel, rescaled by each factor; the factors are fixed,
@@ -172,38 +177,53 @@ def _check_runs(spec: StudySpec):
         x_min, x_max, dx = _SWEEP_GRID
         params = replace(spec.base, x_min=x_min, x_max=x_max, dx=dx, lam=1.0)
         base = check_run(params)
-        spec.kernels = {1.0: base} | {
+        spec.runs = {1.0: base} | {
             lam: check_run(replace(params, lam=lam), base=base, lam="kernel.width") for lam in sweep}
     elif kind == "rescaling_family":
         if min(sweep) < 1.0:
             raise ConfigError("rescale factors must be >= 1", origin="study.lambdas")
-        x_min, x_max = _RESCALING_EXTENT
+        box = spec.datum_params
         for dx in (_RESCALING_DX, _RESCALING_DX / 2.0):
-            for lam in (1.0,) + sweep:
-                check_run(replace(spec.base, x_min=x_min, x_max=x_max, dx=dx, lam=lam),
-                          lam="study.lambdas")
+            # the direct runs first: a lam too large to check would overflow lam^q
+            grid = replace(spec.base, lam=1.0, mu=0.0, x_min=_RESCALING_EXTENT[0],
+                           x_max=_RESCALING_EXTENT[1], dx=dx, output_times=(1.0,))
+            direct = {}
+            for lam in sweep:
+                p = replace(grid, lam=lam)
+                check_run(p, lam="study.lambdas")
+                direct[lam] = (make_initial_datum(
+                    "box", p.x_min, dx, p.grid_n(),
+                    height=box["height"] * lam, left=box["left"] / lam, right=box["right"] / lam), p)
+            base = replace(grid, output_times=tuple(sorted(lam ** spec.base.q for lam in sweep)))
+            check_run(base)
+            spec.runs[dx] = (_datum_on(spec, base), base), direct
     elif kind == "vanishing_viscosity":  # the one study on the configured extent
-        grids = [replace(spec.base, dx=dx, lam=1.0) for dx in (_VISCOSITY_DX, _VISCOSITY_DX / 2.0)]
-        for params in grids:
-            check_run(params, f"the {kind} study's grid")
-        if not np.any(_datum_on(spec, grids[0]).values):
+        params = replace(spec.base, lam=1.0, mu=0.0, dx=_VISCOSITY_DX, output_times=(1.0,))
+        grids = (params, replace(params, dx=_VISCOSITY_DX / 2.0))
+        for p in grids:
+            check_run(p, f"the {kind} study's grid")
+        spec.runs = {p.dx: (_datum_on(spec, p), p) for p in grids}
+        if not np.any(spec.runs[_VISCOSITY_DX][0].values):
             raise ConfigError(
                 f"the {spec.datum_kind} datum is zero on every cell of the vanishing-viscosity "
                 f"grid, so every distance to the inviscid run would be 0",
                 origin=spec._datum_origin(),
             )
     else:
-        params = _long_time_params(spec, sorted(sweep))
+        params = _long_time_params(spec)
         # the nonnegative study fixes its width, so only dx can misfit
         check_run(params, dx="study.times", kernel_width="grid.dx")
-        if not spec.base.q < 2.0:
-            raise ConfigError("the long-time profile limit needs q strictly below 2", origin="q")
-        if abs(_datum_on(spec, params).mass()) < 1e-12:
-            raise ConfigError(
-                "zero-mass datum in a profile-convergence study; the limit "
-                "profile needs nontrivial mass",
-                origin=spec._datum_origin(),
-            )
+        datum = _datum_on(spec, params)
+        spec.runs = {params.dx: (datum, params)}
+    # the N-wave limit that the long-time and rescaling studies measure holds for q < 2 only
+    if (kind.startswith("long_time") or kind == "rescaling_family") and not spec.base.q < 2.0:
+        raise ConfigError("the long-time profile limit needs q strictly below 2", origin="q")
+    if kind.startswith("long_time") and abs(datum.mass()) < 1e-12:
+        raise ConfigError(
+            "zero-mass datum in a profile-convergence study; the limit "
+            "profile needs nontrivial mass",
+            origin=spec._datum_origin(),
+        )
 
 
 def _datum_on(spec: StudySpec, params: SimParams) -> GridFunction:
@@ -230,13 +250,12 @@ def _datum_mass(kind: str, params: dict) -> float:
     return 0.0
 
 
-def _long_time_params(spec: StudySpec, times) -> SimParams:
-    q = spec.base.q
-    t_final = times[-1]
+def _long_time_params(spec: StudySpec) -> SimParams:
+    q, times = spec.base.q, tuple(sorted(spec.sweep))
     mass = abs(_datum_mass(spec.datum_kind, spec.datum_params))
     # wave front position at the final time, padded by 20 on both sides
     r = (q / (q - 1.0)) ** ((q - 1.0) / q) * max(mass, 1e-12) ** ((q - 1.0) / q) \
-        * t_final ** (1.0 / q)
+        * times[-1] ** (1.0 / q)
     # The two data have different finite-time bottlenecks.  For nonnegative
     # data it is the shock layer, whose L^1 content scales with m2 and decays
     # only like t^((q-2)/q), so a narrow kernel clears the asymptotic floor
@@ -251,7 +270,7 @@ def _long_time_params(spec: StudySpec, times) -> SimParams:
         kernel_width=width,
         x_min=-20.0,
         x_max=float(math.ceil(r)) + 20.0,
-        output_times=tuple(times),
+        output_times=times,
     )
 
 
@@ -265,9 +284,8 @@ def run_long_time(spec: StudySpec):
     at the front re-equilibrates on a slower clock in L^2 and can wobble
     a few percent inside a decade while the decade trend is firmly down.
     """
-    times = tuple(sorted(spec.sweep))
-    params = _long_time_params(spec, times)
-    datum = _datum_on(spec, params)
+    ((datum, params),) = spec.runs.values()
+    times = params.output_times
     mass = datum.mass()
     traj = run(datum, params)
     _dump_snapshots(spec, f"{spec.kind}_snapshots.csv", traj.times, traj.snapshots)
@@ -349,26 +367,17 @@ def run_vanishing_viscosity(spec: StudySpec):
     reported informationally rather than gating the verdict.
     """
     mus = tuple(sorted(spec.sweep, reverse=True))
-    t_eval = 1.0
-    params = replace(
-        spec.base,
-        lam=1.0,
-        mu=0.0,
-        dx=_VISCOSITY_DX,
-        output_times=(t_eval,),
-    )
-    datum = _datum_on(spec, params)
+    (datum, params), fine = spec.runs.values()
     u0 = run(datum, params).snapshots[-1]
     sweep = run_lockstep([(datum,)] * len(mus), params, mus)
     viscous = {mu: group[0].snapshots[-1] for mu, group in zip(mus, sweep)}
     for mu, u in [(0.0, u0), *viscous.items()]:
-        _dump_snapshots(spec, f"viscosity_mu_{mu:g}.csv", (t_eval,), (u,))
+        _dump_snapshots(spec, f"viscosity_mu_{mu:g}.csv", params.output_times, (u,))
     dists = {
         mu: lp_norm(u0.with_values(viscous[mu].values - u0.values), 1) for mu in mus
     }
 
-    fine = replace(params, dx=params.dx / 2.0)
-    u0_fine = _coarsen(run(_datum_on(spec, fine), fine).snapshots[-1])
+    u0_fine = _coarsen(run(*fine).snapshots[-1])
     floor = lp_norm(u0.with_values(u0_fine.values - u0.values), 1)
 
     rows = [(mu, "l1_distance_to_inviscid", dists[mu]) for mu in mus]
@@ -406,29 +415,12 @@ def _rescaling_routes(spec: StudySpec, dx: float):
     run and restricts afterwards, so at lam = 1 the two routes are the
     same simulation and agree exactly.
     """
-    q = spec.base.q
+    base, direct = spec.runs[dx]
     lams = tuple(sorted(spec.sweep))
     x_min, x_max = -4.0, 6.0
     n = int(round((x_max - x_min) / dx))
-
-    src_times = tuple(sorted(lam ** q for lam in lams))
-    base_params = replace(
-        spec.base, lam=1.0, mu=0.0,
-        x_min=_RESCALING_EXTENT[0], x_max=_RESCALING_EXTENT[1], dx=dx, output_times=src_times,
-    )
-    base_traj = run(_datum_on(spec, base_params), base_params)
-
-    def route_b(lam):
-        p = replace(base_params, lam=lam, output_times=(1.0,))
-        datum_b = make_initial_datum(
-            "box", p.x_min, dx, p.grid_n(),
-            height=spec.datum_params["height"] * lam,
-            left=spec.datum_params["left"] / lam,
-            right=spec.datum_params["right"] / lam,
-        )
-        return _restrict(run(datum_b, p).snapshots[-1], x_min, n)
-
-    b_fields = {lam: route_b(lam) for lam in lams}
+    base_traj = run(*base)
+    b_fields = {lam: _restrict(run(*direct[lam]).snapshots[-1], x_min, n) for lam in lams}
     a_fields = {lam: rescale_snapshot(base_traj, lam, 1.0, x_min, dx, n) for lam in lams}
     return lams, a_fields, b_fields
 
@@ -526,7 +518,7 @@ def kernel_bound_sweep(spec: StudySpec):
     lams = spec.sweep
     x_min, x_max, dx = _SWEEP_GRID
     n = int(round((x_max - x_min) / dx))
-    half = spec.kernels[1.0].m2 / 2.0
+    half = spec.runs[1.0].m2 / 2.0
     psis = {name: _psi_field(name, x_min, dx, n) for name in _PSI_NAMES}
     ps = (1.0, 2.0, np.inf)
 
@@ -535,7 +527,7 @@ def kernel_bound_sweep(spec: StudySpec):
         by_lam[lam] = {
             (name, p): ratio
             for name in _PSI_NAMES
-            for p, ratio in zip(ps, second_order_bound_ratios(spec.kernels[lam], psis[name],
+            for p, ratio in zip(ps, second_order_bound_ratios(spec.runs[lam], psis[name],
                                                               lam, ps))
         }
     rows = [

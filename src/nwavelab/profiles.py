@@ -65,10 +65,6 @@ class NWave:
         q = self.q
         return (q / (q - 1.0)) ** ((q - 1.0) / q) * abs(self.m) ** ((q - 1.0) / q) * t ** (1.0 / q)
 
-    def sup_norm(self, t: float) -> float:
-        """max |w_M(t)| = (r(t)/t)^(1/(q-1)), equal to (q|M|/((q-1)t))^(1/q)."""
-        return (self.r(t) / t) ** (1.0 / (self.q - 1.0))
-
 
 def _check_time(t: float):
     if not t > 0.0:

@@ -334,11 +334,11 @@ def suite_entropy(cfg: Config):
     q = cfg.params.q
     tol = cfg.tol_quad
     x_min, x_max, dx = -4.0, 8.0, 1.0 / 128.0
-    n = int(round((x_max - x_min) / dx))
     times = np.asarray(_ENTROPY_TIMES)
     params = replace(cfg.params, x_min=x_min, x_max=x_max, dx=dx,
                      output_times=tuple(times))
     kernel = check_run(params)  # J_lam, the operator's own kernel
+    n = params.grid_n()
 
     reports = []
     snaps = _closed_form_snapshots(q, times, x_min, dx, n)

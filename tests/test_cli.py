@@ -216,6 +216,8 @@ def test_bad_sign_changing_datum_exits_2(tmp_path, capsys):
     # a zero-mass signed datum blames the key that was changed
     (["study", "long_time_sign_changing", "--set", "datum.neg_height=2",
       "--set", "study.times=1,3"], "datum.neg_height", "zero-mass datum"),
+    # the rescaling study measures the same N-wave limit as the long-time ones
+    (["study", "rescaling_family", "--set", "q=2"], "q", "strictly below 2"),
 ])
 def test_a_study_that_cannot_run_exits_2_before_writing(args, origin, message, tmp_path,
                                                         capsys):

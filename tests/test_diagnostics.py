@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nwavelab.diagnostics import (
+    _amplitude_bound,
     _bump,
     _bump_prime,
     _bump_second,
@@ -454,6 +455,29 @@ def test_energy_and_sup_reports_on_a_run():
                                  neg_left=-2.0, neg_right=-1.0, neg_height=1.0), p)
     with pytest.raises(ValueError, match="nonnegative"):
         sup_norm_bound_report(bad)
+
+
+@pytest.mark.parametrize("q", [1.25, 1.5, 1.75])
+@pytest.mark.parametrize("m", [0.5, 1.0, 8.0])
+def test_amplitude_bound_is_the_nwave_sup_norm(q, m):
+    # max |w_M(t)| = (r(t)/t)^(1/(q-1)); at q = 1.5, M = 1 it is (3/t)^(2/3)
+    nw = NWave(m=m, q=q)
+    times = np.array([0.5, 1.0, 8.0, 100.0])
+    bounds = _amplitude_bound(q, m, times)
+    for t, bound in zip(times.tolist(), bounds.tolist()):
+        assert bound == pytest.approx((nw.r(t) / t) ** (1.0 / (q - 1.0)), rel=1e-14)
+        assert _amplitude_bound(q, m, t) == pytest.approx(bound, rel=1e-15)
+    assert _amplitude_bound(1.5, 1.0, 1.0) == pytest.approx(3.0 ** (2.0 / 3.0), rel=1e-14)
+    assert _amplitude_bound(1.5, 1.0, 8.0) == pytest.approx((3.0 / 8.0) ** (2.0 / 3.0), rel=1e-14)
+
+
+def test_sup_report_passes_a_zero_datum():
+    from nwavelab.diagnostics import sup_norm_bound_report
+
+    p = SimParams(q=1.5, x_min=-4.0, x_max=4.0, dx=1.0 / 64.0, output_times=(0.2, 0.4))
+    traj = run(make_initial_datum("box", p.x_min, p.dx, p.grid_n(), height=0.0), p)
+    rep = sup_norm_bound_report(traj)
+    assert rep.passed and rep.values["worst_excess"] == 0.0
 
 
 def test_worst_max_keeps_nan():

@@ -216,3 +216,83 @@ def test_a_rescaling_gate_fails_on_its_defect_and_only_it(monkeypatch, gate, rou
     verdicts = {r.name: r.verdict for r in reports}
     assert len(verdicts) == 3
     assert verdicts == {name: "fail" if name == gate else "pass" for name in verdicts}
+
+
+# Small cases of every study kind: a short long-time schedule, a narrow
+# viscosity grid and two rescale factors.
+_SMALL_STUDY = ["grid.x_min=-3", "grid.x_max=5", "study.mus=0.05,0.025",
+                "study.lambdas=1,2", "study.times=1,3"]
+_STUDY_KINDS = ("long_time_nonnegative", "long_time_sign_changing", "vanishing_viscosity",
+                "rescaling_family", "kernel_bound_sweep")
+
+
+def _spied_study(monkeypatch, kind):
+    """Build and run a small study of kind, recording every SimParams that
+    check_run saw, every (datum, params) stepped by run or run_lockstep and
+    the kind of every datum built."""
+    checked, stepped, built = [], [], []
+    real_check, real_run, real_lockstep = (
+        experiments.check_run, experiments.run, experiments.run_lockstep)
+    real_datum = experiments.make_initial_datum
+
+    def check(params, *args, **kwargs):
+        checked.append(params)
+        return real_check(params, *args, **kwargs)
+
+    def run(datum, params):
+        stepped.append((datum, params))
+        return real_run(datum, params)
+
+    def run_lockstep(groups, params, mus):
+        stepped.extend((datum, params) for group in groups for datum in group)
+        return real_lockstep(groups, params, mus)
+
+    def make_datum(datum_kind, *args, **params):
+        built.append(datum_kind)
+        return real_datum(datum_kind, *args, **params)
+
+    monkeypatch.setattr(experiments, "check_run", check)
+    monkeypatch.setattr(experiments, "run", run)
+    monkeypatch.setattr(experiments, "run_lockstep", run_lockstep)
+    monkeypatch.setattr(experiments, "make_initial_datum", make_datum)
+    spec = study_spec(replace(load_config(overrides=_SMALL_STUDY), study_kind=kind))
+    assert run_study(spec)
+    return spec, checked, stepped, built
+
+
+def _stored_runs(spec):
+    """Every (datum, params) in spec.runs."""
+    if spec.kind != "rescaling_family":
+        return list(spec.runs.values())
+    return [run for base, direct in spec.runs.values() for run in (base, *direct.values())]
+
+
+@pytest.mark.parametrize("kind", _STUDY_KINDS)
+def test_a_study_steps_only_the_runs_its_spec_checked(monkeypatch, kind):
+    spec, checked, stepped, _built = _spied_study(monkeypatch, kind)
+    if kind == "kernel_bound_sweep":
+        assert stepped == []
+        return
+    assert stepped
+    for datum, params in stepped:
+        # the same final mu, lam, extent, dx and output times
+        assert params in checked
+        # and the very datum the spec built for that run
+        assert any(d is datum and p == params for d, p in _stored_runs(spec))
+
+
+@pytest.mark.parametrize("kind", _STUDY_KINDS[:4])
+def test_a_study_builds_each_runs_datum_once(monkeypatch, kind):
+    # the spec builds one datum per run, and the runners build none
+    _spec, _checked, stepped, built = _spied_study(monkeypatch, kind)
+    assert len(built) == len({id(datum) for datum, _params in stepped})
+
+
+def test_a_hand_built_rescaling_spec_runs_on_the_default_box():
+    # StudySpec keeps the datum's full parameter set, so the direct route
+    # finds the box's height and ends even when none was given
+    spec = StudySpec(kind="rescaling_family", base=SimParams(), datum_kind="box",
+                     sweep=(1, 2))
+    assert spec.datum_params == {"height": 1.0, "left": 0.0, "right": 1.0}
+    reports = run_study(spec)
+    assert [r.verdict for r in reports] == ["pass"] * 3

@@ -22,13 +22,6 @@ def test_front_position_closed_form():
     assert NWave(m=8.0, q=1.5).r(1.0) == pytest.approx(2.0 * nw.r(1.0), rel=1e-15)
 
 
-def test_sup_norm_closed_form():
-    nw = NWave(m=1.0, q=1.5)
-    # (q M / ((q-1) t))^(1/q) = 3^(2/3) at t=1
-    assert nw.sup_norm(1.0) == pytest.approx(3.0 ** (2.0 / 3.0), rel=1e-14)
-    assert nw.sup_norm(8.0) == pytest.approx((3.0 / 8.0) ** (2.0 / 3.0), rel=1e-14)
-
-
 def test_eval_inside_and_outside():
     nw = NWave(m=1.0, q=1.5)
     x = np.array([-0.5, 0.25, 1.0, nw.r(1.0) - 1e-9, nw.r(1.0) + 1e-9, 5.0])
