@@ -11,7 +11,7 @@ ParamError naming the field at fault; profiles checks the datum, its
 support against the grid's extent included.  load_config parses, builds
 those objects once and assigns blame: a broken rule becomes a ConfigError
 carrying the file and line (or the literal "--set") of the key at fault.
-It owns only the rules nothing else does: seed, study.kind, tol.* and nwave.*.
+It owns only the rules nothing else does: seed, study.kind and nwave.*.
 check_run is the same blame for a run a suite or study derives from the
 configured case, on a grid or rescale factor of its own.
 
@@ -35,7 +35,6 @@ STUDY_KINDS = (
     "long_time_sign_changing",
     "vanishing_viscosity",
     "rescaling_family",
-    "kernel_bound_sweep",
 )
 
 # The config key of each SimParams field.
@@ -54,8 +53,6 @@ DEFAULTS = {
     "datum.kind": "box",
     **{f"datum.{name}": value for kind in DATUM_PARAMS.values() for name, value in kind.items()},
     "seed": 0,
-    "tol.scheme": 0.05,
-    "tol.quad": 2e-2,
     "study.kind": "long_time_nonnegative",
     "study.lambdas": (1.0, 2.0, 4.0, 8.0),
     "study.mus": (0.4, 0.2, 0.1, 0.05),
@@ -81,8 +78,6 @@ class Config:
     datum_kind: str
     datum_params: dict
     seed: int
-    tol_scheme: float
-    tol_quad: float
     study_kind: str
     study_lambdas: tuple
     study_mus: tuple
@@ -214,12 +209,9 @@ def load_config(path: str | None = None, overrides: list | None = None,
         fail(first_set([f"datum.{n}" for n in names], "datum.kind"), str(exc))
     if values["seed"] < 0:
         fail("seed", f"seed must be nonnegative, got {values['seed']}")
-    for key in ("tol.scheme", "tol.quad"):
-        if not (math.isfinite(values[key]) and values[key] >= 0.0):
-            fail(key, f"{key} must be finite and nonnegative, got {values[key]}")
     if values["study.kind"] not in STUDY_KINDS:
-        fail("study.kind",
-             f"unknown study kind {values['study.kind']!r}; choose one of {STUDY_KINDS}")
+        fail("study.kind", f"study.kind = {values['study.kind']!r} is not a study kind; "
+                           f"choose one of {', '.join(STUDY_KINDS)}")
     if not math.isfinite(values["nwave.time"]) or values["nwave.time"] <= 0:
         fail("nwave.time", "nwave.time must be positive")
     if not math.isfinite(values["nwave.mass"]) or values["nwave.mass"] == 0:
@@ -230,8 +222,6 @@ def load_config(path: str | None = None, overrides: list | None = None,
         datum_kind=kind,
         datum_params=datum_params,
         seed=values["seed"],
-        tol_scheme=values["tol.scheme"],
-        tol_quad=values["tol.quad"],
         study_kind=values["study.kind"],
         study_lambdas=tuple(values["study.lambdas"]),
         study_mus=tuple(values["study.mus"]),

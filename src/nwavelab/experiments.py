@@ -1,5 +1,6 @@
-"""End-to-end studies: long-time profile convergence, vanishing viscosity,
-the two-route rescaling consistency check, and the kernel bound sweep.
+"""End-to-end studies: long-time profile convergence, vanishing viscosity
+and the two-route rescaling consistency check.  The kernel bound, a sweep
+with no run to step, is the verify suite kernel_bound (suites).
 
 A StudySpec builds every run of its study as it is built, each with its
 parameters and datum, and checks each one, so a study that cannot run is a
@@ -33,7 +34,6 @@ from .diagnostics import (
     worst_max,
 )
 from .grid import GridFunction, grid_function
-from .nonlocal_op import second_order_bound_ratios
 from .profiles import DATUM_PARAMS, NWave, check_datum, make_initial_datum
 from .solver import SimParams, rescale_snapshot, run, run_lockstep
 
@@ -44,7 +44,6 @@ __all__ = [
     "run_long_time",
     "run_vanishing_viscosity",
     "run_rescaling_family",
-    "kernel_bound_sweep",
 ]
 
 
@@ -69,7 +68,7 @@ def _dump_snapshots(spec: StudySpec, name: str, times, snapshots):
     write_snapshots_csv(times, snapshots, os.path.join(spec.out_dir, name))
 
 
-# The config key each study sweeps over; kernel_bound_sweep's is fixed.
+# The config key each study sweeps over.
 _SWEEP_KEYS = {
     "long_time_nonnegative": "study.times",
     "long_time_sign_changing": "study.times",
@@ -97,8 +96,7 @@ class StudySpec:
     out_dir: str | None = None
     # Every run of the study as _check_runs built and checked it, each as
     # run's arguments (datum, params), by grid spacing (rescaling_family: the
-    # base run and each lam's direct run); kernel_bound_sweep's kernels by
-    # rescale factor (1.0 the base).
+    # base run and each lam's direct run).
     runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -108,7 +106,7 @@ class StudySpec:
                 origin="study.kind",
             )
         sweep = tuple(float(v) for v in self.sweep)
-        key = _SWEEP_KEYS.get(self.kind, "study.kind")
+        key = _SWEEP_KEYS[self.kind]
         if len(sweep) < 2:
             raise ConfigError("a study needs at least two sweep values", origin=key)
         if not all(math.isfinite(v) and v > 0 for v in sweep):
@@ -151,12 +149,9 @@ def study_spec(cfg: Config, out_dir: str | None = None) -> StudySpec:
     elif kind == "vanishing_viscosity":
         sweep = cfg.study_mus
         datum_kind, datum_params = cfg.datum_kind, dict(cfg.datum_params)
-    elif kind == "rescaling_family":
+    else:  # rescaling_family
         sweep = cfg.study_lambdas
         datum_kind, datum_params = "box", {"height": 1.0, "left": 0.0, "right": 1.0}
-    else:  # kernel_bound_sweep
-        sweep = tuple(float(k) for k in range(1, 65))
-        datum_kind, datum_params = cfg.datum_kind, dict(cfg.datum_params)
     return StudySpec(
         kind=kind,
         base=cfg.params,
@@ -171,18 +166,9 @@ def _check_runs(spec: StudySpec):
     """Build spec.runs, checking the grid and kernel of each run as it is
     built, then check what the runs need of q and of their data."""
     kind, sweep = spec.kind, spec.sweep
-    if kind == "kernel_bound_sweep":
-        # one base kernel, rescaled by each factor; the factors are fixed,
-        # so only the width can make room
-        x_min, x_max, dx = _SWEEP_GRID
-        params = replace(spec.base, x_min=x_min, x_max=x_max, dx=dx, lam=1.0)
-        base = check_run(params)
-        spec.runs = {1.0: base} | {
-            lam: check_run(replace(params, lam=lam), base=base, lam="kernel.width") for lam in sweep}
-    elif kind == "rescaling_family":
+    if kind == "rescaling_family":
         if min(sweep) < 1.0:
             raise ConfigError("rescale factors must be >= 1", origin="study.lambdas")
-        box = spec.datum_params
         for dx in (_RESCALING_DX, _RESCALING_DX / 2.0):
             # the direct runs first: a lam too large to check would overflow lam^q
             grid = replace(spec.base, lam=1.0, mu=0.0, x_min=_RESCALING_EXTENT[0],
@@ -191,12 +177,11 @@ def _check_runs(spec: StudySpec):
             for lam in sweep:
                 p = replace(grid, lam=lam)
                 check_run(p, lam="study.lambdas")
-                direct[lam] = (make_initial_datum(
-                    "box", p.x_min, dx, p.grid_n(),
-                    height=box["height"] * lam, left=box["left"] / lam, right=box["right"] / lam), p)
+                direct[lam] = (_datum_on(spec, p, lam), p)
             base = replace(grid, output_times=tuple(sorted(lam ** spec.base.q for lam in sweep)))
             check_run(base)
             spec.runs[dx] = (_datum_on(spec, base), base), direct
+        (datum, _), _ = spec.runs[_RESCALING_DX]
     elif kind == "vanishing_viscosity":  # the one study on the configured extent
         params = replace(spec.base, lam=1.0, mu=0.0, dx=_VISCOSITY_DX, output_times=(1.0,))
         grids = (params, replace(params, dx=_VISCOSITY_DX / 2.0))
@@ -209,6 +194,7 @@ def _check_runs(spec: StudySpec):
                 f"grid, so every distance to the inviscid run would be 0",
                 origin=spec._datum_origin(),
             )
+        return  # the one study that measures no N-wave limit
     else:
         params = _long_time_params(spec)
         # the nonnegative study fixes its width, so only dx can misfit
@@ -216,21 +202,30 @@ def _check_runs(spec: StudySpec):
         datum = _datum_on(spec, params)
         spec.runs = {params.dx: (datum, params)}
     # the N-wave limit that the long-time and rescaling studies measure holds for q < 2 only
-    if (kind.startswith("long_time") or kind == "rescaling_family") and not spec.base.q < 2.0:
+    if not spec.base.q < 2.0:
         raise ConfigError("the long-time profile limit needs q strictly below 2", origin="q")
-    if kind.startswith("long_time") and abs(datum.mass()) < 1e-12:
+    if abs(datum.mass()) < 1e-12:
         raise ConfigError(
             "zero-mass datum in a profile-convergence study; the limit "
             "profile needs nontrivial mass",
             origin=spec._datum_origin(),
         )
+    # its amplitude bound concerns nonnegative data
+    if kind == "long_time_nonnegative" and float(np.min(datum.values)) < 0.0:
+        raise ConfigError(
+            f"the {kind} study needs a nonnegative datum, but the {spec.datum_kind} "
+            f"datum has negative cells",
+            origin=spec._datum_origin(),
+        )
 
 
-def _datum_on(spec: StudySpec, params: SimParams) -> GridFunction:
-    """The study's datum on params' grid."""
-    return make_initial_datum(
-        spec.datum_kind, params.x_min, params.dx, params.grid_n(), **spec.datum_params
-    )
+def _datum_on(spec: StudySpec, params: SimParams, lam: float = 1.0) -> GridFunction:
+    """The study's datum phi on params' grid; given lam, the rescaled datum
+    lam phi(lam x), whose cell averages are lam times phi's on the grid
+    scaled by lam."""
+    phi = make_initial_datum(spec.datum_kind, lam * params.x_min, lam * params.dx,
+                             params.grid_n(), **spec.datum_params)
+    return grid_function(lam * phi.values, params.x_min, params.dx)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +433,8 @@ def run_rescaling_family(spec: StudySpec):
     refinement, and the distance to the profile must decrease in lam
     along both routes.
     """
-    nw = NWave(m=1.0, q=spec.base.q)
+    (datum, _), _ = spec.runs[_RESCALING_DX]
+    nw = NWave(m=datum.mass(), q=spec.base.q)
     lams, a_fields, b_fields = _rescaling_routes(spec, _RESCALING_DX)
     _, a_fine, b_fine = _rescaling_routes(spec, _RESCALING_DX / 2.0)
 
@@ -489,79 +485,6 @@ def run_rescaling_family(spec: StudySpec):
 
 
 # ---------------------------------------------------------------------------
-# kernel bound sweep
-
-
-_PSI_NAMES = ("quadratic", "gaussian", "wave_packet")
-_SWEEP_GRID = (-4.0, 4.0, 1.0 / 512.0)
-
-
-def _psi_field(name: str, x_min: float, dx: float, n: int) -> GridFunction:
-    x = x_min + (np.arange(n) + 0.5) * dx
-    if name == "quadratic":
-        v = x ** 2
-    elif name == "gaussian":
-        v = np.exp(-(x ** 2))
-    elif name == "wave_packet":
-        v = np.sin(2.0 * x) * np.exp(-(x ** 2) / 4.0)
-    else:
-        raise ValueError(f"unknown test function {name!r}")
-    return grid_function(v, x_min, dx)
-
-
-def kernel_bound_sweep(spec: StudySpec):
-    """Ratios ||lam^2 (J_lam * psi - psi)||_p / ||psi_xx||_p over the sweep.
-
-    The quadratic row must sit at m2/2 to 1e-10 for every lam and p; the
-    smooth rows must stay below twice that.
-    """
-    lams = spec.sweep
-    x_min, x_max, dx = _SWEEP_GRID
-    n = int(round((x_max - x_min) / dx))
-    half = spec.runs[1.0].m2 / 2.0
-    psis = {name: _psi_field(name, x_min, dx, n) for name in _PSI_NAMES}
-    ps = (1.0, 2.0, np.inf)
-
-    by_lam = {}
-    for lam in lams:
-        by_lam[lam] = {
-            (name, p): ratio
-            for name in _PSI_NAMES
-            for p, ratio in zip(ps, second_order_bound_ratios(spec.runs[lam], psis[name],
-                                                              lam, ps))
-        }
-    rows = [
-        (lam, f"{name}_p{p:g}", by_lam[lam][(name, p)])
-        for lam in lams
-        for name in _PSI_NAMES
-        for p in ps
-    ]
-
-    quad_dev = float(np.max([
-        abs(by_lam[lam][("quadratic", p)] - half) for lam in lams for p in ps
-    ]))
-    smooth_max = float(np.max([
-        by_lam[lam][(name, p)]
-        for lam in lams
-        for name in ("gaussian", "wave_packet")
-        for p in ps
-    ]))
-    return [
-        Report(
-            name="quadratic ratio pinned at m2/2",
-            verdict="pass" if quad_dev <= 1e-10 else "fail",
-            values={"worst_deviation": quad_dev, "m2_over_2": half},
-            tolerance=1e-10,
-        ),
-        Report(
-            name="smooth ratios bounded by 2 (m2/2)",
-            verdict="pass" if smooth_max <= 2.0 * half * (1.0 + 1e-12) else "fail",
-            values={"max_ratio": smooth_max, "bound": 2.0 * half},
-        ),
-    ], rows
-
-
-# ---------------------------------------------------------------------------
 
 
 _STUDIES = {
@@ -569,7 +492,6 @@ _STUDIES = {
     "long_time_sign_changing": run_long_time,
     "vanishing_viscosity": run_vanishing_viscosity,
     "rescaling_family": run_rescaling_family,
-    "kernel_bound_sweep": kernel_bound_sweep,
 }
 
 

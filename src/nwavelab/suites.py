@@ -6,9 +6,10 @@ suite but kernel_bound.  run_suite is the one caller; given an out_dir it
 writes the results through io.write_results, as run_study does for the
 studies.  The CLI prints one line per report and maps any failure to exit
 code 1.  Suites are deterministic given the config (and its seed, for the
-randomized ones).  A suite that picks its own grid or rescale factor
-checks that run first, through config.check_run, so a configured kernel
-or extent that does not fit it is a ConfigError before anything runs.
+randomized ones); their tolerances are constants, no config key moves a
+gate.  A suite that picks its own grid or rescale factor checks that run
+first, through config.check_run, so a configured kernel or extent that
+does not fit it is a ConfigError before anything runs.
 oleinik and tails read one run of the configured case, made once per
 Config (see _configured_run), so a caller that runs both on one Config
 steps it once.
@@ -21,7 +22,7 @@ steps it once.
     entropy              Kruzkov residuals on closed-form and simulated runs
     tails                tail-mass growth bound and L^1 shift moduli
     nonlocal_comparison  the pointwise inequality at a maximum, randomized
-    kernel_bound         second-difference bound across the rescale sweep
+    kernel_bound         second-difference bound of J_lam for lam = 1, ..., 64
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .diagnostics import (
     worst_max,
 )
 from .grid import GridFunction, grid_function
+from .nonlocal_op import second_order_bound_ratios
 from .profiles import NWave, make_initial_datum, nwave_sample
 from .solver import SimParams, run
 from .solver import run_lockstep as _run_lockstep  # see _lockstep_runs
@@ -92,7 +94,7 @@ def _require_nonnegative_datum(cfg: Config, datum: GridFunction, suite: str):
 
 
 def suite_oleinik(cfg: Config):
-    """Slope bound t * max (u^(q-1))_x <= 1 + tol on the configured run.
+    """Slope bound t * max (u^(q-1))_x <= 1 + OLEINIK_TOL on the configured run.
 
     Any positive excess must at least halve when dx is halved, pinning the
     excess on the scheme rather than on the estimate.  The dx/2 rerun
@@ -107,7 +109,7 @@ def suite_oleinik(cfg: Config):
     reports = []
     excesses = []
     for t, u in zip(traj.times, traj.snapshots):
-        rep = oleinik_margin(u, cfg.params.q, t, cfg.tol_scheme)
+        rep = oleinik_margin(u, cfg.params.q, t)
         excesses.append(rep.values["excess"])
         reports.append(rep)
 
@@ -119,7 +121,7 @@ def suite_oleinik(cfg: Config):
         for t, u, excess in zip(fine_traj.times, fine_traj.snapshots, excesses):
             if excess <= 0.0:
                 continue
-            fine_excess = oleinik_margin(u, cfg.params.q, t, cfg.tol_scheme).values["excess"]
+            fine_excess = oleinik_margin(u, cfg.params.q, t).values["excess"]
             worst_ratio = worst_max(worst_ratio, fine_excess / excess)
             checked += 1
     reports.append(
@@ -306,6 +308,8 @@ def suite_comparison(cfg: Config):
 # entropy
 
 _ENTROPY_KS = (-1.0, 0.0, 0.5, 1.0)
+# The quadrature allowance of a residual; the refined one gets half of it.
+_ENTROPY_TOL = 2e-2
 _ENTROPY_TIMES = tuple(0.5 + 0.05 * i for i in range(51))  # [0.5, 3.0]
 _ENTROPY_BUMPS = tuple(
     (tc, 0.45, xc, 1.0)
@@ -320,7 +324,7 @@ def _closed_form_snapshots(q: float, times, x_min: float, dx: float, n: int):
 
 
 def suite_entropy(cfg: Config):
-    """Kruzkov residuals >= -tol_quad for each k, worst over _ENTROPY_BUMPS.
+    """Kruzkov residuals >= -_ENTROPY_TOL for each k, worst over _ENTROPY_BUMPS.
 
     One entropy_residuals call gives a run's whole k x bump array, and a
     k's line reads its row's minimum; the minimum keeps a NaN, so a
@@ -332,7 +336,7 @@ def suite_entropy(cfg: Config):
     quadrature error must shrink with it.
     """
     q = cfg.params.q
-    tol = cfg.tol_quad
+    tol = _ENTROPY_TOL
     x_min, x_max, dx = -4.0, 8.0, 1.0 / 128.0
     times = np.asarray(_ENTROPY_TIMES)
     params = replace(cfg.params, x_min=x_min, x_max=x_max, dx=dx,
@@ -507,13 +511,80 @@ def suite_nonlocal_comparison(cfg: Config):
 
 
 # ---------------------------------------------------------------------------
-# kernel bound: the kernel_bound_sweep study on the configured kernel
+# kernel bound
 
 
-def _kernel_bound(cfg: Config):
-    from .experiments import kernel_bound_sweep, study_spec
+_PSI_NAMES = ("quadratic", "gaussian", "wave_packet")
+_SWEEP_GRID = (-4.0, 4.0, 1.0 / 512.0)
 
-    return kernel_bound_sweep(study_spec(replace(cfg, study_kind="kernel_bound_sweep")))
+
+def _psi_field(name: str, x_min: float, dx: float, n: int) -> GridFunction:
+    x = x_min + (np.arange(n) + 0.5) * dx
+    if name == "quadratic":
+        v = x ** 2
+    elif name == "gaussian":
+        v = np.exp(-(x ** 2))
+    else:  # wave_packet
+        v = np.sin(2.0 * x) * np.exp(-(x ** 2) / 4.0)
+    return grid_function(v, x_min, dx)
+
+
+def suite_kernel_bound(cfg: Config):
+    """Ratios ||lam^2 (J_lam * psi - psi)||_p / ||psi_xx||_p for lam = 1, ..., 64.
+
+    The quadratic row must sit at m2/2 to 1e-10 for every lam and p; the
+    smooth rows must stay below twice that.  The configured kernel on
+    _SWEEP_GRID and each of its rescalings are checked before any ratio;
+    the factors are fixed, so only the width can make room.
+    """
+    lams = tuple(float(k) for k in range(1, 65))  # 1: the base kernel itself
+    x_min, x_max, dx = _SWEEP_GRID
+    params = replace(cfg.params, x_min=x_min, x_max=x_max, dx=dx, lam=1.0)
+    base = check_run(params)
+    kernels = {lam: check_run(replace(params, lam=lam), base=base, lam="kernel.width")
+               for lam in lams}
+    n = int(round((x_max - x_min) / dx))
+    half = kernels[1.0].m2 / 2.0
+    psis = {name: _psi_field(name, x_min, dx, n) for name in _PSI_NAMES}
+    ps = (1.0, 2.0, np.inf)
+
+    by_lam = {}
+    for lam in lams:
+        by_lam[lam] = {
+            (name, p): ratio
+            for name in _PSI_NAMES
+            for p, ratio in zip(ps, second_order_bound_ratios(kernels[lam], psis[name],
+                                                              lam, ps))
+        }
+    rows = [
+        (lam, f"{name}_p{p:g}", by_lam[lam][(name, p)])
+        for lam in lams
+        for name in _PSI_NAMES
+        for p in ps
+    ]
+
+    quad_dev = float(np.max([
+        abs(by_lam[lam][("quadratic", p)] - half) for lam in lams for p in ps
+    ]))
+    smooth_max = float(np.max([
+        by_lam[lam][(name, p)]
+        for lam in lams
+        for name in ("gaussian", "wave_packet")
+        for p in ps
+    ]))
+    return [
+        Report(
+            name="quadratic ratio pinned at m2/2",
+            verdict="pass" if quad_dev <= 1e-10 else "fail",
+            values={"worst_deviation": quad_dev, "m2_over_2": half},
+            tolerance=1e-10,
+        ),
+        Report(
+            name="smooth ratios bounded by 2 (m2/2)",
+            verdict="pass" if smooth_max <= 2.0 * half * (1.0 + 1e-12) else "fail",
+            values={"max_ratio": smooth_max, "bound": 2.0 * half},
+        ),
+    ], rows
 
 
 _SUITES = {
@@ -524,7 +595,7 @@ _SUITES = {
     "entropy": suite_entropy,
     "tails": suite_tails,
     "nonlocal_comparison": suite_nonlocal_comparison,
-    "kernel_bound": _kernel_bound,
+    "kernel_bound": suite_kernel_bound,
 }
 SUITE_NAMES = tuple(_SUITES)
 

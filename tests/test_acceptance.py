@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from nwavelab.config import load_config
-from nwavelab.diagnostics import energy_report
+from nwavelab.diagnostics import OLEINIK_TOL, energy_report
 from nwavelab.experiments import run_study, study_spec
 from nwavelab.profiles import NWave, make_initial_datum, nwave_eval, nwave_sample
 from nwavelab.solver import run
-from nwavelab.suites import run_suite
+from nwavelab.suites import _ENTROPY_TOL, run_suite
 
 
 def _timed(fn, *args):
@@ -84,11 +84,11 @@ def test_one_sided_slope_bound(cfg, oleinik):
     margins = _by_name(reports, "oleinik margin")
     assert len(margins) == len(cfg.params.output_times)
     worst = max(r.values["margin"] for r in margins)
-    assert worst <= 1.0 + cfg.tol_scheme
+    assert worst <= 1.0 + OLEINIK_TOL
     refine = _by_name(reports, "oleinik excess refinement")[0]
     assert refine.passed
     print(f"PASS one-sided slope bound: worst margin={worst:.4f} "
-          f"(cap {1.0 + cfg.tol_scheme}), refinement ratio="
+          f"(cap {1.0 + OLEINIK_TOL}), refinement ratio="
           f"{refine.values['worst_ratio']:.3f}, {elapsed:.1f} s")
 
 
@@ -144,11 +144,11 @@ def test_entropy_residuals(cfg):
     reports = run_suite("entropy", cfg)
     residual_reports = [r for r in reports if "residual k=" in r.name]
     worst = min(r.values["worst_residual"] for r in residual_reports)
-    assert worst >= -cfg.tol_quad
+    assert worst >= -_ENTROPY_TOL
     refine = _by_name(reports, "residual quadrature refinement")[0]
     assert refine.passed
     assert all(r.passed for r in reports)
-    print(f"PASS entropy residuals: worst={worst:+.4f} (floor -{cfg.tol_quad}), "
+    print(f"PASS entropy residuals: worst={worst:+.4f} (floor -{_ENTROPY_TOL}), "
           f"refined={refine.values['worst_refined']:+.2e}")
 
 

@@ -161,7 +161,9 @@ def test_datum_off_the_grid_exits_2(command, tmp_path, capsys):
     (["verify", "contraction", "--set", "kernel.width=0.05"], "kernel.width"),
     (["verify", "comparison", "--set", "kernel.width=0.05"], "kernel.width"),
     (["verify", "kernel_bound", "--set", "kernel.width=0.4"], "kernel.width"),
-    (["study", "kernel_bound_sweep", "--set", "kernel.width=0.4"], "kernel.width"),
+    # a kernel the configured grid holds but the kernel bound's coarser grid does not
+    (["verify", "kernel_bound", "--set", "grid.dx=0.0009765625", "--set", "kernel.width=0.004"],
+     "kernel.width"),
     (["study", "rescaling_family", "--set", "kernel.width=0.2"], "study.lambdas"),
     (["study", "rescaling_family", "--set", "study.lambdas=0.5,1"], "study.lambdas"),
     (["study", "vanishing_viscosity", "--set", "kernel.width=0.02"], "kernel.width"),
@@ -169,13 +171,13 @@ def test_datum_off_the_grid_exits_2(command, tmp_path, capsys):
     (["study", "long_time_nonnegative", "--set", "study.times=1,1e30"], "study.times"),
     (["verify", "decay", "--set", "lambda=10"], "lambda"),
     (["verify", "entropy", "--set", "lambda=40"], "lambda"),
-    # non-finite sweeps and tolerances
+    # non-finite sweeps
     (["study", "vanishing_viscosity", "--set", "study.mus=inf,0.1"], "study.mus"),
     (["study", "rescaling_family", "--set", "study.lambdas=1,inf"], "study.lambdas"),
     (["study", "long_time_nonnegative", "--set", "study.times=1,inf"], "study.times"),
-    (["verify", "oleinik", "--set", "tol.scheme=nan"], "--set: tol.scheme"),
-    (["verify", "entropy", "--set", "tol.quad=nan"], "--set: tol.quad"),
-    (["verify", "entropy", "--set", "tol.quad=-0.1"], "--set: tol.quad"),
+    # the kernel bound is a suite, not a study kind; gate tolerances are no keys
+    (["verify", "decay", "--set", "study.kind=kernel_bound_sweep"], "--set: study.kind"),
+    (["verify", "oleinik", "--set", "tol.scheme=0.1"], "--set: unknown key 'tol.scheme'"),
 ])
 def test_value_a_suite_cannot_use_exits_2(args, origin, tmp_path, capsys):
     assert main([*args, "--out", str(tmp_path / "o")]) == 2
@@ -291,22 +293,14 @@ def test_dump_kernel_and_nwave(tmp_path, capsys):
     assert np.sum(j) * (x[1] - x[0]) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_study_rejects_unknown_name():
-    with pytest.raises(SystemExit) as exc:
-        main(["study", "not_a_study"])
-    assert exc.value.code == 2
-
-
-def test_study_kernel_bound_writes_artifacts(tmp_path, capsys):
-    out = str(tmp_path / "s")
-    code = main(["study", "kernel_bound_sweep", "--out", out])
-    got = capsys.readouterr().out
-    assert code == 0
-    assert "PASS" in got
-    assert os.path.exists(os.path.join(out, "kernel_bound_sweep_summary.csv"))
-    assert os.path.exists(os.path.join(out, "kernel_bound_sweep_verdicts.json"))
-    manifest = open(os.path.join(out, "kernel_bound_sweep_manifest.txt")).read()
-    assert "study.kind = kernel_bound_sweep" in manifest
+def test_study_rejects_unknown_name(capsys):
+    # kernel_bound_sweep is no study: the kernel bound is the verify suite
+    for name in ("not_a_study", "kernel_bound_sweep"):
+        with pytest.raises(SystemExit) as exc:
+            main(["study", name])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument NAME: invalid choice: '{name}'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("args", [

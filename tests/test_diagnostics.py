@@ -60,7 +60,7 @@ def test_oleinik_margin_exact_nwave():
     for t in (1.0, 2.0, 4.0):
         dx = 1.0 / 256.0
         u = grid_function(nwave_eval(nw, t, -1.0 + dx * (np.arange(1024) + 0.5)), -1.0, dx)
-        rep = oleinik_margin(u, 1.5, t, tol_scheme=0.05)
+        rep = oleinik_margin(u, 1.5, t)
         assert rep.passed
         assert rep.values["margin"] == pytest.approx(1.0, abs=1e-10)
 
@@ -68,18 +68,18 @@ def test_oleinik_margin_exact_nwave():
 def test_oleinik_margin_rejects_negative_field():
     u = grid_function([0.5, -0.5, 0.1], 0.0, 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        oleinik_margin(u, 1.5, 1.0, 0.05)
+        oleinik_margin(u, 1.5, 1.0)
 
 
 def test_oleinik_margin_tolerates_rounding_noise():
     u = grid_function([0.0, -1e-13, 0.5, 1.0], 0.0, 1.0)
-    assert oleinik_margin(u, 1.5, 1.0, 0.05) is not None
+    assert oleinik_margin(u, 1.5, 1.0) is not None
 
 
 def test_oleinik_margin_flags_violation():
     # jump up by 1 in one cell at t=4: margin = 4 >> 1
     u = grid_function([0.0, 0.0, 1.0, 1.0], 0.0, 1.0)
-    rep = oleinik_margin(u, 2.0, 4.0, tol_scheme=0.05)
+    rep = oleinik_margin(u, 2.0, 4.0)
     assert not rep.passed and rep.values["margin"] == pytest.approx(4.0)
 
 

@@ -4,7 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import nwavelab.config as config
 import nwavelab.experiments as experiments
+import nwavelab.suites as suites
 from nwavelab.config import ConfigError, load_config
 from nwavelab.experiments import (
     _RESCALING_DX,
@@ -12,7 +14,6 @@ from nwavelab.experiments import (
     _coarsen,
     _datum_mass,
     _restrict,
-    kernel_bound_sweep,
     run_rescaling_family,
     run_study,
     study_spec,
@@ -28,7 +29,6 @@ def test_study_spec_kinds_and_sweeps():
         ("long_time_sign_changing", 5),
         ("vanishing_viscosity", 4),
         ("rescaling_family", 4),
-        ("kernel_bound_sweep", 64),
     ]:
         cfg.study_kind = kind
         spec = study_spec(cfg)
@@ -36,12 +36,18 @@ def test_study_spec_kinds_and_sweeps():
         assert len(spec.sweep) == sweep_len
 
 
+def test_each_registry_names_its_runners_in_one_order():
+    # a kind StudySpec accepts has a sweep key and a runner, and a suite
+    # name a runner, so neither lookup needs a default
+    assert config.STUDY_KINDS == tuple(experiments._STUDIES) == tuple(experiments._SWEEP_KEYS)
+    assert suites.SUITE_NAMES == tuple(suites._SUITES)
+
+
 def test_studies_on_an_extent_of_their_own_ignore_the_configured_one():
-    # the configured [-8, 12.05] is not tiled by these studies' dx, but
-    # their runs use extents of their own, so their specs check those
+    # the configured [-8, 12.05] is not tiled by the study's dx, but its
+    # runs use an extent of their own, so its spec checks that
     cfg = load_config(overrides=["grid.x_max=12.05", "grid.dx=0.05"])
-    for kind in ("rescaling_family", "kernel_bound_sweep"):
-        assert study_spec(replace(cfg, study_kind=kind)).kind == kind
+    assert study_spec(replace(cfg, study_kind="rescaling_family")).kind == "rescaling_family"
 
 
 def test_long_time_sign_changing_uses_two_boxes():
@@ -70,11 +76,6 @@ def test_sweep_validation():
 def test_a_hand_built_spec_is_checked_at_construction():
     # StudySpec runs every check of its study, as it does for study_spec
     base = load_config().params
-    # a 0.4-wide kernel rescaled by 64 spans too few cells of the sweep's grid
-    with pytest.raises(ConfigError) as exc:
-        StudySpec(kind="kernel_bound_sweep", base=replace(base, kernel_width=0.4),
-                  datum_kind="box", sweep=(1.0, 64.0))
-    assert exc.value.origin == "kernel.width"
     with pytest.raises(ConfigError, match="zero on every cell") as exc:
         StudySpec(kind="vanishing_viscosity", base=base, datum_kind="box",
                   datum_params={"height": 0.0}, sweep=(0.1, 0.05))
@@ -83,6 +84,16 @@ def test_a_hand_built_spec_is_checked_at_construction():
         StudySpec(kind="vanishing_viscosity", base=base, datum_kind="box",
                   datum_params={"right": -1.0}, sweep=(0.1, 0.05))
     assert exc.value.origin == "datum.right"
+    # the rescaling study measures an N-wave of the datum's mass
+    with pytest.raises(ConfigError, match="zero-mass datum") as exc:
+        StudySpec(kind="rescaling_family", base=base, datum_kind="dipole_zero_mass",
+                  sweep=(1.0, 2.0))
+    assert exc.value.origin == "datum.kind"
+    # the nonnegative study's amplitude bound concerns nonnegative data
+    with pytest.raises(ConfigError, match="needs a nonnegative datum") as exc:
+        StudySpec(kind="long_time_nonnegative", base=base, datum_kind="two_boxes_signed",
+                  sweep=(1.0, 3.0, 10.0))
+    assert exc.value.origin == "datum.kind"
 
 
 def test_datum_mass_formulas():
@@ -123,19 +134,6 @@ def test_restrict_exact_window():
         _restrict(u, -1.0, 14)
 
 
-def test_kernel_bound_sweep_reports():
-    cfg = load_config()
-    cfg.study_kind = "kernel_bound_sweep"
-    reports, rows = kernel_bound_sweep(study_spec(cfg))
-    names = [r.name for r in reports]
-    assert any("quadratic" in n for n in names)
-    assert all(r.passed for r in reports)
-    # one row per (lam, psi, p)
-    assert len(rows) == 64 * 3 * 3
-    lams = sorted({v for v, _, _ in rows})
-    assert lams[0] == 1.0 and lams[-1] == 64.0
-
-
 def test_small_grid_studies_start_no_thread(monkeypatch):
     # Their steps hold the GIL for most of their time, so pool threads
     # would only queue on it; the sweeps run in the calling thread.
@@ -149,8 +147,6 @@ def test_small_grid_studies_start_no_thread(monkeypatch):
     for kind in ("vanishing_viscosity", "rescaling_family"):
         cfg.study_kind = kind
         assert run_study(study_spec(cfg))
-    assert run_study(StudySpec(kind="kernel_bound_sweep", base=cfg.params, datum_kind="box",
-                               sweep=(1.0, 2.0)))
 
 
 def test_the_viscosity_sweep_is_one_lockstep_batch(monkeypatch):
@@ -223,7 +219,7 @@ def test_a_rescaling_gate_fails_on_its_defect_and_only_it(monkeypatch, gate, rou
 _SMALL_STUDY = ["grid.x_min=-3", "grid.x_max=5", "study.mus=0.05,0.025",
                 "study.lambdas=1,2", "study.times=1,3"]
 _STUDY_KINDS = ("long_time_nonnegative", "long_time_sign_changing", "vanishing_viscosity",
-                "rescaling_family", "kernel_bound_sweep")
+                "rescaling_family")
 
 
 def _spied_study(monkeypatch, kind):
@@ -270,9 +266,6 @@ def _stored_runs(spec):
 @pytest.mark.parametrize("kind", _STUDY_KINDS)
 def test_a_study_steps_only_the_runs_its_spec_checked(monkeypatch, kind):
     spec, checked, stepped, _built = _spied_study(monkeypatch, kind)
-    if kind == "kernel_bound_sweep":
-        assert stepped == []
-        return
     assert stepped
     for datum, params in stepped:
         # the same final mu, lam, extent, dx and output times
@@ -281,7 +274,7 @@ def test_a_study_steps_only_the_runs_its_spec_checked(monkeypatch, kind):
         assert any(d is datum and p == params for d, p in _stored_runs(spec))
 
 
-@pytest.mark.parametrize("kind", _STUDY_KINDS[:4])
+@pytest.mark.parametrize("kind", _STUDY_KINDS)
 def test_a_study_builds_each_runs_datum_once(monkeypatch, kind):
     # the spec builds one datum per run, and the runners build none
     _spec, _checked, stepped, built = _spied_study(monkeypatch, kind)
@@ -296,3 +289,28 @@ def test_a_hand_built_rescaling_spec_runs_on_the_default_box():
     assert spec.datum_params == {"height": 1.0, "left": 0.0, "right": 1.0}
     reports = run_study(spec)
     assert [r.verdict for r in reports] == ["pass"] * 3
+
+
+@pytest.mark.parametrize("datum_kind, datum_params, mass", [
+    pytest.param("gaussian", {}, 1.0, id="gaussian"),
+    pytest.param("box", {"height": 2.0}, 2.0, id="height-2-box"),
+])
+def test_the_rescaling_study_measures_its_datums_own_nwave(monkeypatch, datum_kind,
+                                                           datum_params, mass):
+    # the direct route starts from lam phi(lam x), of phi's mass, and both
+    # routes measure the N-wave of that mass
+    masses = []
+    real = experiments.NWave
+
+    def spied(**kwargs):
+        masses.append(kwargs["m"])
+        return real(**kwargs)
+
+    monkeypatch.setattr(experiments, "NWave", spied)
+    spec = StudySpec(kind="rescaling_family", base=SimParams(), datum_kind=datum_kind,
+                     datum_params=datum_params, sweep=(1, 2))
+    for (phi, _), direct in spec.runs.values():
+        for datum, _params in direct.values():
+            assert datum.mass() == pytest.approx(phi.mass(), abs=1e-12)
+    assert [r.verdict for r in run_study(spec)] == ["pass"] * 3
+    assert masses == [pytest.approx(mass, abs=1e-12)]

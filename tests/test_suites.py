@@ -6,7 +6,7 @@ import pytest
 
 from nwavelab.config import ConfigError, load_config
 from nwavelab.io import read_verdicts_json
-from nwavelab.suites import SUITE_NAMES, run_suite
+from nwavelab.suites import SUITE_NAMES, run_suite, suite_kernel_bound
 
 
 def test_unknown_suite_raises_config_error():
@@ -82,7 +82,7 @@ def test_oleinik_suite_skips_the_refinement_without_an_excess(monkeypatch):
     reports = run_suite("oleinik", cfg)
     assert len(runs) == 1
     traj = runs[0]
-    expected = [oleinik_margin(u, cfg.params.q, t, cfg.tol_scheme)
+    expected = [oleinik_margin(u, cfg.params.q, t)
                 for t, u in zip(traj.times, traj.snapshots)]
     expected += [
         Report(name="oleinik excess refinement", verdict="pass",
@@ -105,8 +105,8 @@ def _excess_at_t1(monkeypatch, coarse, fine=None):
 
     real = suites.oleinik_margin
 
-    def margin(u, q, t, tol):
-        rep = real(u, q, t, tol)
+    def margin(u, q, t):
+        rep = real(u, q, t)
         excess = coarse if u.dx == 0.015625 else fine
         if t != 1.0 or excess is None:
             return rep
@@ -334,6 +334,17 @@ def test_run_suite_writes_the_suites_file_set(monkeypatch, tmp_path, suite):
     assert set(os.listdir(out)) == {f"{suite}_verdicts.json"} | summary
     back = read_verdicts_json(str(out / f"{suite}_verdicts.json"))
     assert [(r.name, r.verdict) for r in back] == [(r.name, r.verdict) for r in reports]
+
+
+def test_kernel_bound_sweep_reports():
+    reports, rows = suite_kernel_bound(load_config())
+    names = [r.name for r in reports]
+    assert any("quadratic" in n for n in names)
+    assert all(r.passed for r in reports)
+    # one row per (lam, psi, p)
+    assert len(rows) == 64 * 3 * 3
+    lams = sorted({v for v, _, _ in rows})
+    assert lams[0] == 1.0 and lams[-1] == 64.0
 
 
 def test_kernel_bound_builds_its_base_kernel_once(monkeypatch):
