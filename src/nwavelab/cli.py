@@ -9,12 +9,16 @@ dump-kernel write the discretized kernel as CSV
 dump-nwave  write a sampled self-similar profile as CSV
 
 Shared flags: --config PATH, --set key=value (repeatable), --out DIR,
---seed N.  Every command runs in the calling thread.
+--seed N.  Every command runs in the calling thread, except `verify decay`:
+its q = 1.25 run steps here while one forked child process steps q = 1.5
+and q = 1.75 (experiments._pmap).  It runs all three here when this process
+may use one CPU only, cannot fork, or has another thread alive.
 
 Exit codes are a stable contract: 0 success / all checks passed,
 1 at least one verification check failed, 2 usage or configuration
 error (a file that cannot be read or written included), 3 the time
-stepper aborted on a non-finite value.
+stepper aborted on a non-finite value, in this process or in the child,
+or the child died before sending its results.
 """
 
 from __future__ import annotations
@@ -171,12 +175,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (NumericalAbort, ChildProcessError) as exc:  # ChildProcessError is an OSError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ABORT
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NumericalAbort as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ABORT
 
 
 if __name__ == "__main__":

@@ -99,7 +99,8 @@ def check_run(params: SimParams, what: str = "", base: Kernel | None = None, **k
     study derives from the configured case; returns the kernel.
 
     A ParamError is a ConfigError on keys[field] where the caller derived
-    the field, else on the field's own key.
+    the field, else on the field's own key.  `what` names a grid the caller
+    derived, so a grid or stencil error says whose dx it reports.
     """
     try:
         params.grid_n()
@@ -109,7 +110,8 @@ def check_run(params: SimParams, what: str = "", base: Kernel | None = None, **k
             raise ConfigError(f"{what} (dx = {params.dx:g}) does not fit "
                               f"[{params.x_min:g}, {params.x_max:g}]: {exc}",
                               origin="grid.x_min/grid.x_max") from None
-        raise ConfigError(str(exc), origin=keys.get(exc.field, _PARAM_KEYS[exc.field])) from None
+        message = f"on {what}, {exc}" if what and exc.field == "kernel_width" else str(exc)
+        raise ConfigError(message, origin=keys.get(exc.field, _PARAM_KEYS[exc.field])) from None
 
 
 def _parse_scalar(key: str, text: str, default, origin: str):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,16 +49,92 @@ __all__ = [
 
 
 def _pmap(fn, items):
-    """[fn(x) for x in items], in the calling thread.
+    """[fn(x) for x in items] on two processes: the caller runs items[0],
+    and one forked child runs items[1:] in order and sends their results
+    back pickled over a pipe.  Results come back in item order.
 
-    The decay suite maps its three q runs through here.  A thread pool
-    used to run them, but a step that works on the field's support alone
-    holds the GIL for most of its time, so two threads mostly queue on
-    it: on 2 CPUs the suite took 14.3-17.4 s on two threads against
-    8.7-11.8 s in the calling thread.  The name stays because the
-    benchmark's tracer times each item under it.
+    The decay suite maps its three q runs through here, longest first, so
+    on 2 CPUs the child's two runs end inside the caller's one.  Threads do
+    not pay: a step holds the GIL for most of its time, and on 2 CPUs the
+    suite took 14.3-17.4 s on two threads against 8.7-11.8 s in the calling
+    thread.  The map runs in the calling process, as a plain loop, when
+    there are fewer than two items, when os.sched_getaffinity(0) holds one
+    CPU (or does not exist), when there is no os.fork or it fails, or when
+    another thread is alive (a fork copies the calling thread alone).
+
+    An exception in the child re-raises here unchanged; one that cannot
+    be pickled comes back as a RuntimeError naming it.  A child that dies
+    without its results is a ChildProcessError naming its exit status.
+    If the caller's item raises, the child is killed first; no child
+    outlives the call.  The name stays because the benchmark's tracer
+    times each item under it.
     """
-    return [fn(x) for x in items]
+    import threading
+
+    items = list(items)
+    if (len(items) < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1):
+        return [fn(x) for x in items]
+    import pickle
+    import signal
+
+    sys.stdout.flush()  # the child leaves by os._exit, so it prints no
+    sys.stderr.flush()  # line the caller had buffered
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: every item runs here
+        os.close(read_fd)
+        os.close(write_fd)
+        return [fn(x) for x in items]
+    if pid == 0:
+        os.close(read_fd)
+        _pmap_child(fn, items[1:], write_fd)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            first = fn(items[0])
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0 or not data:
+        raise ChildProcessError(f"the forked worker process died "
+                                f"with exit status {status} before sending its results")
+    ok, rest = pickle.loads(data)
+    if not ok:
+        raise rest
+    return [first, *rest]
+
+
+def _pmap_child(fn, items, write_fd):
+    """_pmap's forked half: send (True, results) or (False, exception), then
+    leave by os._exit without running the caller's exit handlers."""
+    import pickle
+
+    code = 1
+    try:
+        try:
+            payload = (True, [fn(x) for x in items])
+        except BaseException as exc:
+            payload = (False, exc)
+        try:
+            data = pickle.dumps(payload)
+            pickle.loads(data)  # what the caller cannot rebuild fails here
+        except Exception as exc:
+            what = repr(payload[1]) if not payload[0] else "its results"
+            data = pickle.dumps((False, RuntimeError(
+                f"a worker process could not send {what} back: "
+                f"{type(exc).__name__}: {exc}")))
+        sys.stdout.flush()
+        sys.stderr.flush()
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _dump_snapshots(spec: StudySpec, name: str, times, snapshots):

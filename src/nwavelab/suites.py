@@ -161,9 +161,10 @@ def suite_decay(cfg: Config):
 
     Box datum of mass 1, q in {1.25, 1.5, 1.75}, p in {1, 2, inf}; the
     p = inf fit also enforces the explicit amplitude bound and p = 1
-    enforces no L^1 growth.  The q runs are independent and run one
-    after another in the calling thread (see experiments._pmap for why
-    not on threads).  Reports come back in q order.
+    enforces no L^1 growth.  The q runs are independent: q = 1.25, about
+    two thirds of the work, steps in the calling process while one forked
+    child steps q = 1.5 and q = 1.75, unless experiments._pmap falls back
+    to running all three here.  Reports come back in q order.
     """
     from .experiments import _pmap
 
@@ -540,7 +541,7 @@ def suite_kernel_bound(cfg: Config):
     lams = tuple(float(k) for k in range(1, 65))  # 1: the base kernel itself
     x_min, x_max, dx = _SWEEP_GRID
     params = replace(cfg.params, x_min=x_min, x_max=x_max, dx=dx, lam=1.0)
-    base = check_run(params)
+    base = check_run(params, "the kernel_bound suite's own grid")
     kernels = {lam: check_run(replace(params, lam=lam), base=base, lam="kernel.width")
                for lam in lams}
     n = int(round((x_max - x_min) / dx))

@@ -258,6 +258,66 @@ def test_kernel_bound_blames_the_width_for_the_first_factor_too_far(tmp_path, ca
     assert err.startswith("error: kernel.width: lambda = 59 rescales the kernel too far")
 
 
+def test_kernel_bound_names_its_own_grid_for_a_width_it_cannot_hold(tmp_path, capsys):
+    # the configured dx = 1/1024 holds the width; the suite's dx = 1/512 does not
+    args = ["verify", "kernel_bound", "--set", "grid.dx=0.0009765625",
+            "--set", "kernel.width=0.004", "--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        "error: kernel.width: on the kernel_bound suite's own grid, dx=0.00195312 "
+        "too coarse for kernel width 0.004; need dx <= width/4\n")
+
+
+def _short_decay(monkeypatch, at_q175):
+    """verify decay on q = 1.5 (the caller's run) and q = 1.75 (the child's)
+    to t = 10, with at_q175(datum) standing in for the q = 1.75 datum."""
+    import nwavelab.suites as suites
+
+    monkeypatch.setattr(suites, "_DECAY_GRIDS",
+                        {q: suites._DECAY_GRIDS[q] for q in (1.5, 1.75)})
+    monkeypatch.setattr(suites, "_DECAY_TIMES", suites._DECAY_TIMES[:5])
+    real_run = suites.run
+
+    def run(datum, params):
+        return real_run(at_q175(datum) if params.q == 1.75 else datum, params)
+
+    monkeypatch.setattr(suites, "run", run)
+
+
+def test_an_abort_in_the_decay_child_exits_3_as_in_process(monkeypatch, cpus, tmp_path, capsys):
+    def nan_cell(datum):
+        values = datum.values.copy()
+        values[300] = np.nan
+        return datum.with_values(values)
+
+    _short_decay(monkeypatch, nan_cell)
+    args = ["verify", "decay", "--out", str(tmp_path / "o")]
+    cpus(1)
+    assert main(args) == 3
+    here = capsys.readouterr()
+    assert here.out == "" and here.err.startswith("error: time step collapsed")
+    assert "cell 300" in here.err and here.err.count("\n") == 1
+    forks = cpus(2)
+    assert main(args) == 3
+    assert capsys.readouterr() == here
+    assert len(forks) == 1
+
+
+def test_a_decay_child_that_dies_exits_3_naming_its_status(monkeypatch, cpus, tmp_path,
+                                                           capsys):
+    caller = os.getpid()
+
+    def die(datum):
+        assert os.getpid() != caller, "the q = 1.75 run stepped in the caller"
+        os._exit(9)
+
+    _short_decay(monkeypatch, die)
+    cpus(2)
+    assert main(["verify", "decay", "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        "error: the forked worker process died with exit status 9 before sending its results\n")
+
+
 def test_entropy_passes_on_the_viscous_sample_config(tmp_path, capsys):
     # the simulated residuals carry the run's viscous term
     config = os.path.join(os.path.dirname(__file__), "..", "configs", "viscous_gaussian.cfg")

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +23,7 @@ from nwavelab.experiments import (
     study_spec,
 )
 from nwavelab.grid import grid_function
-from nwavelab.solver import SimParams
+from nwavelab.solver import NumericalAbort, SimParams
 
 
 def test_study_spec_kinds_and_sweeps():
@@ -314,3 +318,83 @@ def test_the_rescaling_study_measures_its_datums_own_nwave(monkeypatch, datum_ki
             assert datum.mass() == pytest.approx(phi.mass(), abs=1e-12)
     assert [r.verdict for r in run_study(spec)] == ["pass"] * 3
     assert masses == [pytest.approx(mass, abs=1e-12)]
+
+
+# ---------------------------------------------------------------------------
+# _pmap: the caller runs item 0, one forked child runs the rest
+
+
+class _Unpicklable(Exception):
+    """Pickles, but cannot be rebuilt: its __init__ needs two arguments."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+def test_the_map_runs_items_after_the_first_in_one_child_in_order(cpus):
+    forks = cpus(2)
+    got = experiments._pmap(lambda x: (x, os.getpid()), [0, 1, 2])
+    assert [x for x, _ in got] == [0, 1, 2]
+    pids = [pid for _, pid in got]
+    assert pids[0] == os.getpid() and pids[1] == pids[2] == forks[0]
+    assert len(forks) == 1
+
+
+def test_an_abort_in_the_callers_item_kills_and_reaps_the_child(cpus):
+    forks = cpus(2)
+
+    def item(x):
+        if x == 0:
+            raise NumericalAbort("non-finite value in cell 3 (x=0) at t=1", t=1.0, cell=3)
+        time.sleep(60)  # killed long before it wakes
+
+    start = time.monotonic()
+    with pytest.raises(NumericalAbort, match="cell 3") as exc:
+        experiments._pmap(item, [0, 1])
+    assert (exc.value.t, exc.value.cell) == (1.0, 3)
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+def test_a_child_exception_that_cannot_be_pickled_is_a_runtime_error_naming_it(cpus):
+    cpus(2)
+
+    def item(x):
+        if x:
+            raise _Unpicklable(1, 2)
+
+    with pytest.raises(RuntimeError, match=r"could not send _Unpicklable\('1/2'\) back"):
+        experiments._pmap(item, [0, 1])
+
+
+def test_the_map_runs_in_the_calling_process_when_it_should_not_fork(cpus):
+    cpus(1)  # os.fork raises on one CPU
+    assert experiments._pmap(lambda x: (x, os.getpid()), [0, 1]) == [(0, os.getpid()),
+                                                                      (1, os.getpid())]
+    forks = cpus(2)
+    assert experiments._pmap(lambda x: x + 1, [0]) == [1]
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert experiments._pmap(lambda x: x + 1, [0, 1]) == [1, 2]
+    finally:
+        release.set()
+        other.join()
+    assert forks == []
+
+
+def test_a_line_printed_before_the_map_is_printed_once():
+    # a piped stdout is block-buffered: unflushed at the fork, the line would
+    # leave once from the caller and once from the child
+    code = ("import os; os.sched_getaffinity = lambda _pid: {0, 1}\n"
+            "from nwavelab.experiments import _pmap\n"
+            "print('before')\n"
+            "print(_pmap(lambda x: x + 1, [0, 1, 2]))\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "before\n[1, 2, 3]\n", "")

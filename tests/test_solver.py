@@ -1,5 +1,5 @@
 import importlib.util
-import multiprocessing
+import os
 import pickle
 from dataclasses import replace
 from pathlib import Path
@@ -620,21 +620,19 @@ def _run_a_nan_datum(_):
     return run(box.with_values(values), p)
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="needs the fork start method")
-def test_an_abort_in_a_worker_process_re_raises_unchanged():
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_an_abort_in_a_worker_process_re_raises_unchanged(cpus):
+    from nwavelab.experiments import _pmap
+
     with pytest.raises(NumericalAbort) as here:
         _run_a_nan_datum(0)
-    # an exception the parent cannot unpickle kills the pool's result
-    # thread, and the map would wait forever: the timeout fails it instead
-    with multiprocessing.get_context("fork").Pool(1) as pool:
-        with pytest.raises(NumericalAbort) as there:
-            pool.map_async(_run_a_nan_datum, [0]).get(timeout=30)
-    pool.join()
+    forks = cpus(2)
+    with pytest.raises(NumericalAbort) as there:  # item 1 runs in the child
+        _pmap(lambda item: item and _run_a_nan_datum(item), [0, 1])
+    assert len(forks) == 1
     assert type(there.value) is type(here.value)
     assert str(there.value) == str(here.value)
     assert (there.value.t, there.value.cell) == (here.value.t, here.value.cell) == (0.0, 300)
-    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("kw, name, message", [

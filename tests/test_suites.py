@@ -254,23 +254,25 @@ def test_pair_suites_step_every_pair_in_one_batch(monkeypatch, suite, seed):
     assert repr(together) == repr(pair_by_pair)
 
 
-def _small_decay(monkeypatch):
+def _small_decay(monkeypatch, times=9):
     import nwavelab.suites as suites
 
     monkeypatch.setattr(suites, "_DECAY_GRIDS",
                         {q: suites._DECAY_GRIDS[q] for q in (1.5, 1.75)})
-    monkeypatch.setattr(suites, "_DECAY_TIMES", suites._DECAY_TIMES[:9])
+    monkeypatch.setattr(suites, "_DECAY_TIMES", suites._DECAY_TIMES[:times])
     reports = run_suite("decay", load_config())
     return [(r.name, r.verdict, r.values) for r in reports]
 
 
-def test_decay_suite_starts_no_thread(monkeypatch):
-    # Its steps hold the GIL for most of their time, so pool threads would
-    # only queue on it; the q runs go one after another.
+def test_decay_suite_starts_no_thread(monkeypatch, cpus):
+    # Its steps hold the GIL for most of their time, so threads would only
+    # queue on it: the second q run steps in a forked child process, and no
+    # two steps share one GIL.
     def no_thread(self):
         raise AssertionError("the decay suite started a thread")
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
+    forks = cpus(2)
     first = _small_decay(monkeypatch)
     assert [name for name, _, _ in first] == [
         name
@@ -280,6 +282,14 @@ def test_decay_suite_starts_no_thread(monkeypatch):
     ]
     # dict equality compares the floats exactly: bit-identical values
     assert _small_decay(monkeypatch) == first
+    assert len(forks) == 2
+
+
+def test_decay_suite_on_one_cpu_forks_nothing_and_reports_the_same(monkeypatch, cpus):
+    cpus(2)
+    forked = _small_decay(monkeypatch, times=5)
+    cpus(1)  # os.fork raises
+    assert _small_decay(monkeypatch, times=5) == forked
 
 
 def test_nan_measurement_fails_its_check(monkeypatch):
