@@ -262,28 +262,17 @@ def nwave_distance(u: GridFunction, nw: NWave, t: float, p: float) -> float:
 # Kruzkov entropy residual
 
 
-def _bump(s: np.ndarray) -> np.ndarray:
-    """exp(1 - 1/(1 - s^2)) on |s| < 1, zero outside; peak value 1."""
+def _bump(s: np.ndarray) -> tuple:
+    """(b, b', b'') for b = exp(1 - 1/(1 - s^2)) on |s| < 1, zero outside; peak 1."""
     s = np.asarray(s, dtype=float)
     inside = np.abs(s) < 1.0 - 1e-12
     safe = np.where(inside, s, 0.0)
+    gap = 1.0 - safe ** 2
     with np.errstate(over="ignore"):
-        out = np.where(inside, np.exp(1.0 - 1.0 / (1.0 - safe ** 2)), 0.0)
-    return out
-
-
-def _bump_prime(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    inside = np.abs(s) < 1.0 - 1e-12
-    safe = np.where(inside, s, 0.0)
-    return np.where(inside, _bump(s) * (-2.0 * safe) / (1.0 - safe ** 2) ** 2, 0.0)
-
-
-def _bump_second(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    inside = np.abs(s) < 1.0 - 1e-12
-    safe = np.where(inside, s, 0.0)
-    return np.where(inside, _bump(s) * (6.0 * safe ** 4 - 2.0) / (1.0 - safe ** 2) ** 4, 0.0)
+        b = np.where(inside, np.exp(1.0 - 1.0 / gap), 0.0)
+    return (b,
+            np.where(inside, b * (-2.0 * safe) / gap ** 2, 0.0),
+            np.where(inside, b * (6.0 * safe ** 4 - 2.0) / gap ** 4, 0.0))
 
 
 def entropy_residuals(
@@ -293,7 +282,6 @@ def entropy_residuals(
     ks,
     bumps,
     alpha: float = 0.0,
-    lam: float = 1.0,
     kernel: Kernel | None = None,
     mu: float = 0.0,
 ) -> np.ndarray:
@@ -313,8 +301,8 @@ def entropy_residuals(
     smooth and compactly supported in (0, inf) x R (so t_center > t_halfwidth).
     alpha = 0 drops the nonlocal term (the pure conservation-law form, e.g.
     for the closed-form N-wave).  sgn(0) = 0.  kernel is J_lam itself,
-    already rescaled (SimParams.kernel()); lam enters only through the lam^q
-    factor.  J_lam*(u-k) is evaluated as J_lam*u - k, exact for the
+    already rescaled (SimParams.kernel()); the lam^q factor reads lam from
+    it, kernel.lam.  J_lam*(u-k) is evaluated as J_lam*u - k, exact for the
     zero-extended u because the kernel has unit mass.  mu is the viscosity
     of a run with mu u_xx; mu = 0 drops its term and adds nothing.
 
@@ -344,11 +332,9 @@ def entropy_residuals(
     dx = snapshots[0].dx
     s = (snapshots[0].centers - xc) / xw
     # row by row, so _bump's temporaries stay one grid long and the peak memory low
-    bx = [_bump(row) for row in s]
-    bx_prime = [_bump_prime(row) for row in s]
-    bx_second = [_bump_second(row) for row in s] if mu > 0.0 else None
-    st = (times - tc) / tw
-    bt, bt_prime = _bump(st), _bump_prime(st) / tw
+    bx, bx_prime, bx_second = zip(*(_bump(row) for row in s))
+    bt, bt_prime, _ = _bump((times - tc) / tw)
+    bt_prime = bt_prime / tw
     integrands = np.zeros((len(ks), len(bumps), len(times)))
     for i, u in enumerate(snapshots):
         active = np.flatnonzero(inside[:, i])
@@ -367,12 +353,12 @@ def entropy_residuals(
             phi_t = bt_prime[b, i] * bx[b]
             phi_x = bt[b, i] * bx_prime[b] / xw[b, 0]
             phi = bt[b, i] * bx[b] if ju is not None else None
-            phi_xx = bt[b, i] * bx_second[b] / xw[b, 0] ** 2 if bx_second is not None else None
+            phi_xx = bt[b, i] * bx_second[b] / xw[b, 0] ** 2 if mu > 0.0 else None
             for j, (dist, flux_part, nonlocal_part) in enumerate(parts):
                 integrands[j, b, i] = (dist * phi_t + flux_part * phi_x).sum() * dx
                 if ju is not None:
-                    integrands[j, b, i] -= alpha * lam ** q * (nonlocal_part * phi).sum() * dx
-                if bx_second is not None:
+                    integrands[j, b, i] -= alpha * kernel.lam ** q * (nonlocal_part * phi).sum() * dx
+                if mu > 0.0:
                     integrands[j, b, i] += mu * (dist * phi_xx).sum() * dx
     return np.trapezoid(integrands, times, axis=-1)
 
@@ -400,37 +386,6 @@ def _check_comparison_rows(beta: float, z: np.ndarray, w: np.ndarray, x0: np.nda
         raise ValueError("the zero-extended w attains its maximum off-grid; invalid case")
 
 
-def _comparison_terms(kernel: Kernel, beta: float, z: np.ndarray, w: np.ndarray,
-                      x0: np.ndarray):
-    """L(z^b w)(x0), L(z^(b+1))(x0) and A_z(x0) for each row, from one stencil gather.
-
-    L(v)(x0) = sum_k J_k dx v(x0 - k dx) - v(x0), with z^b w zero off-grid
-    because w is.  z is raised to b and b+1 on the gathered cells only;
-    each weighted sum is one np.dot over a row's stencil.
-    """
-    b = beta
-    rows = np.arange(len(x0))
-    n = z.shape[1]
-    yi = x0[:, None] - kernel.offsets
-    valid = (yi >= 0) & (yi < n)
-    yi = np.clip(yi, 0, n - 1)
-    z_y = z[rows[:, None], yi]
-    pad_b = 1.0 if b == 0.0 else 0.0
-    zb_y = np.where(valid, z_y ** b, pad_b)
-    zb1_y = np.where(valid, z_y ** (b + 1.0), 0.0)
-    w_y = np.where(valid, w[rows[:, None], yi], 0.0)
-    z0, w0 = z[rows, x0], w[rows, x0]
-    zb0, zb10 = z0 ** b, z0 ** (b + 1.0)
-    wgt = kernel.weights
-    mixed_y = z0[:, None] * zb_y - b / (b + 1.0) * zb1_y
-    sums = np.array([(np.dot(wgt, p), np.dot(wgt, r), np.dot(wgt, s))
-                     for p, r, s in zip(zb_y * w_y, zb1_y, mixed_y)])
-    l_zbw = sums[:, 0] - zb0 * w0
-    l_zb1 = sums[:, 1] - zb10
-    a_z = sums[:, 2] - (1.0 / (b + 1.0)) * zb10 * wgt.sum()
-    return l_zbw, l_zb1, a_z
-
-
 def nonlocal_comparisons(kernel: Kernel, beta: float, z: np.ndarray, w: np.ndarray,
                          x0: np.ndarray, tol: float = 1e-10):
     """Check A_z(x0) <= tol and LHS <= A_z(x0) w(x0) + tol at w's maximum,
@@ -443,7 +398,8 @@ def nonlocal_comparisons(kernel: Kernel, beta: float, z: np.ndarray, w: np.ndarr
 
     with z^b extended by 0^b off-grid (1 when b = 0, matching the continuum
     convention z^0 == 1).  Both sides are sums over the one stencil
-    gathered at x0 (_comparison_terms).
+    gathered at x0, where L(v)(x0) = sum_k J_k dx v(x0 - k dx) - v(x0);
+    z is raised to b and b+1 on the gathered cells only.
 
     z and w are (rows, n) arrays and x0 the rows' maximum indices: z and w
     finite, z >= 0, beta >= 0, and x0 the lowest index at which a row of w
@@ -453,10 +409,26 @@ def nonlocal_comparisons(kernel: Kernel, beta: float, z: np.ndarray, w: np.ndarr
     wherever a value is not finite.
     """
     _check_comparison_rows(beta, z, w, x0)
-    l_zbw, l_zb1, a_z = _comparison_terms(kernel, beta, z, w, x0)
+    b = beta
     rows = np.arange(len(x0))
+    n = z.shape[1]
+    yi = x0[:, None] - kernel.offsets
+    valid = (yi >= 0) & (yi < n)
+    yi = np.clip(yi, 0, n - 1)
+    z_y = z[rows[:, None], yi]
+    zb_y = np.where(valid, z_y ** b, 1.0 if b == 0.0 else 0.0)
+    zb1_y = np.where(valid, z_y ** (b + 1.0), 0.0)
+    w_y = np.where(valid, w[rows[:, None], yi], 0.0)
     z0, w0 = z[rows, x0], w[rows, x0]
-    lhs = z0 * l_zbw - beta / (beta + 1.0) * w0 * l_zb1
+    zb10 = z0 ** (b + 1.0)
+    wgt = kernel.weights
+    mixed_y = z0[:, None] * zb_y - b / (b + 1.0) * zb1_y
+    sums = np.array([(np.dot(wgt, p), np.dot(wgt, r), np.dot(wgt, s))
+                     for p, r, s in zip(zb_y * w_y, zb1_y, mixed_y)])
+    l_zbw = sums[:, 0] - z0 ** b * w0
+    l_zb1 = sums[:, 1] - zb10
+    a_z = sums[:, 2] - (1.0 / (b + 1.0)) * zb10 * wgt.sum()
+    lhs = z0 * l_zbw - b / (b + 1.0) * w0 * l_zb1
     rhs = a_z * w0
     finite = np.isfinite(a_z) & np.isfinite(lhs) & np.isfinite(rhs)
     return a_z, lhs, rhs, finite & (a_z <= tol) & (lhs <= rhs + tol)

@@ -125,16 +125,12 @@ def read_snapshots_csv(path: str):
             raise ValueError(f"{path}: expected header t,x,u, got {header!r}")
         rows = [line.strip().split(",") for line in fh if line.strip()]
     out = []
-    by_t: dict = {}
-    order = []
+    by_t: dict = {}  # insertion-ordered: snapshots come back in file order
     for ts, xs, vs in rows:
-        if ts not in by_t:
-            by_t[ts] = ([], [])
-            order.append(ts)
-        by_t[ts][0].append(float(xs))
-        by_t[ts][1].append(float(vs))
-    for ts in order:
-        xs, vs = by_t[ts]
+        cells = by_t.setdefault(ts, ([], []))
+        cells[0].append(float(xs))
+        cells[1].append(float(vs))
+    for ts, (xs, vs) in by_t.items():
         xs = np.asarray(xs)
         if len(xs) < 2:
             raise ValueError(f"{path}: snapshot at t={ts} has fewer than two cells")

@@ -46,16 +46,16 @@ def apply_L(kernel: Kernel, u: GridFunction) -> GridFunction:
     return u.with_values(_L_values(kernel, u))
 
 
-def second_order_bound_ratios(j_lam: Kernel, psi: GridFunction, lam: float, ps) -> list:
+def second_order_bound_ratios(j_lam: Kernel, psi: GridFunction, ps) -> list:
     """|| lam^2 (J_lam * psi - psi) ||_p  /  || psi_xx ||_p for each p in ps.
 
-    j_lam is the rescaled kernel, rescale(J, lam).  psi_xx is the centered
-    second difference.  Both norms are taken over the interior window where
-    the full rescaled stencil fits, so boundary zero-extension never
-    pollutes the ratio.  For an interior quadratic the ratio equals m2/2
-    for every lam; for smooth psi it tends to m2/2 as lam grows, and it
-    stays below the Taylor bound m2/2 up to discretization.  One
-    convolution serves every p.
+    j_lam is the rescaled kernel, rescale(J, lam); lam is read from it,
+    j_lam.lam.  psi_xx is the centered second difference.  Both norms are
+    taken over the interior window where the full rescaled stencil fits, so
+    boundary zero-extension never pollutes the ratio.  For an interior
+    quadratic the ratio equals m2/2 for every lam; for smooth psi it tends
+    to m2/2 as lam grows, and it stays below the Taylor bound m2/2 up to
+    discretization.  One convolution serves every p.
     """
     for p in ps:
         if p not in (1, 2, np.inf):
@@ -67,6 +67,7 @@ def second_order_bound_ratios(j_lam: Kernel, psi: GridFunction, lam: float, ps) 
     j_lam.require_spacing(psi.dx)
     # D2 psi at cells 1..n-2; on [lo, hi) the Peano form reads only those
     d2 = psi.values[2:] - 2.0 * psi.values[1:-1] + psi.values[:-2]
+    lam = j_lam.lam
     num = lam * lam * fftconvolve(_peano_taps(j_lam), d2)[2 * lo - 2 : hi + lo - 2]
     den = d2[lo - 1 : hi - 1] / psi.dx ** 2
     ratios = []

@@ -345,16 +345,17 @@ def suite_entropy(cfg: Config):
     kernel = check_run(params)  # J_lam, the operator's own kernel
     n = params.grid_n()
 
-    reports = []
-    snaps = _closed_form_snapshots(q, times, x_min, dx, n)
-    closed = entropy_residuals(times, snaps, q, _ENTROPY_KS, _ENTROPY_BUMPS).min(axis=1)
-    for k, worst in zip(_ENTROPY_KS, closed.tolist()):
-        reports.append(Report(
-            name=f"closed-form residual k={k:g}",
+    def residual_lines(kind: str, worst_by_k: np.ndarray) -> list:
+        return [Report(
+            name=f"{kind} residual k={k:g}",
             verdict="pass" if worst >= -tol else "fail",
             values={"worst_residual": worst},
             tolerance=tol,
-        ))
+        ) for k, worst in zip(_ENTROPY_KS, worst_by_k.tolist())]
+
+    snaps = _closed_form_snapshots(q, times, x_min, dx, n)
+    closed = entropy_residuals(times, snaps, q, _ENTROPY_KS, _ENTROPY_BUMPS).min(axis=1)
+    reports = residual_lines("closed-form", closed)
 
     bad = int(np.argmin(closed))  # the first NaN if any, else the most negative
     k_bad = _ENTROPY_KS[bad]
@@ -379,16 +380,8 @@ def suite_entropy(cfg: Config):
     datum = make_initial_datum("box", x_min, dx, n, height=1.0, left=0.0, right=1.0)
     traj = run(datum, params)
     simulated = entropy_residuals(traj.times, traj.snapshots, q, _ENTROPY_KS, _ENTROPY_BUMPS,
-                                  alpha=params.alpha, lam=params.lam, kernel=kernel,
-                                  mu=params.mu).min(axis=1)
-    for k, worst in zip(_ENTROPY_KS, simulated.tolist()):
-        reports.append(Report(
-            name=f"simulated residual k={k:g}",
-            verdict="pass" if worst >= -tol else "fail",
-            values={"worst_residual": worst},
-            tolerance=tol,
-        ))
-    return reports, []
+                                  alpha=params.alpha, kernel=kernel, mu=params.mu)
+    return reports + residual_lines("simulated", simulated.min(axis=1)), []
 
 
 # ---------------------------------------------------------------------------
@@ -542,37 +535,23 @@ def suite_kernel_bound(cfg: Config):
     x_min, x_max, dx = _SWEEP_GRID
     params = replace(cfg.params, x_min=x_min, x_max=x_max, dx=dx, lam=1.0)
     base = check_run(params, "the kernel_bound suite's own grid")
-    kernels = {lam: check_run(replace(params, lam=lam), base=base, lam="kernel.width")
-               for lam in lams}
+    kernels = [check_run(replace(params, lam=lam), base=base, lam="kernel.width")
+               for lam in lams]
     n = int(round((x_max - x_min) / dx))
-    half = kernels[1.0].m2 / 2.0
+    half = kernels[0].m2 / 2.0
     psis = {name: _psi_field(name, x_min, dx, n) for name in _PSI_NAMES}
     ps = (1.0, 2.0, np.inf)
 
-    by_lam = {}
-    for lam in lams:
-        by_lam[lam] = {
-            (name, p): ratio
-            for name in _PSI_NAMES
-            for p, ratio in zip(ps, second_order_bound_ratios(kernels[lam], psis[name],
-                                                              lam, ps))
-        }
     rows = [
-        (lam, f"{name}_p{p:g}", by_lam[lam][(name, p)])
-        for lam in lams
+        (kernel.lam, f"{name}_p{p:g}", ratio)
+        for kernel in kernels
         for name in _PSI_NAMES
-        for p in ps
+        for p, ratio in zip(ps, second_order_bound_ratios(kernel, psis[name], ps))
     ]
-
-    quad_dev = float(np.max([
-        abs(by_lam[lam][("quadratic", p)] - half) for lam in lams for p in ps
-    ]))
-    smooth_max = float(np.max([
-        by_lam[lam][(name, p)]
-        for lam in lams
-        for name in ("gaussian", "wave_packet")
-        for p in ps
-    ]))
+    quad_dev = float(np.max([abs(ratio - half) for _, label, ratio in rows
+                             if label.startswith("quadratic_")]))
+    smooth_max = float(np.max([ratio for _, label, ratio in rows
+                               if not label.startswith("quadratic_")]))
     return [
         Report(
             name="quadratic ratio pinned at m2/2",

@@ -142,6 +142,24 @@ def test_signed_datum_of_zero_mass_runs_the_viscosity_study(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("PASS   vanishing-viscosity distances")
 
 
+@pytest.mark.parametrize("mus, set_aside", [
+    # the floor is an L1 distance (0.00461 here), so mu = 0.003 and 0.001,
+    # at distances 0.0241 and 0.0102, gate; 0.0003 and 0.0001, at 0.00351
+    # and 0.00125, are set aside
+    ("0.4,0.2,0.1,0.01,0.003,0.001", 0),
+    ("0.4,0.2,0.0003,0.0001", 2),
+])
+def test_the_viscosity_study_sets_aside_the_mus_within_its_floor_distance(
+        mus, set_aside, tmp_path, capsys):
+    args = ["study", "vanishing_viscosity", "--set", f"study.mus={mus}"]
+    assert main([*args, "--out", str(tmp_path / "o")]) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("PASS   vanishing-viscosity distances: mu=0.4=")
+    detail = (f"  [{set_aside} sweep value(s) at or below the viscosity floor (informational)]"
+              if set_aside else "")
+    assert line.endswith(f"floor=0.00461331{detail}")
+
+
 @pytest.mark.parametrize("command", [["simulate"], ["study", "vanishing_viscosity"]])
 def test_datum_off_the_grid_exits_2(command, tmp_path, capsys):
     # the gaussian's support [96, 104] misses the default grid [-8, 12]

@@ -4,9 +4,6 @@ import pytest
 from nwavelab.diagnostics import (
     _amplitude_bound,
     _bump,
-    _bump_prime,
-    _bump_second,
-    _comparison_terms,
     Report,
     decay_fit,
     entropy_residuals,
@@ -22,7 +19,7 @@ from nwavelab.diagnostics import (
 )
 from nwavelab.grid import grid_function
 from nwavelab.flux import flux
-from nwavelab.kernels import convolve, make_kernel
+from nwavelab.kernels import convolve, make_kernel, rescale
 from nwavelab.nonlocal_op import apply_L
 from nwavelab.profiles import NWave, make_initial_datum, nwave_eval, nwave_sample
 from nwavelab.solver import SimParams, Trajectory, run
@@ -141,25 +138,26 @@ def test_nwave_distance_vanishes_on_exact_profile():
 
 
 # The test function of one bump (t_center, t_halfwidth, x_center, x_halfwidth),
-# and its t and x derivatives, case by case in entropy_residuals' operand order.
+# and its t and x derivatives, case by case in entropy_residuals' operand order;
+# _bump(s) gives (b, b', b'').
 def _phi(bump, t, x):
     tc, tw, xc, xw = bump
-    return _bump((t - tc) / tw) * _bump((x - xc) / xw)
+    return _bump((t - tc) / tw)[0] * _bump((x - xc) / xw)[0]
 
 
 def _phi_t(bump, t, x):
     tc, tw, xc, xw = bump
-    return _bump_prime((t - tc) / tw) / tw * _bump((x - xc) / xw)
+    return _bump((t - tc) / tw)[1] / tw * _bump((x - xc) / xw)[0]
 
 
 def _phi_x(bump, t, x):
     tc, tw, xc, xw = bump
-    return _bump((t - tc) / tw) * _bump_prime((x - xc) / xw) / xw
+    return _bump((t - tc) / tw)[0] * _bump((x - xc) / xw)[1] / xw
 
 
 def _phi_xx(bump, t, x):
     tc, tw, xc, xw = bump
-    return _bump((t - tc) / tw) * _bump_second((x - xc) / xw) / xw ** 2
+    return _bump((t - tc) / tw)[0] * _bump((x - xc) / xw)[2] / xw ** 2
 
 
 def test_entropy_case_bump_derivative_consistent():
@@ -230,10 +228,10 @@ def test_entropy_residuals_match_the_per_case_formula(alpha):
     # formula taken case by case with _phi, _phi_t and _phi_x.
     q, lam, dx = 1.5, 2.0, 1.0 / 64.0
     times, snaps = _nwave_entropy_inputs(dt=0.1, dx=dx)
-    kernel = make_kernel("uniform", 0.5, dx)
+    kernel = rescale(make_kernel("uniform", 1.0, dx), lam)  # J_lam, support 0.5
     ks = (-1.0, 0.0, 0.5)
     bumps = [(tc, 0.45, xc, xw) for tc in (1.0, 1.75) for xc, xw in ((-0.5, 1.0), (2.0, 0.75))]
-    got = entropy_residuals(times, snaps, q, ks, bumps, alpha=alpha, lam=lam, kernel=kernel)
+    got = entropy_residuals(times, snaps, q, ks, bumps, alpha=alpha, kernel=kernel)
     assert got.shape == (len(ks), len(bumps))
     for j, k in enumerate(ks):
         for b, bump in enumerate(bumps):
@@ -270,11 +268,10 @@ def test_entropy_residuals_viscous_term_matches_the_per_case_formula(alpha):
     # entry must equal, bit for bit, the formula taken case by case
     q, lam, dx, mu = 1.5, 2.0, 1.0 / 64.0, 0.05
     times, snaps = _nwave_entropy_inputs(dt=0.1, dx=dx)
-    kernel = make_kernel("uniform", 0.5, dx)
+    kernel = rescale(make_kernel("uniform", 1.0, dx), lam)  # J_lam, support 0.5
     ks = (-1.0, 0.0, 0.5)
     bumps = [(tc, 0.45, xc, xw) for tc in (1.0, 1.75) for xc, xw in ((-0.5, 1.0), (2.0, 0.75))]
-    got = entropy_residuals(times, snaps, q, ks, bumps, alpha=alpha, lam=lam, kernel=kernel,
-                            mu=mu)
+    got = entropy_residuals(times, snaps, q, ks, bumps, alpha=alpha, kernel=kernel, mu=mu)
     for j, k in enumerate(ks):
         for b, bump in enumerate(bumps):
             tc, tw = bump[:2]
@@ -295,8 +292,8 @@ def test_entropy_residuals_viscous_term_matches_the_per_case_formula(alpha):
                 integrand[i] = a - c + m
             assert got[j, b] == float(np.trapezoid(integrand, times))
     # mu = 0 adds nothing: the inviscid residuals, bit for bit
-    inviscid = entropy_residuals(times, snaps, q, ks, bumps, alpha=alpha, lam=lam, kernel=kernel)
-    assert np.array_equal(entropy_residuals(times, snaps, q, ks, bumps, alpha=alpha, lam=lam,
+    inviscid = entropy_residuals(times, snaps, q, ks, bumps, alpha=alpha, kernel=kernel)
+    assert np.array_equal(entropy_residuals(times, snaps, q, ks, bumps, alpha=alpha,
                                             kernel=kernel, mu=0.0), inviscid)
     assert not np.array_equal(got, inviscid)
 
@@ -332,21 +329,27 @@ def test_comparison_random_cases_pass():
 @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0, 3.0])
 @pytest.mark.parametrize("x0", [128, 5])
 def test_comparison_gather_matches_apply_l(beta, x0):
-    # the stencil gathered at x0 gives the same L values as the whole-field
-    # J*u - u, also where x0 sits within K cells of the edge and the stencil
-    # is clipped
+    # the stencil gathered at x0 gives the lhs of the whole-field J*u - u
+    # values and the A_z of a direct sum over the stencil, also where x0
+    # sits within K cells of the edge and the stencil is clipped
     rng = np.random.default_rng(31)
     dx = 1.0 / 32.0
     k = make_kernel("triangle", 0.5, dx)
     assert 5 < k.half_cells < 128
     z = random_smooth_field(rng, -4.0, dx, 256, amplitude=1.5, nonnegative=True)
     w = grid_function(np.exp(-((np.arange(256) - x0) ** 2) / 40.0), -4.0, dx)
-    nonlocal_comparisons(k, beta, z.values[None], w.values[None], np.array([x0]))  # valid
-    l_zbw, l_zb1, _ = (v[0] for v in _comparison_terms(
-        k, beta, z.values[None], w.values[None], np.array([x0])))
-    zb, zb1 = z.values ** beta, z.values ** (beta + 1.0)
-    for got, v in ((l_zbw, zb * w.values), (l_zb1, zb1)):
-        ref = apply_L(k, z.with_values(v)).values[x0]
+    (a_z,), (lhs,), _, _ = nonlocal_comparisons(k, beta, z.values[None], w.values[None],
+                                                np.array([x0]))
+    zv, z0, w0, c = z.values, z.values[x0], w.values[x0], beta / (beta + 1.0)
+    l_zbw = apply_L(k, z.with_values(zv ** beta * w.values)).values[x0]
+    l_zb1 = apply_L(k, z.with_values(zv ** (beta + 1.0))).values[x0]
+    ref_lhs = z0 * l_zbw - c * w0 * l_zb1
+    ref_a_z = 0.0
+    for offset, weight in zip(k.offsets, k.weights):
+        y = x0 - offset  # off the grid z^b is 0^b, which is 1 when b = 0
+        zb, zb1 = (zv[y] ** beta, zv[y] ** (beta + 1.0)) if 0 <= y < 256 else (0.0 ** beta, 0.0)
+        ref_a_z += weight * (z0 * zb - c * zb1 - z0 ** (beta + 1.0) / (beta + 1.0))
+    for got, ref in ((lhs, ref_lhs), (a_z, ref_a_z)):
         assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
@@ -359,6 +362,41 @@ def test_comparison_case_validation():
         nonlocal_comparisons(k, 1.0, z, w, np.array([3]))
     with pytest.raises(ValueError, match="nonnegative"):
         nonlocal_comparisons(k, 1.0, -z, w, x0)
+
+
+def _entropy_call(reorder):
+    times, snaps = reorder(*_nwave_entropy_inputs())
+    entropy_residuals(times, snaps, 1.5, (0.0,), [(1.75, 0.45, 2.0, 1.0)])
+
+
+def _comparison_call(w, x0, z=np.ones(16)):
+    nonlocal_comparisons(make_kernel("uniform", 1.0, 1.0 / 16.0), 1.0, np.array([z]),
+                         np.array([w]), np.array([x0]))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: oleinik_margin(grid_function([0.0, 1.0], 0.0, 1.0), 1.5, 0.0),
+                 "need t > 0", id="oleinik-time"),
+    pytest.param(lambda: decay_fit(_nwave_trajectory(1.5, [1.0, 2.0, 3.0, 4.0, 100.0]), 2.0),
+                 ">= 5 snapshots in the last decade", id="decay-last-decade"),
+    pytest.param(lambda: l1_modulus(grid_function([0.0, 1.0], 0.0, 1.0), -1.0),
+                 "need h >= 0", id="modulus-shift"),
+    pytest.param(lambda: _entropy_call(lambda times, snaps: (times, snaps[:-1])),
+                 "need matching times and snapshots", id="entropy-lengths"),
+    pytest.param(lambda: _entropy_call(lambda times, snaps: (times[::-1], snaps)),
+                 "strictly increasing", id="entropy-times"),
+    pytest.param(lambda: _comparison_call(np.arange(16.0), 15, z=np.r_[np.nan, np.ones(15)]),
+                 "z and w must be finite", id="comparison-finite"),
+    pytest.param(lambda: _comparison_call(np.arange(16.0), 16),
+                 "x0 out of range", id="comparison-range"),
+    pytest.param(lambda: _comparison_call(np.r_[0.0, 1.0, 1.0, np.zeros(13)], 2),
+                 "ties in the maximum", id="comparison-ties"),
+    pytest.param(lambda: _comparison_call(-1.0 - np.arange(16.0), 0),
+                 "maximum off-grid", id="comparison-negative-max"),
+])
+def test_each_diagnostics_input_check_raises_its_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_random_smooth_field_properties():

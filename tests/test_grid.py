@@ -46,3 +46,9 @@ def test_copy_is_independent():
     v = u.copy()
     v.values[0] = 7.0
     assert u.values[0] == 1.0
+
+
+@pytest.mark.parametrize("dx", [0.0, -0.5, np.nan])
+def test_a_grid_needs_a_positive_dx(dx):
+    with pytest.raises(ValueError, match="dx must be positive"):
+        GridFunction(np.zeros(4), x_min=0.0, x_max=2.0, dx=dx)

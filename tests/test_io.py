@@ -45,6 +45,29 @@ def test_field_bin_rejects_foreign_files(tmp_path):
         read_field_bin(short)
 
 
+def _field_dump(version=1, cells=4, payload_cells=4):
+    from nwavelab.io import _HEADER, _MAGIC
+
+    return _HEADER.pack(_MAGIC, version, cells, 0.5, 0.0) + bytes(8 * payload_cells)
+
+
+@pytest.mark.parametrize("read, name, content, message", [
+    pytest.param(read_field_bin, "u.bin", _field_dump(version=2),
+                 "unsupported version 2", id="field-version"),
+    pytest.param(read_field_bin, "u.bin", _field_dump(payload_cells=3),
+                 "expected 64 bytes, found 56", id="field-size"),
+    pytest.param(read_snapshots_csv, "s.csv", b"t,u\n0.5,1.0\n",
+                 "expected header t,x,u", id="csv-header"),
+    pytest.param(read_snapshots_csv, "s.csv", b"t,x,u\n0.5,0.25,1.0\n",
+                 "snapshot at t=0.5 has fewer than two cells", id="csv-one-cell"),
+])
+def test_each_io_reader_check_raises_its_message(read, name, content, message, tmp_path):
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=message):
+        read(str(path))
+
+
 def test_snapshots_csv_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(4)
     snaps = [grid_function(rng.standard_normal(64), -1.0, 1.0 / 32.0) for _ in range(3)]

@@ -66,6 +66,18 @@ def test_unknown_family_rejected():
         make_kernel("cauchy", 1.0, 1.0 / 64.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: make_kernel("uniform", 0.0, 1.0 / 64.0),
+                 "kernel width must be positive", id="width"),
+    pytest.param(lambda: make_kernel("uniform", 1.0, 0.0), "dx must be positive", id="dx"),
+    pytest.param(lambda: rescale(make_kernel("uniform", 1.0, 1.0 / 64.0), 0.5),
+                 "rescale factor must be >= 1", id="rescale-factor"),
+])
+def test_each_kernels_input_check_raises_its_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_convolve_backends_agree():
     # the FFT path against a plain direct sum with zero extension, for a
     # stencil of at most 64 taps and for a wider one

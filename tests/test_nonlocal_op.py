@@ -61,7 +61,7 @@ def test_quadratic_ratio_pinned_at_half_m2(base_kernel):
     psi = _psi("quadratic")
     for lam in (1.0, 4.0, 16.0, 64.0):
         for p in (1, 2, np.inf):
-            r = second_order_bound_ratios(rescale(base_kernel, lam), psi, lam, (p,))[0]
+            r = second_order_bound_ratios(rescale(base_kernel, lam), psi, (p,))[0]
             assert r == pytest.approx(base_kernel.m2 / 2.0, abs=1e-10)
 
 
@@ -86,7 +86,7 @@ def test_quadratic_ratio_exact_at_every_lam(base_kernel):
     psi = _psi("quadratic")
     for lam in (1.0, 4.0, 16.0, 64.0):
         for p in (1, 2, np.inf):
-            r = second_order_bound_ratios(rescale(base_kernel, lam), psi, lam, (p,))[0]
+            r = second_order_bound_ratios(rescale(base_kernel, lam), psi, (p,))[0]
             assert abs(r - base_kernel.m2 / 2.0) <= 1e-14
 
 
@@ -94,7 +94,7 @@ def test_quadratic_ratio_exact_at_every_lam(base_kernel):
 def test_smooth_ratios_match_independent_computation(base_kernel, name, lam):
     psi = _psi(name)
     for p, ref in zip((1, 2, np.inf), RATIO_REF[(name, lam)]):
-        r = second_order_bound_ratios(rescale(base_kernel, lam), psi, lam, (p,))[0]
+        r = second_order_bound_ratios(rescale(base_kernel, lam), psi, (p,))[0]
         assert r == pytest.approx(ref, rel=1e-9)
 
 
@@ -129,3 +129,15 @@ def test_spacing_mismatch_rejected(base_kernel):
     u = grid_function(np.zeros(64), 0.0, 2.0 * DX)
     with pytest.raises(ValueError, match="spacing"):
         apply_L(base_kernel, u)
+
+
+@pytest.mark.parametrize("psi, ps, message", [
+    pytest.param(_psi("gaussian"), (3,), "p must be 1, 2 or inf", id="p"),
+    pytest.param(grid_function(np.zeros(64), X_MIN, DX), (1,),
+                 "grid too small for an interior window", id="window"),
+    pytest.param(grid_function(np.ones(N), X_MIN, DX), (2,),
+                 "vanishing second difference", id="flat-psi"),
+])
+def test_each_ratio_input_check_raises_its_message(base_kernel, psi, ps, message):
+    with pytest.raises(ValueError, match=message):
+        second_order_bound_ratios(base_kernel, psi, ps)

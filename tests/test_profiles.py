@@ -104,6 +104,15 @@ def test_datum_error_paths():
         make_initial_datum("box", 0.0, 0.1, 10, left=1.0, right=0.0)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: nwave_sample(NWave(1.0, 1.5), 1.0, 0.0, 0.1, 0), id="nwave_sample"),
+    pytest.param(lambda: make_initial_datum("box", 0.0, 0.1, 0), id="make_initial_datum"),
+])
+def test_each_profile_sampler_needs_a_cell(call):
+    with pytest.raises(ValueError, match="need at least one cell"):
+        call()
+
+
 def test_check_datum_applies_the_grid_free_rules():
     assert check_datum("box", right=2.0) == {"height": 1.0, "left": 0.0, "right": 2.0}
     for kind, params, msg in [

@@ -477,6 +477,14 @@ def test_rescale_trajectory_rejects_unbracketed_time():
         rescale_snapshot(traj, 1.0, 0.3, p.x_min, p.dx, p.grid_n())
 
 
+@pytest.mark.parametrize("lam", [0.5, 0.0, np.nan])
+def test_rescale_trajectory_rejects_a_factor_below_one(lam):
+    p = _params(output_times=(0.25,))
+    traj = run(make_initial_datum("box", p.x_min, p.dx, p.grid_n()), p)
+    with pytest.raises(ValueError, match="lambda must be >= 1"):
+        rescale_snapshot(traj, lam, 0.25, p.x_min, p.dx, p.grid_n())
+
+
 def test_rescale_trajectory_scales_amplitude_and_space():
     p = _params(output_times=(2.0 ** 1.5,), tail_cap=1e9)
     traj = run(make_initial_datum("box", p.x_min, p.dx, p.grid_n()), p)

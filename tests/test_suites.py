@@ -395,6 +395,36 @@ def test_entropy_suite_rescales_the_kernel_once(monkeypatch):
     assert len(simulated) == 4 and all(r.passed for r in simulated)
 
 
+def test_entropy_suite_skips_the_refinement_without_a_negative_residual(monkeypatch):
+    # closed-form residuals made nonnegative leave nothing to refine: the
+    # refinement line passes as skipped and no dx/2 snapshots are built
+    import nwavelab.suites as suites
+    from nwavelab.diagnostics import Report
+
+    real_residuals, real_snapshots = suites.entropy_residuals, suites._closed_form_snapshots
+    grids = []
+
+    def nonnegative(times, snaps, q, ks, bumps, **nonlocal_terms):
+        residuals = real_residuals(times, snaps, q, ks, bumps, **nonlocal_terms)
+        return residuals if nonlocal_terms else np.abs(residuals)
+
+    def snapshots(q, times, x_min, dx, n):
+        grids.append((dx, n))
+        return real_snapshots(q, times, x_min, dx, n)
+
+    monkeypatch.setattr(suites, "entropy_residuals", nonnegative)
+    monkeypatch.setattr(suites, "_closed_form_snapshots", snapshots)
+    reports = run_suite("entropy", load_config())
+    assert grids == [(1.0 / 128.0, 1536)]
+    closed = [r.values["worst_residual"] for r in reports if r.name.startswith("closed-form")]
+    refinement = [r for r in reports if r.name == "residual quadrature refinement"]
+    assert refinement == [Report(name="residual quadrature refinement", verdict="pass",
+                                 values={"worst_refined": min(closed)},
+                                 tolerance=suites._ENTROPY_TOL / 2.0,
+                                 detail="no negative residual to refine")]
+    assert all(r.passed for r in reports)
+
+
 def _mirrored(u):
     """u(-x) on u's grid, zero where -x leaves it; x = 0 must be a cell edge."""
     j = int(round(-2.0 * u.x_min / u.dx)) - 1 - np.arange(u.n)
