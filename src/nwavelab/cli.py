@@ -9,16 +9,20 @@ dump-kernel write the discretized kernel as CSV
 dump-nwave  write a sampled self-similar profile as CSV
 
 Shared flags: --config PATH, --set key=value (repeatable), --out DIR,
---seed N.  Every command runs in the calling thread, except `verify decay`:
-its q = 1.25 run steps here while one forked child process steps q = 1.5
-and q = 1.75 (experiments._pmap).  It runs all three here when this process
-may use one CPU only, cannot fork, or has another thread alive.
+--seed N.  Every command runs in the calling thread, except two that
+fork one child process (experiments._pmap).  In `verify decay` the q = 1.25
+run steps here while the child steps q = 1.5 and q = 1.75.  In `study
+vanishing_viscosity` the largest and smallest mu and the mu = 0 runs step
+here while the child steps the middle mus; a sweep of two mus forks
+nothing.  Both run everything here when this process may use one CPU only,
+cannot fork, or has another thread alive.
 
 Exit codes are a stable contract: 0 success / all checks passed,
 1 at least one verification check failed, 2 usage or configuration
 error (a file that cannot be read or written included), 3 the time
-stepper aborted on a non-finite value, in this process or in the child,
-or the child died before sending its results.
+stepper aborted (on a non-finite value, a collapsed step or escaped
+mass), in this process or in the child, with the message it prints
+in-process, or the child died before sending its results.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ A StudySpec builds every run of its study as it is built, each with its
 parameters and datum, and checks each one, so a study that cannot run is a
 ConfigError before anything runs or is written.  The runners step
 spec.runs and nothing else, one simulation after another in the calling
-thread.  run_study returns the Reports and writes the results through
-io.write_results.
+thread, except the vanishing-viscosity sweep: one forked child steps its
+middle mus (_pmap).  run_study returns the Reports and writes the results
+through io.write_results.
 
 Long-time studies run in the unrescaled frame and evaluate at large times;
 by the scaling identity u_lam(t, x) = lam u(lam^q t, lam x) this probes the
@@ -54,8 +55,10 @@ def _pmap(fn, items):
     back pickled over a pipe.  Results come back in item order.
 
     The decay suite maps its three q runs through here, longest first, so
-    on 2 CPUs the child's two runs end inside the caller's one.  Threads do
-    not pay: a step holds the GIL for most of its time, and on 2 CPUs the
+    on 2 CPUs the child's two runs end inside the caller's one; the
+    vanishing-viscosity study maps two batches of its mus, the caller's
+    with the longest run (see run_vanishing_viscosity).  Threads do not
+    pay: a step holds the GIL for most of its time, and on 2 CPUs the decay
     suite took 14.3-17.4 s on two threads against 8.7-11.8 s in the calling
     thread.  The map runs in the calling process, as a plain loop, when
     there are fewer than two items, when os.sched_getaffinity(0) holds one
@@ -430,28 +433,41 @@ _VISCOSITY_DX = 1.0 / 128.0
 def run_vanishing_viscosity(spec: StudySpec):
     """|| u^mu(1) - u^0(1) ||_1 strictly decreasing along the mu sweep.
 
-    The mu = 0 run steps alone; every mu of the sweep (all positive) steps
-    in one run_lockstep batch, one group per mu, largest mu first.  The
-    largest mu has the tightest budget and so the most steps: the groups
-    still moving stay a prefix of the batch, which steps them as a view.
-    Also estimates the scheme's own viscosity floor, the L^1 distance
-    between the mu = 0 run and its rerun at dx/2; a mu whose distance to
-    the inviscid run is at or below that floor is reported informationally
-    rather than gating the verdict.
+    The sweep's mus (all positive) step in run_lockstep batches, one group
+    per mu, largest mu first, mapped through _pmap.  When the viscous term
+    binds the budget a run's step count scales with its mu, so the caller
+    steps the largest and the smallest mu as one batch, then the mu = 0 run
+    and its dx/2 rerun, while one forked child steps the middle mus as a
+    second batch; a sweep of two mus has no middle and forks nothing.  Each
+    batch steps the whole grid and each row rounds as it would in a batch
+    of every mu, bit for bit; a lone middle mu steps on its window, as
+    run() would.  The mu = 0 rerun at dx/2 estimates the scheme's own
+    viscosity floor, an L^1 distance: a mu whose distance to the inviscid
+    run is at or below it is reported informationally rather than gating
+    the verdict.
     """
     mus = tuple(sorted(spec.sweep, reverse=True))
     (datum, params), fine = spec.runs.values()
-    u0 = run(datum, params).snapshots[-1]
-    sweep = run_lockstep([(datum,)] * len(mus), params, mus)
-    viscous = {mu: group[0].snapshots[-1] for mu, group in zip(mus, sweep)}
-    for mu, u in [(0.0, u0), *viscous.items()]:
-        _dump_snapshots(spec, f"viscosity_mu_{mu:g}.csv", params.output_times, (u,))
+    # (batch of mus, inviscid runs): the caller's item first, then the child's
+    items = [((mus[0], mus[-1]), ((datum, params), fine))]
+    if len(mus) > 2:
+        items.append((mus[1:-1], ()))
+
+    def step(item):
+        batch, inviscid = item
+        return run_lockstep([(datum,)] * len(batch), params, batch), [run(*r) for r in inviscid]
+
+    results = _pmap(step, items)
+    u0, u0_fine = (traj.snapshots[-1] for traj in results[0][1])
+    finals = {0.0: u0} | {mu: group[0].snapshots[-1] for (batch, _), (groups, _)
+                          in zip(items, results) for mu, group in zip(batch, groups)}
+    for mu in (0.0, *mus):
+        _dump_snapshots(spec, f"viscosity_mu_{mu:g}.csv", params.output_times, (finals[mu],))
     dists = {
-        mu: lp_norm(u0.with_values(viscous[mu].values - u0.values), 1) for mu in mus
+        mu: lp_norm(u0.with_values(finals[mu].values - u0.values), 1) for mu in mus
     }
 
-    u0_fine = _coarsen(run(*fine).snapshots[-1])
-    floor = lp_norm(u0.with_values(u0_fine.values - u0.values), 1)
+    floor = lp_norm(u0.with_values(_coarsen(u0_fine).values - u0.values), 1)
 
     rows = [(mu, "l1_distance_to_inviscid", dists[mu]) for mu in mus]
     rows.append((0.0, "viscosity_floor", floor))

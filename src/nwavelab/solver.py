@@ -488,8 +488,9 @@ def run_lockstep(groups, params: SimParams, mus=None) -> list:
     as it does alone, bit for bit, wherever it would step the whole grid
     alone too and a row has at most 8192 cells (see _Stepper.rate).
     Every field gets run()'s checks, and an abort names the field (when
-    its group has several) and the group (when there are several) and the
-    cell.
+    its group has several) and the cell, and the group: by its mu when
+    `mus` is given (the same words in any batch), else by its index when
+    there are several.
     """
     if mus is not None and len(mus) != len(groups):
         raise ValueError(f"{len(mus)} viscosities for {len(groups)} groups; give one per group")
@@ -506,12 +507,16 @@ def run_lockstep(groups, params: SimParams, mus=None) -> list:
     for group in groups:
         spans.append(range(start, start + len(group)))
         start += len(group)
+    named = mus is not None  # a group is named by its mu, else by its index
     mus = [p.mu for p in per_group]
     # each row's mu as a column; indexed like u, it gives a batch its mu
     mu_rows = np.repeat(mus, [len(group) for group in groups])[:, None]
 
     def which(g, i):
         field = f" of field {i - spans[g].start}"
+        if named:
+            label = f"the run with mu={mus[g]:g}"
+            return f"{field} in {label}" if len(spans[g]) > 1 else f" of {label}"
         if len(groups) > 1:
             return f"{field} in group {g}"
         return field if len(data) > 1 else ""

@@ -1,8 +1,9 @@
 """Fixtures shared by every test module.
 
-The decay suite's map forks a child process (experiments._pmap), so every
-test checks afterwards that no child of the test process is left running
-or unreaped, whatever its items did.
+The decay suite and the vanishing-viscosity study map their runs through
+experiments._pmap, which forks a child process, so every test checks
+afterwards that no child of the test process is left running or unreaped,
+whatever its items did.
 """
 
 import os

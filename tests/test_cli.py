@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 
@@ -334,6 +335,59 @@ def test_a_decay_child_that_dies_exits_3_naming_its_status(monkeypatch, cpus, tm
     assert main(["verify", "decay", "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == (
         "error: the forked worker process died with exit status 9 before sending its results\n")
+
+
+# A four-mu sweep on a narrow grid: the caller steps mu = 0.1 and 0.0125,
+# one forked child mu = 0.05 and 0.025
+_SMALL_SWEEP = ["study", "vanishing_viscosity", "--set", "grid.x_min=-3", "--set", "grid.x_max=5",
+                "--set", "study.mus=0.1,0.05,0.025,0.0125"]
+
+
+def _files(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {os.path.relpath(os.path.join(d, name), root): open(os.path.join(d, name), "rb").read()
+            for d, _dirs, names in os.walk(root) for name in names}
+
+
+def test_the_viscosity_study_forks_and_writes_what_it_writes_in_process(cpus, tmp_path, capsys):
+    args = [*_SMALL_SWEEP, "--seed", "7", "--out", str(tmp_path / "o")]
+    forks = cpus(1)
+    assert main(args) == 0
+    here, written = capsys.readouterr(), _files(tmp_path / "o")
+    assert here.out.startswith("PASS") and here.err == "" and forks == []
+    assert len([name for name in written if name.startswith("viscosity_mu_")]) == 5
+    shutil.rmtree(tmp_path / "o")
+    cpus(2)
+    assert main(args) == 0
+    assert capsys.readouterr() == here
+    assert _files(tmp_path / "o") == written
+    assert len(forks) == 1
+
+
+def test_an_abort_in_the_viscosity_child_exits_3_as_in_process(monkeypatch, cpus, tmp_path,
+                                                              capsys):
+    import nwavelab.experiments as experiments
+
+    real = experiments.run_lockstep
+
+    def run_lockstep(groups, params, mus):  # a NaN in mu = 0.05's datum, in the child's batch
+        if mus[0] == 0.05:
+            values = groups[0][0].values.copy()
+            values[300] = np.nan
+            groups = [(groups[0][0].with_values(values),), *groups[1:]]
+        return real(groups, params, mus)
+
+    monkeypatch.setattr(experiments, "run_lockstep", run_lockstep)
+    args = [*_SMALL_SWEEP, "--out", str(tmp_path / "o")]
+    forks = cpus(1)
+    assert main(args) == 3
+    here = capsys.readouterr()
+    assert here.out == "" and here.err.startswith("error: time step collapsed")
+    assert "cell 300 of the run with mu=0.05 (" in here.err and here.err.count("\n") == 1
+    cpus(2)
+    assert main(args) == 3
+    assert capsys.readouterr() == here
+    assert len(forks) == 1
 
 
 def test_entropy_passes_on_the_viscous_sample_config(tmp_path, capsys):

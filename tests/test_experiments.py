@@ -22,8 +22,9 @@ from nwavelab.experiments import (
     run_study,
     study_spec,
 )
+from nwavelab.diagnostics import lp_norm
 from nwavelab.grid import grid_function
-from nwavelab.solver import NumericalAbort, SimParams
+from nwavelab.solver import NumericalAbort, SimParams, run, run_lockstep
 
 
 def test_study_spec_kinds_and_sweeps():
@@ -153,9 +154,20 @@ def test_small_grid_studies_start_no_thread(monkeypatch):
         assert run_study(study_spec(cfg))
 
 
-def test_the_viscosity_sweep_is_one_lockstep_batch(monkeypatch):
-    # every mu of the sweep is a group of one batch, largest mu first, so
-    # the groups still moving stay a prefix; the mu = 0 runs step alone
+def _sweep(mus, *overrides):
+    cfg = load_config(overrides=[*overrides, f"study.mus={mus}"])
+    return study_spec(replace(cfg, study_kind="vanishing_viscosity"))
+
+
+_NARROW = ("grid.x_min=-3", "grid.x_max=5")
+
+
+def test_the_viscosity_sweep_steps_the_outer_mus_and_the_middle_mus_as_two_batches(
+        monkeypatch, cpus):
+    # the caller's batch holds the largest and the smallest mu, the child's
+    # the middle ones, each largest first; in-process the caller's steps
+    # first.  The mu = 0 runs step alone
+    cpus(1)  # the spy records in this process only
     calls = []
     real = experiments.run_lockstep
 
@@ -164,13 +176,42 @@ def test_the_viscosity_sweep_is_one_lockstep_batch(monkeypatch):
         return real(groups, params, mus)
 
     monkeypatch.setattr(experiments, "run_lockstep", spied)
-    cfg = load_config(overrides=[
-        "grid.x_min=-3", "grid.x_max=5", "study.mus=0.025,0.05,0.1",
-    ])
-    cfg.study_kind = "vanishing_viscosity"
-    (report,) = run_study(study_spec(cfg))
+    (report,) = run_study(_sweep("0.025,0.05,0.1", *_NARROW))
     assert report.passed
-    assert calls == [[0.1, 0.05, 0.025]]
+    assert calls == [[0.1, 0.025], [0.05]]
+
+
+def test_a_two_mu_sweep_forks_nothing(cpus):
+    forks = cpus(2)
+    (report,) = run_study(_sweep("0.05,0.025", *_NARROW))
+    assert report.passed
+    assert forks == []
+
+
+def test_a_lone_middle_mu_steps_on_its_window_near_its_one_batch_distance(cpus):
+    # on the default grid (n = 2560, windowed) the child's lone mu = 0.05
+    # steps as run() does, on its window, so its distance moves off a batch
+    # of every mu by rounding alone; the outer mus step in a batch of
+    # whole-grid rows and keep their distances bit for bit
+    forks = cpus(2)
+    spec = _sweep("0.1,0.05,0.025")
+    (report,) = run_study(spec)
+    assert len(forks) == 1
+    (datum, params), _fine = spec.runs.values()
+    mus = (0.1, 0.05, 0.025)
+    u0 = run(datum, params).snapshots[-1]
+
+    def distance(u):
+        return lp_norm(u0.with_values(u.snapshots[-1].values - u0.values), 1)
+
+    batch = {mu: distance(group[0])
+             for mu, group in zip(mus, run_lockstep([(datum,)] * 3, params, mus))}
+    assert report.values["mu=0.05"] == distance(run(datum, replace(params, mu=0.05)))
+    assert report.values["mu=0.05"] == pytest.approx(batch[0.05], rel=1e-12, abs=0)
+    assert [report.values[f"mu={mu:g}"] for mu in (0.1, 0.025)] == [batch[0.1], batch[0.025]]
+    # the same verdict: the one-batch distances decrease too, all above the floor
+    assert report.passed
+    assert batch[0.1] > batch[0.05] > batch[0.025] > report.values["floor"]
 
 
 # Crafted routes for the rescaling study's gates: every field is a multiple
@@ -226,10 +267,11 @@ _STUDY_KINDS = ("long_time_nonnegative", "long_time_sign_changing", "vanishing_v
                 "rescaling_family")
 
 
-def _spied_study(monkeypatch, kind):
-    """Build and run a small study of kind, recording every SimParams that
-    check_run saw, every (datum, params) stepped by run or run_lockstep and
-    the kind of every datum built."""
+def _spied_study(monkeypatch, cpus, kind):
+    """Build and run a small study of kind in this process, recording every
+    SimParams that check_run saw, every (datum, params) stepped by run or
+    run_lockstep and the kind of every datum built."""
+    cpus(1)  # a forked child's calls would be recorded in its memory alone
     checked, stepped, built = [], [], []
     real_check, real_run, real_lockstep = (
         experiments.check_run, experiments.run, experiments.run_lockstep)
@@ -268,8 +310,8 @@ def _stored_runs(spec):
 
 
 @pytest.mark.parametrize("kind", _STUDY_KINDS)
-def test_a_study_steps_only_the_runs_its_spec_checked(monkeypatch, kind):
-    spec, checked, stepped, _built = _spied_study(monkeypatch, kind)
+def test_a_study_steps_only_the_runs_its_spec_checked(monkeypatch, cpus, kind):
+    spec, checked, stepped, _built = _spied_study(monkeypatch, cpus, kind)
     assert stepped
     for datum, params in stepped:
         # the same final mu, lam, extent, dx and output times
@@ -279,9 +321,9 @@ def test_a_study_steps_only_the_runs_its_spec_checked(monkeypatch, kind):
 
 
 @pytest.mark.parametrize("kind", _STUDY_KINDS)
-def test_a_study_builds_each_runs_datum_once(monkeypatch, kind):
+def test_a_study_builds_each_runs_datum_once(monkeypatch, cpus, kind):
     # the spec builds one datum per run, and the runners build none
-    _spec, _checked, stepped, built = _spied_study(monkeypatch, kind)
+    _spec, _checked, stepped, built = _spied_study(monkeypatch, cpus, kind)
     assert len(built) == len({id(datum) for datum, _params in stepped})
 
 

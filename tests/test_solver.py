@@ -440,6 +440,27 @@ def test_abort_in_a_group_names_the_field_and_the_group():
         run_lockstep([(zero,), (zero,), (steep, zero)], p)
 
 
+def test_an_abort_in_a_swept_group_names_its_mu():
+    # given mus, a group is named by its mu, in a batch of any size, so a
+    # sweep split across batches aborts with the same words
+    p = SimParams(q=2.0, alpha=0.0, x_min=0.0, x_max=10.0, dx=1.0,
+                  output_times=(1.0,), tail_cap=1e300)
+    steep = grid_function(np.full(10, 1e15), 0.0, 1.0)
+    zero = grid_function(np.zeros(10), 0.0, 1.0)
+    for groups, mus in (([(zero,), (steep,)], (0.2, 0.1)), ([(steep,)], (0.1,))):
+        with pytest.raises(NumericalAbort,
+                           match=r"collapsed .* cell \d+ of the run with mu=0\.1 \("):
+            run_lockstep(groups, p, mus)
+    with pytest.raises(NumericalAbort,
+                       match=r"collapsed .* cell \d+ of field 1 in the run with mu=0\.1 \("):
+        run_lockstep([(zero,), (zero, steep)], p, (0.2, 0.1))
+    p = SimParams(q=1.5, x_min=-1.0, x_max=1.5, dx=1.0 / 64.0,
+                  output_times=(2.0,), tail_cap=1e-3)
+    datum = make_initial_datum("box", p.x_min, p.dx, p.grid_n(), left=0.0, right=0.5)
+    with pytest.raises(DomainTooSmall, match=r"mass drift \S+ of the run with mu=0\.01 exceeds"):
+        run_lockstep([(datum.with_values(0.0 * datum.values),), (datum,)], p, (0.02, 0.01))
+
+
 def test_abort_when_mass_escapes():
     p = SimParams(q=1.5, x_min=-1.0, x_max=1.5, dx=1.0 / 64.0,
                   output_times=(2.0,), tail_cap=1e-3)
