@@ -79,11 +79,9 @@ class Config:
     datum_params: dict
     seed: int
     study_kind: str
-    study_lambdas: tuple
-    study_mus: tuple
-    study_times: tuple
     nwave_mass: float
     nwave_time: float
+    # every key's parsed value; the sweeps study_spec reads live here only
     raw: dict = field(default_factory=dict)
     # suites._configured_run's one entry; replace() hands a copy a fresh one
     run_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -225,9 +223,6 @@ def load_config(path: str | None = None, overrides: list | None = None,
         datum_params=datum_params,
         seed=values["seed"],
         study_kind=values["study.kind"],
-        study_lambdas=tuple(values["study.lambdas"]),
-        study_mus=tuple(values["study.mus"]),
-        study_times=tuple(values["study.times"]),
         nwave_mass=values["nwave.mass"],
         nwave_time=values["nwave.time"],
         raw=values,

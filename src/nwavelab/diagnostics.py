@@ -130,11 +130,13 @@ def oleinik_margin(u: GridFunction, q: float, t: float) -> Report:
 
 
 # oleinik_margin's allowance over the slope bound 1, decay_fit's slope
-# allowance, and the rounding allowance of the bounds that hold exactly in
-# the scheme: amplitude, no L^1 growth, no L^2 energy gain
+# allowance, the rounding allowance of the bounds that hold exactly in the
+# scheme (amplitude, no L^1 growth, no L^2 energy gain), and that of both
+# sides of nonlocal_comparisons
 OLEINIK_TOL = 0.05
 SLOPE_TOL = 0.1
 ROUNDING_TOL = 1e-10
+COMPARISON_TOL = 1e-10
 
 
 def _amplitude_bound(q: float, phi_l1: float, t):
@@ -387,9 +389,9 @@ def _check_comparison_rows(beta: float, z: np.ndarray, w: np.ndarray, x0: np.nda
 
 
 def nonlocal_comparisons(kernel: Kernel, beta: float, z: np.ndarray, w: np.ndarray,
-                         x0: np.ndarray, tol: float = 1e-10):
-    """Check A_z(x0) <= tol and LHS <= A_z(x0) w(x0) + tol at w's maximum,
-    for rows of z and w on one grid, sharing beta.
+                         x0: np.ndarray):
+    """Check A_z(x0) <= COMPARISON_TOL and LHS <= A_z(x0) w(x0) + COMPARISON_TOL
+    at w's maximum, for rows of z and w on one grid, sharing beta.
 
     LHS = z(x0) L(z^b w)(x0) - b/(b+1) w(x0) L(z^(b+1))(x0) and
 
@@ -431,7 +433,7 @@ def nonlocal_comparisons(kernel: Kernel, beta: float, z: np.ndarray, w: np.ndarr
     lhs = z0 * l_zbw - b / (b + 1.0) * w0 * l_zb1
     rhs = a_z * w0
     finite = np.isfinite(a_z) & np.isfinite(lhs) & np.isfinite(rhs)
-    return a_z, lhs, rhs, finite & (a_z <= tol) & (lhs <= rhs + tol)
+    return a_z, lhs, rhs, finite & (a_z <= COMPARISON_TOL) & (lhs <= rhs + COMPARISON_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import STUDY_KINDS, Config, ConfigError, check_run
+from .config import Config, ConfigError, check_run
 from .diagnostics import (
     Report,
     energy_report,
@@ -148,13 +148,14 @@ def _dump_snapshots(spec: StudySpec, name: str, times, snapshots):
     write_snapshots_csv(times, snapshots, os.path.join(spec.out_dir, name))
 
 
-# The config key each study sweeps over.
-_SWEEP_KEYS = {
-    "long_time_nonnegative": "study.times",
-    "long_time_sign_changing": "study.times",
-    "vanishing_viscosity": "study.mus",
-    "rescaling_family": "study.lambdas",
-}
+def _l1(u: GridFunction, v: GridFunction) -> float:
+    """||u - v||_1 on u's grid."""
+    return lp_norm(u.with_values(u.values - v.values), 1)
+
+
+def _decreasing(seq) -> bool:
+    """Each value strictly below the one before it."""
+    return all(b < a for a, b in zip(seq, seq[1:]))
 
 
 @dataclass
@@ -180,13 +181,13 @@ class StudySpec:
     runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in STUDY_KINDS:
+        if self.kind not in _STUDIES:
             raise ConfigError(
-                f"unknown study kind {self.kind!r}; choose one of {', '.join(STUDY_KINDS)}",
+                f"unknown study kind {self.kind!r}; choose one of {', '.join(_STUDIES)}",
                 origin="study.kind",
             )
         sweep = tuple(float(v) for v in self.sweep)
-        key = _SWEEP_KEYS[self.kind]
+        key = _STUDIES[self.kind][0]
         if len(sweep) < 2:
             raise ConfigError("a study needs at least two sweep values", origin=key)
         if not all(math.isfinite(v) and v > 0 for v in sweep):
@@ -210,10 +211,11 @@ class StudySpec:
 
 
 def study_spec(cfg: Config, out_dir: str | None = None) -> StudySpec:
-    """The checked StudySpec for cfg.study_kind from a parsed config."""
+    """The checked StudySpec for cfg.study_kind from a parsed config: the
+    sweep its kind's key holds, and a datum fixed by the kind, except for
+    vanishing_viscosity, which takes the configured one."""
     kind = cfg.study_kind
     if kind == "long_time_nonnegative":
-        sweep = cfg.study_times
         datum_kind = "box"
         # Height 0.711 puts the inviscid merge onto the limit profile at
         # t ~ 5, strictly between checkpoints; a 1 x 1 box of the same mass
@@ -221,23 +223,21 @@ def study_spec(cfg: Config, out_dir: str | None = None) -> StudySpec:
         # non-monotone against the later diffusive-layer decay.
         datum_params = {"height": 0.711, "left": 0.0, "right": 1.0 / 0.711}
     elif kind == "long_time_sign_changing":
-        sweep = cfg.study_times
         datum_kind = "two_boxes_signed"
         # load_config checks only the keys of the configured datum.kind;
         # StudySpec checks these
         datum_params = {name: cfg.raw[f"datum.{name}"] for name in DATUM_PARAMS[datum_kind]}
     elif kind == "vanishing_viscosity":
-        sweep = cfg.study_mus
         datum_kind, datum_params = cfg.datum_kind, dict(cfg.datum_params)
     else:  # rescaling_family
-        sweep = cfg.study_lambdas
         datum_kind, datum_params = "box", {"height": 1.0, "left": 0.0, "right": 1.0}
     return StudySpec(
         kind=kind,
         base=cfg.params,
         datum_kind=datum_kind,
         datum_params=datum_params,
-        sweep=sweep,
+        # an unknown kind has no sweep key; StudySpec names the kinds
+        sweep=cfg.raw[_STUDIES[kind][0]] if kind in _STUDIES else (),
         out_dir=out_dir,
     )
 
@@ -366,42 +366,32 @@ def run_long_time(spec: StudySpec):
     _dump_snapshots(spec, f"{spec.kind}_snapshots.csv", traj.times, traj.snapshots)
     nw = NWave(m=mass, q=params.q)
 
-    rows = []
-    dists = {}
-    for p in (1.0, 2.0):
-        dists[p] = [nwave_distance(u, nw, t, p) for t, u in zip(traj.times, traj.snapshots)]
-        rows += [(t, f"scaled_distance_p{p:g}", d) for t, d in zip(traj.times, dists[p])]
-    rows += [(t, "mass", m) for t, m in traj.mass_history]
-
     # Decade boundaries: keep a checkpoint once it is >= 10x the last kept.
     decades = [0]
     for i, t in enumerate(times):
         if t >= 10.0 * times[decades[-1]]:
             decades.append(i)
 
-    reports = []
+    rows, reports = [], []
     for p in (1.0, 2.0):
-        d = dists[p]
+        d = [nwave_distance(u, nw, t, p) for t, u in zip(traj.times, traj.snapshots)]
+        rows += [(t, f"scaled_distance_p{p:g}", v) for t, v in zip(traj.times, d)]
         factor = d[0] / d[-1] if d[-1] > 0 else np.inf
         if p == 1.0:
-            monotone = all(b < a for a, b in zip(d, d[1:]))
-            ok = monotone and factor >= 3.0
-            values = {"first": d[0], "last": d[-1], "factor": factor,
-                      "monotone": monotone}
+            flag, down = "monotone", _decreasing(d)
+            ok = down and factor >= 3.0
             detail = f"checkpoints {times}"
         else:
-            dd = [d[i] for i in decades]
-            decades_down = all(b < a for a, b in zip(dd, dd[1:]))
-            ok = decades_down and factor > 1.0
-            values = {"first": d[0], "last": d[-1], "factor": factor,
-                      "decades_down": decades_down}
+            flag, down = "decades_down", _decreasing([d[i] for i in decades])
+            ok = down and factor > 1.0
             detail = f"decade boundaries {tuple(times[i] for i in decades)}"
         reports.append(Report(
             name=f"profile convergence p={p:g} ({spec.datum_kind})",
             verdict="pass" if ok else "fail",
-            values=values,
+            values={"first": d[0], "last": d[-1], "factor": factor, flag: down},
             detail=detail,
         ))
+    rows += [(t, "mass", m) for t, m in traj.mass_history]
     drift = float(np.max([abs(m - mass) for _, m in traj.mass_history]))
     reports.append(Report(
         name="mass conservation",
@@ -463,18 +453,14 @@ def run_vanishing_viscosity(spec: StudySpec):
                           in zip(items, results) for mu, group in zip(batch, groups)}
     for mu in (0.0, *mus):
         _dump_snapshots(spec, f"viscosity_mu_{mu:g}.csv", params.output_times, (finals[mu],))
-    dists = {
-        mu: lp_norm(u0.with_values(finals[mu].values - u0.values), 1) for mu in mus
-    }
-
-    floor = lp_norm(u0.with_values(_coarsen(u0_fine).values - u0.values), 1)
+    dists = {mu: _l1(finals[mu], u0) for mu in mus}
+    floor = _l1(_coarsen(u0_fine), u0)
 
     rows = [(mu, "l1_distance_to_inviscid", dists[mu]) for mu in mus]
     rows.append((0.0, "viscosity_floor", floor))
 
     above = [mu for mu in mus if dists[mu] > floor]
-    d_above = [dists[mu] for mu in above]
-    monotone = all(b < a for a, b in zip(d_above, d_above[1:]))
+    monotone = _decreasing([dists[mu] for mu in above])
     return [Report(
         name="vanishing-viscosity distances",
         verdict="pass" if monotone and len(above) >= 2 else "fail",
@@ -532,33 +518,25 @@ def run_rescaling_family(spec: StudySpec):
     lams, a_fields, b_fields = _rescaling_routes(spec, _RESCALING_DX)
     _, a_fine, b_fine = _rescaling_routes(spec, _RESCALING_DX / 2.0)
 
-    def l1(u, v):
-        return lp_norm(u.with_values(u.values - v.values), 1)
-
+    rows, worst_ratio, lam1_gap = [], 0.0, 0.0
+    dists = {"rescaled": {}, "direct": {}}
     for lam in lams:
         _dump_snapshots(spec, f"rescaling_lam_{lam:g}_rescaled.csv", (1.0,), (a_fields[lam],))
         _dump_snapshots(spec, f"rescaling_lam_{lam:g}_direct.csv", (1.0,), (b_fields[lam],))
-
-    rows = []
-    gaps, gaps_fine, dist_a, dist_b = {}, {}, {}, {}
-    for lam in lams:
-        gaps[lam] = l1(a_fields[lam], b_fields[lam])
-        gaps_fine[lam] = l1(a_fine[lam], b_fine[lam])
-        dist_a[lam] = nwave_distance(a_fields[lam], nw, 1.0, 1.0)
-        dist_b[lam] = nwave_distance(b_fields[lam], nw, 1.0, 1.0)
+        gap, gap_fine = _l1(a_fields[lam], b_fields[lam]), _l1(a_fine[lam], b_fine[lam])
+        dists["rescaled"][lam] = nwave_distance(a_fields[lam], nw, 1.0, 1.0)
+        dists["direct"][lam] = nwave_distance(b_fields[lam], nw, 1.0, 1.0)
         rows += [
-            (lam, "route_gap_l1", gaps[lam]),
-            (lam, "route_gap_l1_refined", gaps_fine[lam]),
-            (lam, "profile_distance_rescaled", dist_a[lam]),
-            (lam, "profile_distance_direct", dist_b[lam]),
+            (lam, "route_gap_l1", gap),
+            (lam, "route_gap_l1_refined", gap_fine),
+            (lam, "profile_distance_rescaled", dists["rescaled"][lam]),
+            (lam, "profile_distance_direct", dists["direct"][lam]),
         ]
+        if lam == 1.0:  # the two routes are one simulation
+            lam1_gap = gap
+        else:
+            worst_ratio = worst_max(worst_ratio, gap_fine / gap if gap > 0 else 0.0)
 
-    lam1_gap = gaps[lams[0]] if lams[0] == 1.0 else 0.0
-    worst_ratio = 0.0
-    for lam in lams:
-        if lam == 1.0:
-            continue
-        worst_ratio = worst_max(worst_ratio, gaps_fine[lam] / gaps[lam] if gaps[lam] > 0 else 0.0)
     reports = [
         Report(
             name="route agreement under refinement",
@@ -567,13 +545,11 @@ def run_rescaling_family(spec: StudySpec):
             tolerance=0.75,
         ),
     ]
-    for label, dists in (("rescaled", dist_a), ("direct", dist_b)):
-        seq = [dists[lam] for lam in lams]
-        monotone = all(b < a for a, b in zip(seq, seq[1:]))
+    for label, by_lam in dists.items():
         reports.append(Report(
             name=f"profile distance decreasing in lam ({label})",
-            verdict="pass" if monotone else "fail",
-            values={f"lam={lam:g}": dists[lam] for lam in lams},
+            verdict="pass" if _decreasing([by_lam[lam] for lam in lams]) else "fail",
+            values={f"lam={lam:g}": by_lam[lam] for lam in lams},
         ))
     return reports, rows
 
@@ -581,18 +557,19 @@ def run_rescaling_family(spec: StudySpec):
 # ---------------------------------------------------------------------------
 
 
+# Each study kind's sweep key and runner.
 _STUDIES = {
-    "long_time_nonnegative": run_long_time,
-    "long_time_sign_changing": run_long_time,
-    "vanishing_viscosity": run_vanishing_viscosity,
-    "rescaling_family": run_rescaling_family,
+    "long_time_nonnegative": ("study.times", run_long_time),
+    "long_time_sign_changing": ("study.times", run_long_time),
+    "vanishing_viscosity": ("study.mus", run_vanishing_viscosity),
+    "rescaling_family": ("study.lambdas", run_rescaling_family),
 }
 
 
 def run_study(spec: StudySpec) -> list:
     """Run the study and return its Reports; given spec.out_dir, write its
     snapshot CSVs and, through io.write_results, its results there."""
-    reports, rows = _STUDIES[spec.kind](spec)
+    reports, rows = _STUDIES[spec.kind][1](spec)
     if spec.out_dir is not None:
         from .io import write_results
 

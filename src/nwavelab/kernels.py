@@ -88,19 +88,16 @@ class Kernel:
         Density values at offsets k*dx, k = -K..K.
     dx : float
         Stencil spacing; must match the grid of any field it convolves.
-    support_radius : float
-        Half-width of the continuum support.
     m0, m2 : float
         Discrete moments sum J_k dx and sum (k dx)^2 J_k dx.  By
         construction m0 = 1 and m2 equals the continuum second moment.
     family, width, lam : str, float, float
         The continuum recipe: base family, base half-width, accumulated
-        rescale factor.  support_radius == width / lam.
+        rescale factor; the continuum support is [-width/lam, width/lam].
     """
 
     samples: np.ndarray
     dx: float
-    support_radius: float
     m0: float
     m2: float
     family: str
@@ -173,7 +170,6 @@ def _build(family: str, width: float, dx: float, lam: float) -> Kernel:
     return Kernel(
         samples=samples,
         dx=dx,
-        support_radius=a,
         m0=m0,
         m2=m2,
         family=family,
@@ -206,7 +202,7 @@ def make_kernel(family: str, width: float, dx: float) -> Kernel:
 def rescale(kernel: Kernel, lam: float) -> Kernel:
     """The kernel of J_lam(x) = lam J(lam x), on the same stencil spacing.
 
-    Support shrinks to support_radius/lam; mass stays 1; the second moment
+    Support shrinks by the factor lam; mass stays 1; the second moment
     becomes m2/lam^2 exactly.  Raises if the shrunken support would span
     fewer than 9 cells.
     """

@@ -7,8 +7,9 @@ The N-wave of mass M > 0 is
 
 a rarefaction fan closed by a right-moving shock at r(t).  It carries mass M
 for all t, saturates the one-sided slope bound ((w^(q-1))_x = 1/t on the fan)
-and is invariant under lam * w_M(lam^q t, lam x) = w_M(t, x).  Negative mass
-profiles are the odd reflection w_M(t, x) = -w_{|M|}(t, -x).
+and is invariant under lam * w_M(lam^q t, lam x) = w_M(t, x).  The flux is
+odd, so -w solves the equation wherever w does, and the N-wave of mass
+M < 0 is w_M(t, x) = -w_{|M|}(t, x): the same fan and shock, negated.
 
 Grid sampling integrates the exact antiderivative over each cell, so the
 discrete mass equals M to rounding regardless of dx.  Pointwise values at
@@ -60,7 +61,7 @@ class NWave:
             raise ValueError("N-wave mass must be nonzero")
 
     def r(self, t: float) -> float:
-        """Shock position at time t (reflected for negative mass)."""
+        """Shock position at time t, the same for mass M and -M."""
         _check_time(t)
         q = self.q
         return (q / (q - 1.0)) ** ((q - 1.0) / q) * abs(self.m) ** ((q - 1.0) / q) * t ** (1.0 / q)
@@ -76,7 +77,7 @@ def nwave_eval(nw: NWave, t: float, x) -> np.ndarray:
     _check_time(t)
     x = np.asarray(x, dtype=float)
     if nw.m < 0.0:
-        return -nwave_eval(NWave(-nw.m, nw.q), t, -x)
+        return -nwave_eval(NWave(-nw.m, nw.q), t, x)
     r = nw.r(t)
     inside = (x > 0.0) & (x < r)
     safe = np.where(inside, x, 0.0)
@@ -87,8 +88,7 @@ def _antiderivative(nw: NWave, t: float, x: np.ndarray) -> np.ndarray:
     """W(t, x) = int_{-inf}^x w_M(t, s) ds, exact."""
     x = np.asarray(x, dtype=float)
     if nw.m < 0.0:
-        pos = NWave(-nw.m, nw.q)
-        return _antiderivative(pos, t, -x) - (-nw.m)
+        return -_antiderivative(NWave(-nw.m, nw.q), t, x)
     q = nw.q
     r = nw.r(t)
     xc = np.clip(x, 0.0, r)
@@ -119,11 +119,11 @@ def check_datum(kind: str, extent=None, **params) -> dict:
     """kind's full parameter set, params over its defaults, checked.
 
     Applies every rule of the datum that needs no grid: a known kind and
-    parameter names, finite values, box right > left, gaussian sigma > 0,
-    dipole height and width > 0.  Given extent = (x_min, x_max), it also
-    requires a gaussian's truncated support to carry mass inside it,
-    computed from erf at the two ends, with no array.  Raises ValueError
-    on the first break.
+    parameter names, finite values, right > left for a box and for each box
+    of two_boxes_signed, gaussian sigma > 0, dipole height and width > 0.
+    Given extent = (x_min, x_max), it also requires a gaussian's truncated
+    support to carry mass inside it, computed from erf at the two ends,
+    with no array.  Raises ValueError on the first break.
     """
     if kind not in DATUM_PARAMS:
         raise ValueError(f"unknown datum kind {kind!r}; choose one of {DATUM_KINDS}")
@@ -137,6 +137,9 @@ def check_datum(kind: str, extent=None, **params) -> dict:
             raise ValueError(f"datum {kind!r} needs finite parameters, got {name}={value}")
     if kind == "box" and not p["right"] > p["left"]:
         raise ValueError("box needs right > left")
+    for box in ("pos", "neg") if kind == "two_boxes_signed" else ():
+        if not p[f"{box}_right"] > p[f"{box}_left"]:
+            raise ValueError(f"two_boxes_signed needs {box}_right > {box}_left")
     if kind == "gaussian" and not p["sigma"] > 0:
         raise ValueError("gaussian needs sigma > 0")
     if kind == "dipole_zero_mass" and not (p["height"] > 0 and p["width"] > 0):

@@ -33,6 +33,7 @@ import numpy as np
 
 from .config import Config, ConfigError, check_run
 from .diagnostics import (
+    COMPARISON_TOL,
     Report,
     decay_fit,
     energy_report,
@@ -464,18 +465,17 @@ def suite_nonlocal_comparison(cfg: Config):
     """Randomized check of the pointwise inequality at a maximum of w.
 
     1000 seeded cases of smooth z >= 0 and smooth w, cycling beta through
-    {0, 1/2, 1, (2-q)/(q-1)}; both A_z(x0) <= tol and the two-sided
-    inequality must hold in every case.  Cases are drawn and checked
-    _COMPARISON_CHUNK at a time; the fields and values are those of one
-    random_smooth_field pair and one one-row nonlocal_comparisons call per
-    case.
+    {0, 1/2, 1, (2-q)/(q-1)}; both A_z(x0) <= COMPARISON_TOL and the
+    two-sided inequality must hold in every case.  Cases are drawn and
+    checked _COMPARISON_CHUNK at a time; the fields and values are those of
+    one random_smooth_field pair and one one-row nonlocal_comparisons call
+    per case.
     """
     q = cfg.params.q
     rng = np.random.default_rng(cfg.seed)
     x_min, dx, n = -4.0, 1.0 / 32.0, 256
     kernel = check_run(replace(cfg.params, lam=1.0, x_min=x_min, x_max=x_min + n * dx, dx=dx))
     betas = (0.0, 0.5, 1.0, (2.0 - q) / (q - 1.0))
-    tol = 1e-10
 
     violations = 0
     worst_a = -np.inf
@@ -490,8 +490,7 @@ def suite_nonlocal_comparison(cfg: Config):
         x0 = np.argmax(w, axis=1)
         for j, beta in enumerate(betas):
             cases = slice((j - start) % len(betas), m, len(betas))  # case i has betas[i % 4]
-            a_z, lhs, rhs, ok = nonlocal_comparisons(kernel, beta, z[cases], w[cases],
-                                                     x0[cases], tol)
+            a_z, lhs, rhs, ok = nonlocal_comparisons(kernel, beta, z[cases], w[cases], x0[cases])
             violations += int(np.count_nonzero(~ok))
             worst_a = worst_max(worst_a, np.max(a_z))
             worst_gap = worst_max(worst_gap, np.max(lhs - rhs))
@@ -499,7 +498,7 @@ def suite_nonlocal_comparison(cfg: Config):
         name=f"nonlocal comparison ({_COMPARISON_CASES} cases)",
         verdict="pass" if violations == 0 else "fail",
         values={"violations": violations, "worst_a_z": worst_a, "worst_gap": worst_gap},
-        tolerance=tol,
+        tolerance=COMPARISON_TOL,
         detail=f"betas {betas}",
     )], []
 

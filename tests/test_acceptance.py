@@ -184,7 +184,7 @@ def test_vanishing_viscosity():
     reports = run_study(study_spec(c))
     rep = _by_name(reports, "vanishing-viscosity distances")[0]
     assert rep.passed
-    mus = sorted(c.study_mus, reverse=True)
+    mus = sorted(c.raw["study.mus"], reverse=True)
     ds = [rep.values[f"mu={mu:g}"] for mu in mus]
     assert all(b < a for a, b in zip(ds, ds[1:]))
     assert min(ds) > rep.values["floor"]

@@ -173,6 +173,23 @@ def test_datum_off_the_grid_exits_2(command, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, setting, origin", [
+    (["simulate", "--set", "datum.kind=two_boxes_signed"], "datum.pos_right=-1", "--set"),
+    (["simulate", "--set", "datum.kind=two_boxes_signed"], "datum.neg_left=0", "--set"),
+    # the sign-changing study reads the two-box keys whatever datum.kind is
+    (["study", "long_time_sign_changing"], "datum.pos_right=-1", "datum.pos_right"),
+    (["study", "long_time_sign_changing"], "datum.neg_left=0", "datum.neg_left"),
+])
+def test_a_reversed_signed_box_exits_2(command, setting, origin, tmp_path, capsys):
+    # a box with right <= left is empty, so the datum's mass would be misread
+    box = setting.removeprefix("datum.")[:3]
+    assert main([*command, "--set", setting, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {origin}: two_boxes_signed needs {box}_right > {box}_left\n"
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("args, origin", [
     # the config's own grid takes the kernel; a grid or rescale factor the
     # suite or study picks for itself does not

@@ -41,10 +41,35 @@ def test_study_spec_kinds_and_sweeps():
         assert len(spec.sweep) == sweep_len
 
 
+@pytest.mark.parametrize("key, value", [
+    ("study.times", (2.0, 20.0)),
+    ("study.mus", (0.3, 0.15)),
+    ("study.lambdas", (1.0, 3.0)),
+])
+def test_a_sweep_override_reaches_only_the_kinds_that_sweep_it(key, value):
+    swept_by = {
+        "long_time_nonnegative": "study.times",
+        "long_time_sign_changing": "study.times",
+        "vanishing_viscosity": "study.mus",
+        "rescaling_family": "study.lambdas",
+    }
+    cfg = load_config(overrides=[f"{key}={','.join(map(str, value))}"])
+    for kind, swept in swept_by.items():
+        spec = study_spec(replace(cfg, study_kind=kind))
+        assert spec.sweep == (value if swept == key else config.DEFAULTS[swept]), kind
+
+
+def test_a_config_of_an_unknown_study_kind_is_a_config_error():
+    with pytest.raises(ConfigError, match="unknown study kind") as exc:
+        study_spec(replace(load_config(), study_kind="nope"))
+    assert exc.value.origin == "study.kind"
+
+
 def test_each_registry_names_its_runners_in_one_order():
     # a kind StudySpec accepts has a sweep key and a runner, and a suite
     # name a runner, so neither lookup needs a default
-    assert config.STUDY_KINDS == tuple(experiments._STUDIES) == tuple(experiments._SWEEP_KEYS)
+    assert config.STUDY_KINDS == tuple(experiments._STUDIES)
+    assert all(key in config.DEFAULTS for key, _ in experiments._STUDIES.values())
     assert suites.SUITE_NAMES == tuple(suites._SUITES)
 
 

@@ -39,7 +39,7 @@ def test_rescale_moment_identity(lam):
     kl = rescale(k, lam)
     assert kl.m0 == pytest.approx(1.0, abs=1e-14)
     assert kl.m2 == pytest.approx(k.m2 / lam**2, rel=1e-12)
-    assert kl.support_radius == pytest.approx(k.support_radius / lam)
+    assert kl.half_cells == k.half_cells / lam  # the stencil spans the shrunken support
     assert kl.dx == k.dx
 
 

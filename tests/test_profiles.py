@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from nwavelab.diagnostics import nwave_distance
+from nwavelab.flux import flux
 from nwavelab.profiles import (
     DATUM_PARAMS,
     NWave,
@@ -11,6 +13,7 @@ from nwavelab.profiles import (
     nwave_eval,
     nwave_sample,
 )
+from nwavelab.solver import SimParams, run
 
 
 def test_front_position_closed_form():
@@ -33,11 +36,36 @@ def test_eval_inside_and_outside():
     assert w[4] == 0.0 and w[5] == 0.0
 
 
-def test_negative_mass_is_odd_reflection():
+def test_negative_mass_is_the_negated_profile():
+    # f is odd, so -w_{|M|}(t, x) solves the equation; its reflection in x does not
     pos, neg = NWave(m=1.0, q=1.4), NWave(m=-1.0, q=1.4)
     x = np.linspace(-3.0, 3.0, 101)
-    np.testing.assert_allclose(nwave_eval(neg, 2.0, x), -nwave_eval(pos, 2.0, -x), atol=1e-15)
+    np.testing.assert_array_equal(nwave_eval(neg, 2.0, x), -nwave_eval(pos, 2.0, x))
+    np.testing.assert_array_equal(nwave_sample(neg, 2.0, -3.0, 1.0 / 64.0, 384).values,
+                                  -nwave_sample(pos, 2.0, -3.0, 1.0 / 64.0, 384).values)
     assert neg.r(2.0) == pos.r(2.0)
+
+
+@pytest.mark.parametrize("m", [1.0, -1.0, 2.5, -2.5])
+def test_the_nwave_solves_the_conservation_law_on_its_fan(m):
+    # u_t + f(u)_x = 0 by central differences in t and x, on both sides of
+    # the origin and away from the shock and the fan's foot
+    nw, t, h = NWave(m=m, q=1.5), 1.0, 1e-5
+    r = nw.r(t)
+    x = np.concatenate([np.linspace(-0.9 * r, -0.1 * r, 41), np.linspace(0.1 * r, 0.9 * r, 41)])
+    u_t = (nwave_eval(nw, t + h, x) - nwave_eval(nw, t - h, x)) / (2.0 * h)
+    f_x = (flux(nwave_eval(nw, t, x + h), nw.q) - flux(nwave_eval(nw, t, x - h), nw.q)) / (2.0 * h)
+    assert np.max(np.abs(u_t)) > 0.1
+    np.testing.assert_allclose(u_t + f_x, 0.0, atol=1e-6)
+
+
+def test_a_negative_box_without_diffusion_tends_to_the_negative_nwave():
+    # alpha = 0 leaves the conservation law, whose N-wave of mass -1 the
+    # box of mass -1 approaches
+    p = SimParams(q=1.5, alpha=0.0, x_min=-8.0, x_max=8.0, dx=1.0 / 128.0, output_times=(8.0,))
+    phi = make_initial_datum("box", p.x_min, p.dx, p.grid_n(), height=-1.0, left=0.0, right=1.0)
+    u = run(phi, p).snapshots[-1]
+    assert nwave_distance(u, NWave(m=-1.0, q=1.5), 8.0, 1.0) < 0.02
 
 
 @pytest.mark.parametrize("m", [1.0, -1.0, 2.5])
