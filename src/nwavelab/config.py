@@ -13,7 +13,9 @@ those objects once and assigns blame: a broken rule becomes a ConfigError
 carrying the file and line (or the literal "--set") of the key at fault.
 It owns only the rules nothing else does: seed, study.kind and nwave.*.
 check_run is the same blame for a run a suite or study derives from the
-configured case, on a grid or rescale factor of its own.
+configured case, on a grid or rescale factor of its own, and
+require_nonnegative the one rule on the sign of a datum that a suite or a
+study runs.
 
 Unknown keys, duplicate keys, malformed values and violated model
 constraints are all ConfigError; the CLI maps that to exit code 2.
@@ -28,7 +30,8 @@ from .kernels import Kernel
 from .profiles import DATUM_PARAMS, check_datum, make_initial_datum
 from .solver import ParamError, SimParams
 
-__all__ = ["ConfigError", "Config", "load_config", "check_run", "DEFAULTS", "STUDY_KINDS"]
+__all__ = ["ConfigError", "Config", "load_config", "check_run", "require_nonnegative",
+           "DEFAULTS", "STUDY_KINDS"]
 
 STUDY_KINDS = (
     "long_time_nonnegative",
@@ -110,6 +113,14 @@ def check_run(params: SimParams, what: str = "", base: Kernel | None = None, **k
                               origin="grid.x_min/grid.x_max") from None
         message = f"on {what}, {exc}" if what and exc.field == "kernel_width" else str(exc)
         raise ConfigError(message, origin=keys.get(exc.field, _PARAM_KEYS[exc.field])) from None
+
+
+def require_nonnegative(datum, what: str, kind: str, origin: str):
+    """A ConfigError on origin if datum, the `kind` datum that `what` (a suite or
+    a study) runs, has a negative cell: its Oleinik or amplitude bound needs none."""
+    if float(datum.values.min()) < 0.0:
+        raise ConfigError(f"{what} needs a nonnegative datum, but the {kind} datum "
+                          f"has negative cells", origin=origin)
 
 
 def _parse_scalar(key: str, text: str, default, origin: str):

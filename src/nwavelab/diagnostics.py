@@ -57,13 +57,13 @@ class Report:
     """Outcome of one named check."""
 
     name: str
-    verdict: str  # "pass" | "fail" | "informational"
+    verdict: str  # "pass" | "fail"
     values: dict = field(default_factory=dict)
     tolerance: float | None = None
     detail: str = ""
 
     def __post_init__(self):
-        if self.verdict not in ("pass", "fail", "informational"):
+        if self.verdict not in ("pass", "fail"):
             raise ValueError(f"bad verdict {self.verdict!r}")
         # Fail closed: a NaN or inf measurement never reads as a pass.
         if any(isinstance(v, float) and not math.isfinite(v) for v in self.values.values()):
@@ -71,7 +71,7 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return self.verdict != "fail"
+        return self.verdict == "pass"
 
     def line(self) -> str:
         shown = ", ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"

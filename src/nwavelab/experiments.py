@@ -2,13 +2,15 @@
 and the two-route rescaling consistency check.  The kernel bound, a sweep
 with no run to step, is the verify suite kernel_bound (suites).
 
-A StudySpec builds every run of its study as it is built, each with its
-parameters and datum, and checks each one, so a study that cannot run is a
-ConfigError before anything runs or is written.  The runners step
-spec.runs and nothing else, one simulation after another in the calling
-thread, except the vanishing-viscosity sweep: one forked child steps its
-middle mus (_pmap).  run_study returns the Reports and writes the results
-through io.write_results.
+Each study's row in _STUDIES names its sweep key, its runner and its
+datum.  A StudySpec builds every run of its study as it is built, each
+with its parameters and datum, and checks each one, so a study that cannot
+run, or a datum.* key it does not read (study_spec), is a ConfigError
+before anything runs or is written.  The runners step spec.runs and
+nothing else, one simulation after another in the calling thread, except
+the vanishing-viscosity sweep: one forked child steps its middle mus
+(_pmap).  run_study returns the Reports and writes the results through
+io.write_results.
 
 Long-time studies run in the unrescaled frame and evaluate at large times;
 by the scaling identity u_lam(t, x) = lam u(lam^q t, lam x) this probes the
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import Config, ConfigError, check_run
+from .config import DEFAULTS, Config, ConfigError, check_run, require_nonnegative
 from .diagnostics import (
     Report,
     energy_report,
@@ -181,13 +183,8 @@ class StudySpec:
     runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _STUDIES:
-            raise ConfigError(
-                f"unknown study kind {self.kind!r}; choose one of {', '.join(_STUDIES)}",
-                origin="study.kind",
-            )
+        key = _study(self.kind)[0]
         sweep = tuple(float(v) for v in self.sweep)
-        key = _STUDIES[self.kind][0]
         if len(sweep) < 2:
             raise ConfigError("a study needs at least two sweep values", origin=key)
         if not all(math.isfinite(v) and v > 0 for v in sweep):
@@ -210,36 +207,35 @@ class StudySpec:
         return (changed or ["datum.kind"])[0]
 
 
+def _study(kind: str) -> tuple:
+    """kind's _STUDIES row; an unknown kind is a ConfigError."""
+    if kind not in _STUDIES:
+        raise ConfigError(f"unknown study kind {kind!r}; choose one of {', '.join(_STUDIES)}",
+                          origin="study.kind")
+    return _STUDIES[kind]
+
+
 def study_spec(cfg: Config, out_dir: str | None = None) -> StudySpec:
     """The checked StudySpec for cfg.study_kind from a parsed config: the
-    sweep its kind's key holds, and a datum fixed by the kind, except for
-    vanishing_viscosity, which takes the configured one."""
-    kind = cfg.study_kind
-    if kind == "long_time_nonnegative":
-        datum_kind = "box"
-        # Height 0.711 puts the inviscid merge onto the limit profile at
-        # t ~ 5, strictly between checkpoints; a 1 x 1 box of the same mass
-        # merges exactly at t = 3 and makes the distance there transiently
-        # non-monotone against the later diffusive-layer decay.
-        datum_params = {"height": 0.711, "left": 0.0, "right": 1.0 / 0.711}
-    elif kind == "long_time_sign_changing":
-        datum_kind = "two_boxes_signed"
-        # load_config checks only the keys of the configured datum.kind;
-        # StudySpec checks these
-        datum_params = {name: cfg.raw[f"datum.{name}"] for name in DATUM_PARAMS[datum_kind]}
-    elif kind == "vanishing_viscosity":
-        datum_kind, datum_params = cfg.datum_kind, dict(cfg.datum_params)
-    else:  # rescaling_family
-        datum_kind, datum_params = "box", {"height": 1.0, "left": 0.0, "right": 1.0}
-    return StudySpec(
-        kind=kind,
-        base=cfg.params,
-        datum_kind=datum_kind,
-        datum_params=datum_params,
-        # an unknown kind has no sweep key; StudySpec names the kinds
-        sweep=cfg.raw[_STUDIES[kind][0]] if kind in _STUDIES else (),
-        out_dir=out_dir,
-    )
+    sweep its kind's key holds and the datum its _STUDIES row names.  The
+    study reads datum.kind where it equals that datum's kind, and that
+    kind's datum.* keys unless the row fixes them; any other datum.* key
+    set away from its default is a ConfigError on that key."""
+    key, _, datum_kind, fixed = _study(cfg.study_kind)
+    datum_kind = datum_kind or cfg.datum_kind
+    # load_config checks only the keys of the configured datum.kind; StudySpec checks these
+    params = fixed or {name: cfg.raw[f"datum.{name}"] for name in DATUM_PARAMS[datum_kind]}
+    reads = {"datum.kind"} if cfg.raw["datum.kind"] == datum_kind else set()
+    if not fixed:
+        reads |= {f"datum.{name}" for name in params}
+    unread = [k for k, v in cfg.raw.items() if k.startswith("datum.") and k not in reads
+              and v != DEFAULTS[k]]
+    if unread:
+        raise ConfigError(f"the {cfg.study_kind} study runs a {datum_kind} datum"
+                          f"{' of fixed parameters' if fixed else ''} and does not read "
+                          f"{unread[0]}", origin=unread[0])
+    return StudySpec(kind=cfg.study_kind, base=cfg.params, datum_kind=datum_kind,
+                     datum_params=params, sweep=cfg.raw[key], out_dir=out_dir)
 
 
 def _check_runs(spec: StudySpec):
@@ -290,13 +286,8 @@ def _check_runs(spec: StudySpec):
             "profile needs nontrivial mass",
             origin=spec._datum_origin(),
         )
-    # its amplitude bound concerns nonnegative data
-    if kind == "long_time_nonnegative" and float(np.min(datum.values)) < 0.0:
-        raise ConfigError(
-            f"the {kind} study needs a nonnegative datum, but the {spec.datum_kind} "
-            f"datum has negative cells",
-            origin=spec._datum_origin(),
-        )
+    if kind == "long_time_nonnegative":
+        require_nonnegative(datum, f"the {kind} study", spec.datum_kind, spec._datum_origin())
 
 
 def _datum_on(spec: StudySpec, params: SimParams, lam: float = 1.0) -> GridFunction:
@@ -329,8 +320,7 @@ def _long_time_params(spec: StudySpec) -> SimParams:
     q, times = spec.base.q, tuple(sorted(spec.sweep))
     mass = abs(_datum_mass(spec.datum_kind, spec.datum_params))
     # wave front position at the final time, padded by 20 on both sides
-    r = (q / (q - 1.0)) ** ((q - 1.0) / q) * max(mass, 1e-12) ** ((q - 1.0) / q) \
-        * times[-1] ** (1.0 / q)
+    r = NWave(max(mass, 1e-12), q).r(times[-1])
     # The two data have different finite-time bottlenecks.  For nonnegative
     # data it is the shock layer, whose L^1 content scales with m2 and decays
     # only like t^((q-2)/q), so a narrow kernel clears the asymptotic floor
@@ -557,12 +547,17 @@ def run_rescaling_family(spec: StudySpec):
 # ---------------------------------------------------------------------------
 
 
-# Each study kind's sweep key and runner.
+# Each study kind's (sweep key, runner, datum kind, fixed datum parameters): a datum
+# kind of None is the configured one, and parameters of None its datum.* keys.
 _STUDIES = {
-    "long_time_nonnegative": ("study.times", run_long_time),
-    "long_time_sign_changing": ("study.times", run_long_time),
-    "vanishing_viscosity": ("study.mus", run_vanishing_viscosity),
-    "rescaling_family": ("study.lambdas", run_rescaling_family),
+    # Height 0.711 puts the inviscid merge onto the limit profile at t ~ 5, strictly
+    # between checkpoints; a 1 x 1 box of the same mass merges exactly at t = 3 and makes
+    # the distance there transiently non-monotone against the later diffusive-layer decay.
+    "long_time_nonnegative": ("study.times", run_long_time, "box",
+                              {"height": 0.711, "left": 0.0, "right": 1.0 / 0.711}),
+    "long_time_sign_changing": ("study.times", run_long_time, "two_boxes_signed", None),
+    "vanishing_viscosity": ("study.mus", run_vanishing_viscosity, None, None),
+    "rescaling_family": ("study.lambdas", run_rescaling_family, "box", DATUM_PARAMS["box"]),
 }
 
 

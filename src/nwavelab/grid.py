@@ -8,7 +8,7 @@ resampled silently, so two fields interact only when their meshes agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -7,12 +7,13 @@ writes the results through io.write_results, as run_study does for the
 studies.  The CLI prints one line per report and maps any failure to exit
 code 1.  Suites are deterministic given the config (and its seed, for the
 randomized ones); their tolerances are constants, no config key moves a
-gate.  A suite that picks its own grid or rescale factor checks that run
-first, through config.check_run, so a configured kernel or extent that
-does not fit it is a ConfigError before anything runs.
-oleinik and tails read one run of the configured case, made once per
-Config (see _configured_run), so a caller that runs both on one Config
-steps it once.
+gate, and the checks exact in the scheme share one (_exact).  A suite
+that picks its own grid or rescale factor checks that run first, through
+config.check_run, and oleinik its datum's sign, through
+config.require_nonnegative, so a config that does not fit is a ConfigError
+before anything runs.  contraction and comparison share one setup
+(_random_pairs); oleinik and tails one run of the configured case, made
+once per Config (_configured_run).
 
     oleinik              one-sided slope bound on the configured run,
                          with a half-dx rerun when an excess needs one
@@ -31,7 +32,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import Config, ConfigError, check_run
+from .config import Config, ConfigError, check_run, require_nonnegative
 from .diagnostics import (
     COMPARISON_TOL,
     Report,
@@ -80,14 +81,9 @@ def _configured_run(cfg: Config):
     return cfg.run_memo[key]
 
 
-def _require_nonnegative_datum(cfg: Config, datum: GridFunction, suite: str):
-    if float(np.min(datum.values)) < 0.0:
-        raise ConfigError(
-            f"the {suite} suite needs a nonnegative initial datum, but "
-            f"datum.kind = {cfg.datum_kind!r} with the configured parameters "
-            f"has negative cells",
-            origin="datum.kind",
-        )
+def _exact(name: str, key: str, worst: float) -> Report:
+    """The Report of a check exact in the scheme: its worst value, gated at _ROUNDING."""
+    return Report(name, "pass" if worst <= _ROUNDING else "fail", {key: worst}, _ROUNDING)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +98,7 @@ def suite_oleinik(cfg: Config):
     starts only when a snapshot's excess is positive or not finite; its
     grid and kernel are checked before the configured run all the same.
     """
-    _require_nonnegative_datum(cfg, cfg.make_datum(), "oleinik")
+    require_nonnegative(cfg.make_datum(), "the oleinik suite", cfg.datum_kind, "datum.kind")
     fine_params = replace(cfg.params, dx=cfg.params.dx / 2.0)
     check_run(fine_params, "the oleinik suite's refined grid", kernel_width="grid.dx")
     _, traj = _configured_run(cfg)
@@ -177,8 +173,7 @@ def suite_decay(cfg: Config):
     check_run(runs[0])  # the three runs share its kernel
 
     def at_q(params):
-        datum = make_initial_datum("box", params.x_min, params.dx, params.grid_n(),
-                                   height=1.0, left=0.0, right=1.0)
+        datum = make_initial_datum("box", params.x_min, params.dx, params.grid_n())
         traj = run(datum, params)
         return [decay_fit(traj, p) for p in (1.0, 2.0, np.inf)] + [energy_report(traj)]
 
@@ -191,24 +186,18 @@ def suite_decay(cfg: Config):
 _PAIR_COUNT = 20
 
 
-def _random_pair_params(cfg: Config) -> SimParams:
-    return replace(
-        cfg.params,
-        x_min=-6.0,
-        x_max=6.0,
-        dx=1.0 / 64.0,
-        output_times=(0.5, 1.0),
-        tail_cap=1e9,  # random data may genuinely flow out; that is fine here
-    )
-
-
-def _random_pairs(rng, params: SimParams):
-    """_PAIR_COUNT pairs of random_smooth_field data, drawn in one call."""
-    n = params.grid_n()
-    rows = random_smooth_rows(rng, params.x_min, params.dx, n,
+def _random_pairs(cfg: Config):
+    """The pair suites' (rng, params, pairs): the rng seeded from cfg.seed, their
+    checked run, and _PAIR_COUNT pairs of random_smooth_field data drawn in one call."""
+    rng = np.random.default_rng(cfg.seed)
+    # random data may genuinely flow out; that is fine here, hence the tail cap
+    params = replace(cfg.params, x_min=-6.0, x_max=6.0, dx=1.0 / 64.0,
+                     output_times=(0.5, 1.0), tail_cap=1e9)
+    check_run(params)
+    rows = random_smooth_rows(rng, params.x_min, params.dx, params.grid_n(),
                               (1.0,) * (2 * _PAIR_COUNT), (False,) * (2 * _PAIR_COUNT))
     fields = [grid_function(row, params.x_min, params.dx) for row in rows]
-    return list(zip(fields[0::2], fields[1::2]))
+    return rng, params, list(zip(fields[0::2], fields[1::2]))
 
 
 def _lockstep_runs(pairs, params: SimParams):
@@ -227,10 +216,7 @@ def suite_contraction(cfg: Config):
     || u~(t) - u(t) ||_1 <= || phi~ - phi ||_1 and the same with positive
     parts, exact in the scheme up to rounding.
     """
-    rng = np.random.default_rng(cfg.seed)
-    params = _random_pair_params(cfg)
-    check_run(params)
-    pairs = _random_pairs(rng, params)
+    _, params, pairs = _random_pairs(cfg)
     worst_l1 = -np.inf
     worst_pos = -np.inf
     for (phi_a, phi_b), (traj_a, traj_b) in zip(pairs, _lockstep_runs(pairs, params)):
@@ -242,18 +228,8 @@ def suite_contraction(cfg: Config):
             worst_l1 = worst_max(worst_l1, float(np.sum(np.abs(d)) * ua.dx) - l1_0)
             worst_pos = worst_max(worst_pos, float(np.sum(np.maximum(d, 0.0)) * ua.dx) - pos_0)
     return [
-        Report(
-            name=f"l1 contraction ({_PAIR_COUNT} pairs)",
-            verdict="pass" if worst_l1 <= _ROUNDING else "fail",
-            values={"worst_growth": worst_l1},
-            tolerance=_ROUNDING,
-        ),
-        Report(
-            name=f"positive-part contraction ({_PAIR_COUNT} pairs)",
-            verdict="pass" if worst_pos <= _ROUNDING else "fail",
-            values={"worst_growth": worst_pos},
-            tolerance=_ROUNDING,
-        ),
+        _exact(f"l1 contraction ({_PAIR_COUNT} pairs)", "worst_growth", worst_l1),
+        _exact(f"positive-part contraction ({_PAIR_COUNT} pairs)", "worst_growth", worst_pos),
     ], []
 
 
@@ -263,12 +239,10 @@ def suite_comparison(cfg: Config):
     phi <= phi~ cellwise implies u(t) <= u~(t) cellwise to rounding;
     nonnegative data stay nonnegative; equal data give identical runs.
     """
-    rng = np.random.default_rng(cfg.seed)
-    params = _random_pair_params(cfg)
-    check_run(params)
+    rng, params, pairs = _random_pairs(cfg)
     ordered = [(a.with_values(np.minimum(a.values, b.values)),
                 a.with_values(np.maximum(a.values, b.values)))
-               for a, b in _random_pairs(rng, params)]
+               for a, b in pairs]
     worst_order = -np.inf
     for traj_lo, traj_hi in _lockstep_runs(ordered, params):
         for ul, uh in zip(traj_lo.snapshots, traj_hi.snapshots):
@@ -285,24 +259,10 @@ def suite_comparison(cfg: Config):
         for u, v in zip(traj_pos.snapshots, rerun.snapshots)
     ]))
     return [
-        Report(
-            name=f"order preservation ({_PAIR_COUNT} pairs)",
-            verdict="pass" if worst_order <= _ROUNDING else "fail",
-            values={"worst_violation": worst_order},
-            tolerance=_ROUNDING,
-        ),
-        Report(
-            name="sign preservation",
-            verdict="pass" if worst_neg <= _ROUNDING else "fail",
-            values={"worst_negative": worst_neg},
-            tolerance=_ROUNDING,
-        ),
-        Report(
-            name="rerun determinism",
-            verdict="pass" if determinism == 0.0 else "fail",
-            values={"max_diff": determinism},
-            tolerance=0.0,
-        ),
+        _exact(f"order preservation ({_PAIR_COUNT} pairs)", "worst_violation", worst_order),
+        _exact("sign preservation", "worst_negative", worst_neg),
+        Report(name="rerun determinism", verdict="pass" if determinism == 0.0 else "fail",
+               values={"max_diff": determinism}, tolerance=0.0),
     ], []
 
 
@@ -378,7 +338,7 @@ def suite_entropy(cfg: Config):
         detail=detail,
     ))
 
-    datum = make_initial_datum("box", x_min, dx, n, height=1.0, left=0.0, right=1.0)
+    datum = make_initial_datum("box", x_min, dx, n)
     traj = run(datum, params)
     simulated = entropy_residuals(traj.times, traj.snapshots, q, _ENTROPY_KS, _ENTROPY_BUMPS,
                                   alpha=params.alpha, kernel=kernel, mu=params.mu)
@@ -536,7 +496,7 @@ def suite_kernel_bound(cfg: Config):
     base = check_run(params, "the kernel_bound suite's own grid")
     kernels = [check_run(replace(params, lam=lam), base=base, lam="kernel.width")
                for lam in lams]
-    n = int(round((x_max - x_min) / dx))
+    n = params.grid_n()
     half = kernels[0].m2 / 2.0
     psis = {name: _psi_field(name, x_min, dx, n) for name in _PSI_NAMES}
     ps = (1.0, 2.0, np.inf)

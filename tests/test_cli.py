@@ -190,6 +190,25 @@ def test_a_reversed_signed_box_exits_2(command, setting, origin, tmp_path, capsy
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kind, setting", [
+    ("rescaling_family", "datum.height=-1"),
+    ("long_time_sign_changing", "datum.kind=gaussian"),
+    ("long_time_nonnegative", "datum.kind=dipole_zero_mass"),
+    ("vanishing_viscosity", "datum.sigma=2"),
+])
+def test_a_datum_key_the_study_does_not_read_exits_2(kind, setting, tmp_path, capsys):
+    # the study would run without the key, so it names the key, not a datum of its own
+    key = setting.split("=")[0]
+    assert main(["study", kind, "--set", setting, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {key}: the {kind} study runs a ")
+    assert captured.err.endswith(f" does not read {key}\n")
+    assert ("of fixed parameters" in captured.err) == (kind in ("rescaling_family",
+                                                               "long_time_nonnegative"))
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("args, origin", [
     # the config's own grid takes the kernel; a grid or rescale factor the
     # suite or study picks for itself does not

@@ -24,6 +24,7 @@ from nwavelab.experiments import (
 )
 from nwavelab.diagnostics import lp_norm
 from nwavelab.grid import grid_function
+from nwavelab.profiles import DATUM_KINDS
 from nwavelab.solver import NumericalAbort, SimParams, run, run_lockstep
 
 
@@ -66,10 +67,11 @@ def test_a_config_of_an_unknown_study_kind_is_a_config_error():
 
 
 def test_each_registry_names_its_runners_in_one_order():
-    # a kind StudySpec accepts has a sweep key and a runner, and a suite
-    # name a runner, so neither lookup needs a default
+    # a kind StudySpec accepts has a sweep key, a runner and a datum, and a
+    # suite name a runner, so neither lookup needs a default
     assert config.STUDY_KINDS == tuple(experiments._STUDIES)
-    assert all(key in config.DEFAULTS for key, _ in experiments._STUDIES.values())
+    for key, _, datum_kind, _ in experiments._STUDIES.values():
+        assert key in config.DEFAULTS and datum_kind in (None, *DATUM_KINDS)
     assert suites.SUITE_NAMES == tuple(suites._SUITES)
 
 
@@ -86,6 +88,20 @@ def test_long_time_sign_changing_uses_two_boxes():
     spec = study_spec(cfg)
     assert spec.datum_kind == "two_boxes_signed"
     assert _datum_mass(spec.datum_kind, spec.datum_params) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("path, overrides", [
+    pytest.param(None, ["study.kind=long_time_sign_changing", "datum.neg_height=3"], id="set"),
+    pytest.param(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "configs", "sign_changing_study.cfg"),
+                 ["datum.neg_height=3"], id="config-file"),
+])
+def test_the_sign_changing_study_reads_its_two_box_keys(path, overrides):
+    # with datum.kind the default box or two_boxes_signed itself
+    spec = study_spec(load_config(path, overrides))
+    assert spec.datum_kind == "two_boxes_signed"
+    assert spec.datum_params["neg_height"] == 3.0
+    assert _datum_mass(spec.datum_kind, spec.datum_params) == pytest.approx(-1.0)
 
 
 def test_sweep_validation():
@@ -136,10 +152,9 @@ def test_long_time_rejects_q2_and_zero_mass():
     cfg = load_config(overrides=["q=2.0"])
     with pytest.raises(ConfigError, match="below 2"):
         study_spec(cfg)
-    cfg2 = load_config(overrides=["datum.kind=dipole_zero_mass"])
-    spec2 = study_spec(cfg2)
     with pytest.raises(ConfigError, match="mass"):
-        StudySpec(kind=spec2.kind, base=spec2.base, datum_kind="dipole_zero_mass",
+        StudySpec(kind="long_time_nonnegative", base=load_config().params,
+                  datum_kind="dipole_zero_mass",
                   datum_params={"height": 1.0, "width": 1.0, "center": 0.0},
                   sweep=(1.0, 2.0))
 
